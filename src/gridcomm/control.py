@@ -8,6 +8,9 @@ undervoltage minimizes the maximum (least total increase); both are cast as
 a standard LP through a slack objective variable bounded by zero in the
 correction direction, so a community already inside the band solves to the
 all-zero adjustment.
+
+The run's sensitivity mode also decides which DG output control moves:
+reactive output in vq mode, active output (curtailment) in vp mode.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import NetworkModel
+from .network import DG
 from .partition import build_dg_adjacency
-from .powerflow import PowerFlowError, PowerFlowOptions, PowerFlowSolution, solve_power_flow
+from .powerflow import PowerFlowSolution
+from .sensitivity import SensitivityMode
 from .simplex import LPStatus, solve_inequality_lp
 
 LP_TOL = 1e-9
@@ -31,9 +35,31 @@ class ControlDirection(str, Enum):
     UNDERVOLTAGE = "undervoltage"
 
 
-class ControlMode(str, Enum):
-    REACTIVE = "reactive"
-    ACTIVE = "active"
+# The DG output and surplus each mode moves.
+_SETPOINT = {
+    SensitivityMode.VQ: ("q_out", "q_surplus"),
+    SensitivityMode.VP: ("p_out", "p_surplus"),
+}
+
+
+def setpoint(dg: DG, mode: SensitivityMode) -> float:
+    """The DG output that control in this mode moves."""
+    return getattr(dg, _SETPOINT[mode][0])
+
+
+def capability_range(dg: DG, mode: SensitivityMode) -> tuple[float, float]:
+    """(lo, hi) for the mode's setpoint: the output +/- its surplus. Taken
+    on the as-loaded DG, it is the fixed range control may move it in."""
+    out, surplus = _SETPOINT[mode]
+    now, margin = getattr(dg, out), getattr(dg, surplus)
+    return now - margin, now + margin
+
+
+def apply_adjustment(dg: DG, mode: SensitivityMode, x: float, lo: float, hi: float) -> None:
+    """Move the mode's setpoint by x, clamped to [lo, hi]; the other output
+    is left alone."""
+    out = _SETPOINT[mode][0]
+    setattr(dg, out, min(max(getattr(dg, out) + x, lo), hi))
 
 
 class NoAvailableDGError(RuntimeError):
@@ -124,7 +150,7 @@ class TransformerAngleRows:
 @dataclass
 class ControlProblem:
     direction: ControlDirection
-    mode: ControlMode
+    mode: SensitivityMode
     dg_ids: list[int]
     node_ids: list[int]
     v0: np.ndarray
@@ -143,7 +169,7 @@ class ControlProblem:
             raise ValueError(f"v_sens must be {n}x{k}, got {self.v_sens.shape}")
         if self.v0.shape != (n,) or self.x_lower.shape != (k,) or self.x_upper.shape != (k,):
             raise ValueError("v0/x_lower/x_upper shapes inconsistent with node/DG lists")
-        if self.mode is ControlMode.ACTIVE and self.direction is ControlDirection.UNDERVOLTAGE:
+        if self.mode is SensitivityMode.VP and self.direction is ControlDirection.UNDERVOLTAGE:
             raise ValueError("active-power control is implemented for overvoltage curtailment only")
 
 
@@ -156,8 +182,6 @@ class LinearProgram:
     b_ub: np.ndarray
     row_labels: list[tuple]
     dg_ids: list[int]
-    direction: ControlDirection
-    mode: ControlMode
 
 
 @dataclass
@@ -167,8 +191,6 @@ class ControlSolution:
     objective: float | None
     feasible: bool
     binding: list[tuple] = field(default_factory=list)
-    mode: ControlMode = ControlMode.REACTIVE
-    direction: ControlDirection = ControlDirection.OVERVOLTAGE
 
     def adjustment_of(self, dg_id: int) -> float:
         return float(self.x[self.dg_ids.index(dg_id)])
@@ -236,8 +258,6 @@ def formulate_lp(problem: ControlProblem) -> LinearProgram:
         b_ub=np.array(rhs),
         row_labels=labels,
         dg_ids=list(problem.dg_ids),
-        direction=problem.direction,
-        mode=problem.mode,
     )
 
 
@@ -249,10 +269,7 @@ def solve_lp(lp: LinearProgram) -> ControlSolution:
     """
     result = solve_inequality_lp(lp.c, lp.a_ub, lp.b_ub)
     if result.status is LPStatus.INFEASIBLE:
-        return ControlSolution(
-            dg_ids=lp.dg_ids, x=None, objective=None, feasible=False,
-            mode=lp.mode, direction=lp.direction,
-        )
+        return ControlSolution(dg_ids=lp.dg_ids, x=None, objective=None, feasible=False)
     if result.status is LPStatus.UNBOUNDED:
         raise UnboundedControlError("control LP unbounded; check surplus bounds")
     z = result.x
@@ -264,14 +281,7 @@ def solve_lp(lp: LinearProgram) -> ControlSolution:
         objective=float(z[-1]),
         feasible=True,
         binding=binding,
-        mode=lp.mode,
-        direction=lp.direction,
     )
-
-
-def predict_voltages(v0: np.ndarray, v_sens: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """First-order voltage prediction v0 + S x for one mode's adjustments."""
-    return np.asarray(v0, dtype=float) + np.asarray(v_sens, dtype=float) @ np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -296,30 +306,3 @@ def scan_voltage_limits(
         elif v > v_max:
             out.append(LimitViolation(bus=bus_id, v_mag=v, side="high"))
     return sorted(out, key=lambda lv: lv.bus)
-
-
-def verify_and_apply(
-    net: NetworkModel,
-    solution: ControlSolution,
-    v_min: float = 0.95,
-    v_max: float = 1.05,
-    options: PowerFlowOptions | None = None,
-) -> tuple[PowerFlowSolution, list[LimitViolation]]:
-    """Apply the adjustments to the network's DGs, re-solve the nonlinear
-    power flow and report any residual band violations.
-
-    Mutates net. Raises PowerFlowError if the post-control flow diverges;
-    the network is left with the adjustments applied for inspection.
-    """
-    if not solution.feasible:
-        raise ValueError("cannot apply an infeasible control solution")
-    for dg_id, xi in zip(solution.dg_ids, solution.x):
-        dg = net.dg_by_id(dg_id)
-        if solution.mode is ControlMode.REACTIVE:
-            dg.q_out += float(xi)
-        else:
-            dg.p_out += float(xi)
-    sol = solve_power_flow(net, options)
-    if not sol.converged:
-        raise PowerFlowError("power flow diverged after applying control adjustments")
-    return sol, scan_voltage_limits(sol, v_min, v_max)

@@ -132,7 +132,7 @@ def validate_network(net: NetworkModel) -> list[Violation]:
     bus_ids = [b.id for b in net.buses]
     id_set = set(bus_ids)
 
-    if net.s_base <= 0:
+    if not net.s_base > 0:
         out.append(Violation("bad-s-base", f"s_base must be positive, got {net.s_base}"))
 
     seen: set[int] = set()

@@ -53,13 +53,14 @@ def load_network(path: str | Path) -> NetworkModel:
 
     net = NetworkModel(s_base=_num(raw, "s_base_mva", path))
     for i, item in enumerate(raw.get("buses", [])):
-        _check_fields(item, _BUS_FIELDS, {"id"}, f"buses[{i}]", path)
+        where = f"buses[{i}]"
+        _check_fields(item, _BUS_FIELDS, {"id"}, where, path)
         kind = item.get("kind", "pq")
         if kind not in ("slack", "pq"):
-            raise NetworkFormatError(f"{path}: buses[{i}] has unknown kind '{kind}'")
+            raise NetworkFormatError(f"{path}: {where} has unknown kind '{kind}'")
         net.buses.append(
             Bus(
-                id=int(item["id"]),
+                id=_int(item, "id", where, path),
                 kind=BusKind(kind),
                 base_kv=float(item.get("base_kv", 1.0)),
                 v_mag=float(item.get("v_mag", 1.0)),
@@ -69,24 +70,24 @@ def load_network(path: str | Path) -> NetworkModel:
             )
         )
     for i, item in enumerate(raw.get("branches", [])):
-        _check_fields(item, _BRANCH_FIELDS, {"from_bus", "to_bus", "r", "x"}, f"branches[{i}]", path)
+        where = f"branches[{i}]"
+        _check_fields(item, _BRANCH_FIELDS, {"from_bus", "to_bus", "r", "x"}, where, path)
         net.branches.append(
             Branch(
-                from_bus=int(item["from_bus"]),
-                to_bus=int(item["to_bus"]),
+                from_bus=_int(item, "from_bus", where, path),
+                to_bus=_int(item, "to_bus", where, path),
                 r=float(item["r"]),
                 x=float(item["x"]),
                 b_shunt=float(item.get("b_shunt", 0.0)),
             )
         )
     for i, item in enumerate(raw.get("transformers", [])):
-        _check_fields(
-            item, _XFMR_FIELDS, {"primary_bus", "secondary_bus", "r", "x"}, f"transformers[{i}]", path
-        )
+        where = f"transformers[{i}]"
+        _check_fields(item, _XFMR_FIELDS, {"primary_bus", "secondary_bus", "r", "x"}, where, path)
         net.transformers.append(
             Transformer(
-                primary_bus=int(item["primary_bus"]),
-                secondary_bus=int(item["secondary_bus"]),
+                primary_bus=_int(item, "primary_bus", where, path),
+                secondary_bus=_int(item, "secondary_bus", where, path),
                 r=float(item["r"]),
                 x=float(item["x"]),
                 tap=float(item.get("tap", 1.0)),
@@ -94,16 +95,20 @@ def load_network(path: str | Path) -> NetworkModel:
             )
         )
     for i, item in enumerate(raw.get("dgs", [])):
-        _check_fields(item, _DG_FIELDS, {"id", "bus"}, f"dgs[{i}]", path)
+        where = f"dgs[{i}]"
+        _check_fields(item, _DG_FIELDS, {"id", "bus"}, where, path)
+        online = item.get("online", True)
+        if not isinstance(online, bool):
+            raise NetworkFormatError(f"{path}: {where} field 'online' must be true or false, got {online!r}")
         net.dgs.append(
             DG(
-                id=int(item["id"]),
-                bus=int(item["bus"]),
+                id=_int(item, "id", where, path),
+                bus=_int(item, "bus", where, path),
                 p_out=float(item.get("p_out", 0.0)),
                 q_out=float(item.get("q_out", 0.0)),
                 p_surplus=float(item.get("p_surplus", 0.0)),
                 q_surplus=float(item.get("q_surplus", 0.0)),
-                online=bool(item.get("online", True)),
+                online=online,
             )
         )
 
@@ -165,6 +170,13 @@ def _num(raw: dict, key: str, path: Path) -> float:
         return float(raw[key])
     except (TypeError, ValueError) as exc:
         raise NetworkFormatError(f"{path}: '{key}' must be a number") from exc
+
+
+def _int(item: dict, key: str, where: str, path: Path) -> int:
+    value = item[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise NetworkFormatError(f"{path}: {where} field '{key}' must be an integer, got {value!r}")
+    return value
 
 
 def _check_fields(item, allowed: set[str], required: set[str], where: str, path: Path) -> None:

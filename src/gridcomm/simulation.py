@@ -17,8 +17,8 @@ Tick phases, all deterministic:
 3. CAs, community id ascending, solve the max-min LP over the union of the
    violated nodes' subset DGs, or self-organize around exhausted DGs when
    the LP is infeasible;
-4. DAs apply the commands, the flow is re-solved once, and voltages are
-   logged.
+4. DAs apply the commands, each clamped to its DG's capability range;
+   the flow is re-solved once if any DA moved, and voltages are logged.
 
 Violations are tracked as episodes: a bus entering the band closes the
 episode it opened when it left. Run totals count episodes, not ticks.
@@ -37,15 +37,16 @@ import numpy as np
 
 from .control import (
     ControlDirection,
-    ControlMode,
     ControlProblem,
-    ControlSolution,
     CommunitySubsets,
     TransformerAngleRows,
+    apply_adjustment,
     build_community_dg_matrix,
+    capability_range,
     derive_subsets,
     formulate_lp,
     scan_voltage_limits,
+    setpoint,
     solve_lp,
 )
 from .network import NetworkModel
@@ -188,16 +189,6 @@ def validate_scenario(scenario: Scenario, net: NetworkModel) -> None:
             )
 
 
-@dataclass(frozen=True)
-class CapabilityBox:
-    """Fixed adjustment range around a DG's as-loaded operating point."""
-
-    p_min: float
-    p_max: float
-    q_min: float
-    q_max: float
-
-
 @dataclass
 class ControlRecord:
     tick: int
@@ -230,7 +221,7 @@ class SimulationState:
     nodes_of: dict[int, list[int]]  # community -> non-slack bus ids
     dgs_of: dict[int, list[int]]  # community -> all DG ids, online or not
     subsets: dict[int, CommunitySubsets]
-    cap_box: dict[int, CapabilityBox]
+    cap_range: dict[int, tuple[float, float]]  # DG id -> (lo, hi) of the mode's setpoint
     options: PowerFlowOptions
     tick: int = 0
     comm_lost: set[int] = field(default_factory=set)
@@ -247,9 +238,6 @@ class SimulationState:
     control_actions: int = 0
     regenerations: int = 0
     _seq: int = 0
-
-    def control_mode(self) -> ControlMode:
-        return ControlMode.REACTIVE if self.mode is SensitivityMode.VQ else ControlMode.ACTIVE
 
     def community_of_dg(self, dg_id: int) -> int:
         return self.partition.community_of[self.net.dg_by_id(dg_id).bus]
@@ -269,7 +257,7 @@ def initialize(
     v_limits: tuple[float, float] = (0.95, 1.05),
     options: PowerFlowOptions | None = None,
 ) -> SimulationState:
-    """Stand up agents, subsets and capability boxes on a private copy of net."""
+    """Stand up agents, subsets and capability ranges on a private copy of net."""
     net = copy.deepcopy(net)
     options = options or PowerFlowOptions()
     pf = solve_power_flow(net, options)
@@ -286,16 +274,6 @@ def initialize(
     for d in net.dgs_sorted():
         dgs_of[partition.community_of[d.bus]].append(d.id)
 
-    cap_box = {
-        d.id: CapabilityBox(
-            p_min=d.p_out - d.p_surplus,
-            p_max=d.p_out + d.p_surplus,
-            q_min=d.q_out - d.q_surplus,
-            q_max=d.q_out + d.q_surplus,
-        )
-        for d in net.dgs_sorted()
-    }
-
     state = SimulationState(
         net=net,
         partition=partition,
@@ -307,7 +285,7 @@ def initialize(
         nodes_of=nodes_of,
         dgs_of=dgs_of,
         subsets={},
-        cap_box=cap_box,
+        cap_range={d.id: capability_range(d, mode) for d in net.dgs_sorted()},
         options=options,
     )
     for c in communities:
@@ -371,9 +349,7 @@ def self_organize(state: SimulationState, community: int) -> None:
         state.send(ca, ca, MessageKind.INFEASIBLE_NOTICE, {"community": community, "reason": "no_available_dg"})
 
 
-def _resolve_if(state: SimulationState, needed: bool, why: str) -> None:
-    if not needed:
-        return
+def _resolve(state: SimulationState, why: str) -> None:
     pf = solve_power_flow(state.net, state.options)
     if not pf.converged:
         raise SimulationDiverged(f"power flow diverged after {why} at tick {state.tick}", state)
@@ -442,18 +418,15 @@ def _direction_for(state: SimulationState, buses: list[int]) -> ControlDirection
 
 
 def _headroom(state: SimulationState, dg_id: int, direction: ControlDirection) -> float:
-    dg = state.net.dg_by_id(dg_id)
-    box = state.cap_box[dg_id]
-    if state.mode is SensitivityMode.VQ:
-        now, lo, hi = dg.q_out, box.q_min, box.q_max
-    else:
-        now, lo, hi = dg.p_out, box.p_min, box.p_max
+    now = setpoint(state.net.dg_by_id(dg_id), state.mode)
+    lo, hi = state.cap_range[dg_id]
     return now - lo if direction is ControlDirection.OVERVOLTAGE else hi - now
 
 
 def _transformer_rows(state: SimulationState, community: int, dg_buses: list[int]) -> list[TransformerAngleRows]:
     rows = []
     cols = [state.sens.row_of(b) for b in dg_buses]
+    idx = {b.id: i for i, b in enumerate(state.net.buses)}
     for t in state.net.transformers:
         if (
             state.partition.community_of.get(t.primary_bus) != community
@@ -462,7 +435,6 @@ def _transformer_rows(state: SimulationState, community: int, dg_buses: list[int
             continue
         p_row = state.sens.angle_row(t.primary_bus, state.mode)[cols] if cols else np.zeros(0)
         s_row = state.sens.angle_row(t.secondary_bus, state.mode)[cols] if cols else np.zeros(0)
-        idx = {b.id: i for i, b in enumerate(state.net.buses)}
         rows.append(
             TransformerAngleRows(
                 label=f"{t.primary_bus}->{t.secondary_bus}",
@@ -514,15 +486,8 @@ def _control_community(state: SimulationState, community: int, violated: list[in
     v0 = np.array([state.pf.v_of(b) for b in nodes])
     v_sens = block[np.ix_(rows, cols)]
 
-    x_lo, x_hi = [], []
-    for g in dg_ids:
-        dg = state.net.dg_by_id(g)
-        box = state.cap_box[g]
-        now = dg.q_out if mode is SensitivityMode.VQ else dg.p_out
-        lo = box.q_min if mode is SensitivityMode.VQ else box.p_min
-        hi = box.q_max if mode is SensitivityMode.VQ else box.p_max
-        x_lo.append(lo - now)
-        x_hi.append(hi - now)
+    now = np.array([setpoint(state.net.dg_by_id(g), mode) for g in dg_ids])
+    lo, hi = np.array([state.cap_range[g] for g in dg_ids]).T
 
     v_min, v_max = state.v_limits
     if direction is ControlDirection.OVERVOLTAGE:
@@ -533,13 +498,13 @@ def _control_community(state: SimulationState, community: int, violated: list[in
     try:
         problem = ControlProblem(
             direction=direction,
-            mode=state.control_mode(),
+            mode=mode,
             dg_ids=dg_ids,
             node_ids=list(nodes),
             v0=v0,
             v_sens=v_sens,
-            x_lower=np.array(x_lo),
-            x_upper=np.array(x_hi),
+            x_lower=lo - now,
+            x_upper=hi - now,
             transformers=_transformer_rows(state, community, dg_buses),
             v_min=v_min,
             v_max=v_max,
@@ -596,7 +561,8 @@ def _control_community(state: SimulationState, community: int, violated: list[in
 def step(state: SimulationState, events: Sequence[Event] = ()) -> SimulationState:
     """Advance one tick; mutates and returns state."""
     changed, marks = _apply_events(state, events)
-    _resolve_if(state, changed, "scenario events")
+    if changed:
+        _resolve(state, "scenario events")
     for c in sorted(marks):
         self_organize(state, c)
 
@@ -619,15 +585,9 @@ def step(state: SimulationState, events: Sequence[Event] = ()) -> SimulationStat
 
     if pending:
         for g in sorted(pending):
-            dg = state.net.dg_by_id(g)
-            box = state.cap_box[g]
-            if state.mode is SensitivityMode.VQ:
-                dg.q_out = min(max(dg.q_out + pending[g], box.q_min), box.q_max)
-            else:
-                dg.p_out = min(max(dg.p_out + pending[g], box.p_min), box.p_max)
+            apply_adjustment(state.net.dg_by_id(g), state.mode, pending[g], *state.cap_range[g])
             state.control_actions += 1
-
-    _resolve_if(state, changed or bool(pending), "control adjustments")
+        _resolve(state, "control adjustments")
 
     for i, bus_id in enumerate(state.pf.bus_ids):
         state.voltage_rows.append((state.tick, bus_id, float(state.pf.v_mag[i])))

@@ -5,6 +5,7 @@ stdout/stderr and the files written under --out.
 """
 
 import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,34 @@ def test_invalid_network_file_exits_2(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "partition", "--network", str(bad), "--out", str(tmp_path / "p"))
     assert code == 2
     assert stderr.startswith("error:")
+
+
+def _set(doc, section, index, key, value):
+    if section is None:
+        doc[key] = value
+    else:
+        doc[section][index][key] = value
+
+
+@pytest.mark.parametrize(
+    "section, index, key, value, fragment",
+    [
+        ("dgs", 0, "online", "false", "'online'"),
+        (None, None, "s_base_mva", float("nan"), "s_base"),
+        ("buses", 1, "id", 1.7, "'id'"),
+        ("branches", 0, "to_bus", 1.7, "'to_bus'"),
+        ("dgs", 1, "bus", 5.0, "'bus'"),
+    ],
+)
+def test_coerced_network_field_exits_2(tmp_path, capsys, section, index, key, value, fragment):
+    doc = json.loads(NET6.read_text())
+    _set(doc, section, index, key, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, stderr = run_cli(capsys, "partition", "--network", str(bad), "--out", str(tmp_path / "p"))
+    assert code == 2
+    assert stderr.startswith("error:")
+    assert fragment in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gridcomm.control import (
     ControlDirection,
-    ControlMode,
     ControlProblem,
-    ControlSolution,
     NoAvailableDGError,
     TransformerAngleRows,
+    apply_adjustment,
     build_community_dg_matrix,
+    capability_range,
     derive_subsets,
     formulate_lp,
-    predict_voltages,
     scan_voltage_limits,
+    setpoint,
     solve_lp,
-    verify_and_apply,
 )
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
 from gridcomm.powerflow import PowerFlowOptions, solve_power_flow
@@ -31,7 +31,7 @@ SENS_3X2 = np.array([[0.3, 0.1], [0.1, 0.3], [0.2, 0.2]])
 def one_dg_problem(v0, direction, qsur=1.0, sens=0.05):
     return ControlProblem(
         direction=direction,
-        mode=ControlMode.REACTIVE,
+        mode=SensitivityMode.VQ,
         dg_ids=[1],
         node_ids=[2],
         v0=np.array([float(v0)]),
@@ -151,7 +151,7 @@ def test_lp_direct_transcription_single_dg():
 def test_lp_maxmin_rows_per_dg():
     problem = ControlProblem(
         direction=ControlDirection.OVERVOLTAGE,
-        mode=ControlMode.REACTIVE,
+        mode=SensitivityMode.VQ,
         dg_ids=[4, 9],
         node_ids=[2],
         v0=np.array([1.07]),
@@ -197,7 +197,7 @@ def test_active_undervoltage_rejected():
     with pytest.raises(ValueError):
         ControlProblem(
             direction=ControlDirection.UNDERVOLTAGE,
-            mode=ControlMode.ACTIVE,
+            mode=SensitivityMode.VP,
             dg_ids=[1],
             node_ids=[2],
             v0=np.array([0.94]),
@@ -211,7 +211,7 @@ def test_empty_dg_list_rejected():
     with pytest.raises(ValueError):
         ControlProblem(
             direction=ControlDirection.OVERVOLTAGE,
-            mode=ControlMode.REACTIVE,
+            mode=SensitivityMode.VQ,
             dg_ids=[],
             node_ids=[2],
             v0=np.array([1.06]),
@@ -255,7 +255,7 @@ def test_solve_undervoltage_min_max():
 def test_solve_equal_dgs_share_equally():
     problem = ControlProblem(
         direction=ControlDirection.OVERVOLTAGE,
-        mode=ControlMode.REACTIVE,
+        mode=SensitivityMode.VQ,
         dg_ids=[1, 2],
         node_ids=[5],
         v0=np.array([1.07]),
@@ -278,7 +278,7 @@ def test_solution_satisfies_every_constraint_independently():
         )
         problem = ControlProblem(
             direction=direction,
-            mode=ControlMode.REACTIVE,
+            mode=SensitivityMode.VQ,
             dg_ids=[1, 2],
             node_ids=[5, 6],
             v0=v0,
@@ -301,7 +301,7 @@ def test_maxmin_optimal_against_vertex_oracle():
         v0 = 1.0 + rng.uniform(-0.09, 0.09, size=2)
         problem = ControlProblem(
             direction=ControlDirection.OVERVOLTAGE,
-            mode=ControlMode.REACTIVE,
+            mode=SensitivityMode.VQ,
             dg_ids=[1, 2],
             node_ids=[5, 6],
             v0=v0,
@@ -321,36 +321,20 @@ def test_maxmin_optimal_against_vertex_oracle():
     assert solved >= 10
 
 
-# ------------------------------------------------------- prediction
 
 
-def test_predict_identity_at_zero():
-    v0 = np.array([1.01, 0.99])
-    out = predict_voltages(v0, np.array([[0.05], [0.04]]), np.zeros(1))
-    np.testing.assert_allclose(out, v0)
+# ------------------------------------------------------- apply, re-solve, scan
+#
+# The simulation's apply path: apply_adjustment on each commanded DG, then
+# solve_power_flow, then scan_voltage_limits.
 
 
-def test_predict_scalar_product():
-    out = predict_voltages(np.array([1.06]), np.array([[0.05]]), np.array([-0.2]))
-    assert out[0] == pytest.approx(1.05, abs=1e-15)
-
-
-def test_prediction_close_to_resolved_flow():
-    net = transformer_net(q_out=0.8)
+def apply_and_resolve(net, x, mode=SensitivityMode.VQ, v_min=0.95, v_max=1.05):
+    dg = net.dgs[0]
+    apply_adjustment(dg, mode, x, *capability_range(dg, mode))
     sol = solve_power_flow(net, PF)
-    sens = compute_sensitivity_matrix(net, sol)
-    col = sens.row_of(2)
-    x = np.array([-0.25])
-    predicted = predict_voltages(
-        np.array([sol.v_of(2)]), np.array([[sens.a_vq[col, col]]]), x
-    )
-    net.dgs[0].q_out += float(x[0])
-    after = solve_power_flow(net, PF)
-    assert after.converged
-    assert predicted[0] == pytest.approx(after.v_of(2), abs=5e-3)
-
-
-# ------------------------------------------------------- scan and apply
+    assert sol.converged
+    return sol, scan_voltage_limits(sol, v_min, v_max)
 
 
 def test_scan_skips_slack_and_sorts():
@@ -362,6 +346,17 @@ def test_scan_skips_slack_and_sorts():
     assert 0 not in {v.bus for v in found}
 
 
+def test_prediction_close_to_resolved_flow():
+    net = transformer_net(q_out=0.8)
+    sol = solve_power_flow(net, PF)
+    sens = compute_sensitivity_matrix(net, sol)
+    col = sens.row_of(2)
+    x = -0.25
+    predicted = sol.v_of(2) + sens.a_vq[col, col] * x
+    after, _ = apply_and_resolve(net, x)
+    assert predicted == pytest.approx(after.v_of(2), abs=5e-3)
+
+
 def test_end_to_end_overvoltage_clears():
     net = transformer_net(q_out=0.8)
     sol = solve_power_flow(net, PF)
@@ -369,15 +364,16 @@ def test_end_to_end_overvoltage_clears():
     sens = compute_sensitivity_matrix(net, sol)
     col = sens.row_of(2)
     tr = net.transformers[0]
+    lo, hi = capability_range(net.dgs[0], SensitivityMode.VQ)
     problem = ControlProblem(
         direction=ControlDirection.OVERVOLTAGE,
-        mode=ControlMode.REACTIVE,
+        mode=SensitivityMode.VQ,
         dg_ids=[1],
         node_ids=[2],
         v0=np.array([sol.v_of(2)]),
         v_sens=np.array([[sens.a_vq[col, col]]]),
-        x_lower=np.array([-1.2]),
-        x_upper=np.array([1.2]),
+        x_lower=np.array([lo - 0.8]),
+        x_upper=np.array([hi - 0.8]),
         transformers=[
             TransformerAngleRows(
                 label="t0",
@@ -392,7 +388,7 @@ def test_end_to_end_overvoltage_clears():
     control = solve_lp(formulate_lp(problem))
     assert control.feasible
     assert control.x[0] < 0
-    after, residual = verify_and_apply(net, control, options=PF)
+    after, residual = apply_and_resolve(net, control.adjustment_of(1))
     assert residual == []
     assert after.v_of(2) <= 1.05 + 1e-9
     # No reverse active flow through the transformer at the new point.
@@ -402,24 +398,17 @@ def test_end_to_end_overvoltage_clears():
 def test_apply_zero_changes_nothing():
     net = transformer_net(q_out=0.3)
     before = solve_power_flow(net, PF)
-    zero = ControlSolution(
-        dg_ids=[1], x=np.zeros(1), objective=0.0, feasible=True,
-        mode=ControlMode.REACTIVE, direction=ControlDirection.OVERVOLTAGE,
-    )
-    after, residual = verify_and_apply(net, zero, options=PF)
+    after, residual = apply_and_resolve(net, 0.0)
     np.testing.assert_allclose(after.v_mag, before.v_mag, atol=1e-12)
     assert residual == []
 
 
 def test_apply_reports_overshoot_residual():
-    # A deliberately oversized adjustment must surface as a residual
-    # violation from the nonlinear re-solve, not vanish.
+    # An oversized adjustment stops at the range edge (0.8 - 1.2); that edge
+    # still overshoots a 0.96 floor, and the nonlinear re-solve must show it.
     net = transformer_net(q_out=0.8)
-    big = ControlSolution(
-        dg_ids=[1], x=np.array([-1.5]), objective=-1.5, feasible=True,
-        mode=ControlMode.REACTIVE, direction=ControlDirection.OVERVOLTAGE,
-    )
-    after, residual = verify_and_apply(net, big, options=PF)
+    after, residual = apply_and_resolve(net, -1.5, v_min=0.96)
+    assert net.dgs[0].q_out == 0.8 - 1.2
     assert len(residual) == 1
     assert residual[0].bus == 2
     assert residual[0].side == "low"
@@ -427,17 +416,25 @@ def test_apply_reports_overshoot_residual():
 
 def test_apply_active_mode_moves_p():
     net = transformer_net(q_out=0.3)
-    sol = ControlSolution(
-        dg_ids=[1], x=np.array([-0.01]), objective=-0.01, feasible=True,
-        mode=ControlMode.ACTIVE, direction=ControlDirection.OVERVOLTAGE,
-    )
-    verify_and_apply(net, sol, options=PF)
+    apply_and_resolve(net, -0.01, mode=SensitivityMode.VP)
     assert net.dgs[0].p_out == pytest.approx(0.005, abs=1e-15)
     assert net.dgs[0].q_out == pytest.approx(0.3, abs=1e-15)
 
 
-def test_apply_rejects_infeasible():
-    net = transformer_net()
-    bad = ControlSolution(dg_ids=[1], x=None, objective=None, feasible=False)
-    with pytest.raises(ValueError):
-        verify_and_apply(net, bad)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    mode=st.sampled_from(list(SensitivityMode)),
+    p_out=finite, q_out=finite,
+    p_surplus=st.floats(0.0, 1e6), q_surplus=st.floats(0.0, 1e6),
+    x=finite,
+)
+def test_apply_stays_in_range_and_moves_one_output(mode, p_out, q_out, p_surplus, q_surplus, x):
+    dg = DG(id=1, bus=2, p_out=p_out, q_out=q_out, p_surplus=p_surplus, q_surplus=q_surplus)
+    lo, hi = capability_range(dg, mode)
+    other = SensitivityMode.VP if mode is SensitivityMode.VQ else SensitivityMode.VQ
+    untouched = setpoint(dg, other)
+    apply_adjustment(dg, mode, x, lo, hi)
+    assert lo <= setpoint(dg, mode) <= hi
+    assert setpoint(dg, other) == untouched

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from gridcomm import simulation
 from gridcomm.network import DG
 from gridcomm.powerflow import PowerFlowOptions
+from gridcomm.sensitivity import SensitivityMode
 from gridcomm.simulation import (
     AgentKind,
     Event,
@@ -141,20 +143,18 @@ def test_initialize_deterministic(net6):
     b = initialize(net6, part, sens, options=PF)
     assert np.array_equal(a.pf.v_mag, b.pf.v_mag)
     assert a.subsets == b.subsets
-    assert a.cap_box == b.cap_box
+    assert a.cap_range == b.cap_range
     assert a.subset_rows == b.subset_rows
 
 
 def test_initialize_capability_box():
     net = synth30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    vq = initialize(net, part, sens, options=PF)
+    vp = initialize(net, part, sens, mode=SensitivityMode.VP, options=PF)
     for d in net.dgs_sorted():
-        box = state.cap_box[d.id]
-        assert box.q_min == pytest.approx(d.q_out - d.q_surplus)
-        assert box.q_max == pytest.approx(d.q_out + d.q_surplus)
-        assert box.p_min == pytest.approx(d.p_out - d.p_surplus)
-        assert box.p_max == pytest.approx(d.p_out + d.p_surplus)
+        assert vq.cap_range[d.id] == pytest.approx((d.q_out - d.q_surplus, d.q_out + d.q_surplus))
+        assert vp.cap_range[d.id] == pytest.approx((d.p_out - d.p_surplus, d.p_out + d.p_surplus))
 
 
 def test_initialize_copies_network(net6):
@@ -238,8 +238,38 @@ def test_adjustments_respect_capability_box():
     state = initialize(net, part, sens, options=PF)
     step(state)
     for d in state.net.dgs_sorted():
-        box = state.cap_box[d.id]
-        assert box.q_min - 1e-12 <= d.q_out <= box.q_max + 1e-12
+        lo, hi = state.cap_range[d.id]
+        assert lo - 1e-12 <= d.q_out <= hi + 1e-12
+
+
+def test_infeasible_lp_applies_nothing():
+    # Surpluses too small to clear the overvoltage: every LP is infeasible,
+    # so no DA is commanded and no DG output moves.
+    net = overvoltage30()
+    for d in net.dgs:
+        d.q_surplus = 0.01
+    part, sens = prepared(net)
+    state = initialize(net, part, sens, options=PF)
+    step(state)
+    assert state.controls and not any(r.feasible for r in state.controls)
+    assert MessageKind.ADJUSTMENT_COMMAND not in {m.kind for m in state.messages}
+    assert state.control_actions == 0
+    for d in net.dgs:
+        assert state.net.dg_by_id(d.id).q_out == d.q_out
+
+
+def test_in_band_trip_solves_once(monkeypatch):
+    # A trip changes the network, so the flow is re-solved once; with every
+    # bus in band no DA moves and nothing is solved again.
+    net = synth30()
+    part, sens = prepared(net)
+    state = initialize(net, part, sens, options=PF)
+    calls = []
+    real = simulation.solve_power_flow
+    monkeypatch.setattr(simulation, "solve_power_flow", lambda *a: calls.append(a) or real(*a))
+    step(state, [Event(0, EventKind.DG_TRIP, 21)])
+    assert state.violations_seen == 0
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------ self-organization
