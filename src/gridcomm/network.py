@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 
 
 class BusKind(str, Enum):
@@ -132,8 +133,8 @@ def validate_network(net: NetworkModel) -> list[Violation]:
     bus_ids = [b.id for b in net.buses]
     id_set = set(bus_ids)
 
-    if not net.s_base > 0:
-        out.append(Violation("bad-s-base", f"s_base must be positive, got {net.s_base}"))
+    if not (isfinite(net.s_base) and net.s_base > 0):
+        out.append(Violation("bad-s-base", f"s_base must be finite and positive, got {net.s_base}"))
 
     seen: set[int] = set()
     for b in net.buses:
@@ -143,8 +144,10 @@ def validate_network(net: NetworkModel) -> list[Violation]:
         if b.base_kv <= 0:
             out.append(Violation("bad-base-kv", f"bus {b.id} has base_kv {b.base_kv}"))
         for name, val in (("p_load", b.p_load), ("q_load", b.q_load)):
-            if not _finite(val):
+            if not isfinite(val):
                 out.append(Violation("non-finite-load", f"bus {b.id} {name} = {val}"))
+        if not isfinite(b.base_kv + b.v_mag + b.v_ang):
+            out += _non_finite(f"bus {b.id}", b, ("base_kv", "v_mag", "v_ang"))
 
     slack_ids = [b.id for b in net.buses if b.kind is BusKind.SLACK]
     if not slack_ids:
@@ -154,6 +157,8 @@ def validate_network(net: NetworkModel) -> list[Violation]:
 
     for i, br in enumerate(net.branches):
         label = f"branch[{i}] {br.from_bus}-{br.to_bus}"
+        if not isfinite(br.r + br.x + br.b_shunt):
+            out += _non_finite(label, br, ("r", "x", "b_shunt"))
         if br.from_bus == br.to_bus:
             out.append(Violation("self-loop-branch", label))
         if br.r == 0 and br.x == 0:
@@ -164,6 +169,8 @@ def validate_network(net: NetworkModel) -> list[Violation]:
 
     for i, tr in enumerate(net.transformers):
         label = f"transformer[{i}] {tr.primary_bus}-{tr.secondary_bus}"
+        if not isfinite(tr.r + tr.x + tr.tap + tr.phase_shift):
+            out += _non_finite(label, tr, ("r", "x", "tap", "phase_shift"))
         if tr.x <= 0:
             out.append(Violation("bad-transformer-x", f"{label} has x={tr.x}"))
         if tr.tap <= 0:
@@ -181,6 +188,8 @@ def validate_network(net: NetworkModel) -> list[Violation]:
         if d.id in dg_seen:
             out.append(Violation("duplicate-dg-id", f"DG id {d.id} appears more than once"))
         dg_seen.add(d.id)
+        if not isfinite(d.p_out + d.q_out + d.p_surplus + d.q_surplus):
+            out += _non_finite(f"DG {d.id}", d, ("p_out", "q_out", "p_surplus", "q_surplus"))
         if d.bus not in id_set:
             out.append(Violation("unknown-bus-ref", f"DG {d.id} references missing bus {d.bus}"))
         elif d.bus in slack_set:
@@ -217,5 +226,14 @@ def _connected(net: NetworkModel) -> bool:
     return len(seen) == len(ids)
 
 
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
+def _non_finite(label: str, element, fields: tuple[str, ...]) -> list[Violation]:
+    """One ``non-finite-<field>`` violation per NaN or infinite field.
+
+    Callers first test the sum of the fields, which is finite whenever every
+    field is, so the per-field scan runs only for a suspect element.
+    """
+    return [
+        Violation(f"non-finite-{name.replace('_', '-')}", f"{label} {name} = {getattr(element, name)}")
+        for name in fields
+        if not isfinite(getattr(element, name))
+    ]

@@ -99,14 +99,12 @@ def build_dg_adjacency(dg_cols: np.ndarray) -> np.ndarray:
     m = np.asarray(dg_cols, dtype=float)
     if m.ndim != 2 or m.shape[1] == 0:
         raise ValueError("dg_cols must be a nonempty 2-D matrix")
+    finite = np.isfinite(m)
+    empty = np.flatnonzero(~finite.any(axis=1))
+    if empty.size:
+        raise ValueError(f"row {empty[0]} has no finite sensitivity entry")
     out = np.zeros_like(m)
-    for i in range(m.shape[0]):
-        row = m[i]
-        finite = np.isfinite(row)
-        if not finite.any():
-            raise ValueError(f"row {i} has no finite sensitivity entry")
-        masked = np.where(finite, row, -np.inf)
-        out[i, int(np.argmax(masked))] = 1.0
+    out[np.arange(m.shape[0]), np.where(finite, m, -np.inf).argmax(axis=1)] = 1.0
     return out
 
 
@@ -155,44 +153,68 @@ def greedy_partition(
     """Agglomerate from singletons, always merging the pair with the largest
     modularity gain; return the dendrogram state at the chosen peak.
 
-    Communities are named by their smallest member node and candidate pairs
-    scanned in ascending (a, b) order, so equal gains resolve to the
-    lexicographically lowest pair. Deterministic throughout.
+    Communities are named by their smallest member node. The gains of all
+    live pairs (a, b), a < b, sit in an upper-triangular matrix, and each
+    row keeps its best gain and the lowest column reaching it, after Clauset,
+    Newman & Moore (2004) with one flat argmax array in place of their
+    heaps. A merge of b into a rewrites row and column a, retires b, and
+    rescans only the rows whose best partner was a or b (row a among them);
+    every other row just compares its new gain against a. That makes
+    the whole run O(n^2). Equal gains resolve to the lexicographically
+    lowest pair, as a full scan in ascending (a, b) order would.
+    Deterministic throughout.
     """
     n = g.n_nodes
     two_m = g.total_weight
     w_com = g.weights.copy()
     deg = g.degrees.copy()
-    active = list(range(n))
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    share = deg / two_m
+    alive = np.ones(n, dtype=bool)
 
-    m_now = float(-(np.sum((deg / two_m) ** 2)))
+    # Filled row by row: a whole-matrix expression would hold two more n x n
+    # temporaries, which raised the peak RSS of repeated partition calls.
+    gain = np.full((n, n), -np.inf)
+    for i in range(n - 1):
+        gain[i, i + 1 :] = 2.0 * (w_com[i, i + 1 :] / two_m - share[i] * share[i + 1 :])
+    best_col = gain.argmax(axis=1)
+    best_val = gain[np.arange(n), best_col]
+
+    m_now = float(-(np.sum(share**2)))
     dendro = Dendrogram(initial_modularity=m_now)
     merges: list[tuple[int, int]] = []
 
     for step in range(1, n):
-        best: tuple[int, int] | None = None
-        best_gain = -np.inf
-        for ai in range(len(active)):
-            a = active[ai]
-            for bi in range(ai + 1, len(active)):
-                b = active[bi]
-                gain = 2.0 * (w_com[a, b] / two_m - (deg[a] / two_m) * (deg[b] / two_m))
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (a, b)
-        a, b = best
+        a = int(np.argmax(best_val))
+        b = int(best_col[a])
+        m_now += float(best_val[a])
         w_com[a, :] += w_com[b, :]
         w_com[:, a] += w_com[:, b]
-        w_com[b, :] = 0.0
-        w_com[:, b] = 0.0
         deg[a] += deg[b]
-        deg[b] = 0.0
-        members[a] = sorted(members[a] + members.pop(b))
-        active.remove(b)
-        m_now += float(best_gain)
+        share[a] = deg[a] / two_m
+        alive[b] = False
         merges.append((a, b))
         dendro.steps.append(MergeStep(step=step, community_a=a, community_b=b, modularity_after=m_now))
+
+        # Pair (c, a) reads w_com[c, a] and pair (a, c) reads w_com[a, c], as
+        # the upper triangle does everywhere (from_weights allows 1e-12 skew).
+        pair_w = w_com[a].copy()
+        pair_w[:a] = w_com[:a, a]
+        row = 2.0 * (pair_w / two_m - share[a] * share)
+        row[~alive] = -np.inf
+        row[a] = -np.inf
+        gain[a, a + 1 :] = row[a + 1 :]
+        gain[:a, a] = row[:a]
+        gain[:, b] = -np.inf
+        best_val[b] = -np.inf
+
+        stale = alive & ((best_col == a) | (best_col == b))
+        col = row[:a]
+        take = (col > best_val[:a]) | ((col == best_val[:a]) & (a < best_col[:a]))
+        best_val[:a][take] = col[take]
+        best_col[:a][take] = a
+        rescan = np.flatnonzero(stale)
+        best_col[rescan] = gain[rescan].argmax(axis=1)
+        best_val[rescan] = gain[rescan, best_col[rescan]]
 
     trace = dendro.modularity_trace()
     if peak is PeakPolicy.GLOBAL:

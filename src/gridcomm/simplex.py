@@ -129,9 +129,12 @@ def _iterate(tableau: np.ndarray, cost: np.ndarray, basis: np.ndarray, extra=Non
 
 def _pivot(tableau, cost, basis, row, col, extra=None) -> None:
     tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    # Only rows with a nonzero entry in the pivot column change: subtracting
+    # 0.0 * pivot row elsewhere would flip -0.0 entries to +0.0.
+    f = tableau[:, col].copy()
+    f[row] = 0.0
+    idx = np.flatnonzero(f)
+    tableau[idx] -= np.outer(f[idx], tableau[row])
     cost -= cost[col] * tableau[row]
     if extra is not None:
         extra -= extra[col] * tableau[row]

@@ -154,6 +154,13 @@ def _set(doc, section, index, key, value):
         ("buses", 1, "id", 1.7, "'id'"),
         ("branches", 0, "to_bus", 1.7, "'to_bus'"),
         ("dgs", 1, "bus", 5.0, "'bus'"),
+        (None, None, "s_base_mva", float("inf"), "bad-s-base"),
+        ("dgs", 0, "p_surplus", float("nan"), "non-finite-p-surplus: DG 1 p_surplus"),
+        ("dgs", 1, "q_surplus", float("nan"), "non-finite-q-surplus: DG 2 q_surplus"),
+        ("dgs", 0, "q_out", float("inf"), "non-finite-q-out: DG 1 q_out"),
+        ("branches", 0, "r", float("nan"), "non-finite-r: branch[0] 0-1 r"),
+        ("branches", 1, "x", float("inf"), "non-finite-x: branch[1] 1-2 x"),
+        ("buses", 0, "v_mag", float("nan"), "non-finite-v-mag: bus 0 v_mag"),
     ],
 )
 def test_coerced_network_field_exits_2(tmp_path, capsys, section, index, key, value, fragment):

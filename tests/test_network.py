@@ -102,6 +102,36 @@ def test_bad_s_base():
     assert "bad-s-base" in codes(net)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_s_base(value):
+    net = two_bus()
+    net.s_base = value
+    assert "bad-s-base" in codes(net)
+
+
+def with_transformer():
+    net = two_bus(with_dg=True)
+    net.buses.append(Bus(2, BusKind.PQ, 0.48))
+    net.transformers.append(Transformer(1, 2, 0.01, 0.05))
+    return net
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "section, field",
+    [("buses", f) for f in ("base_kv", "v_mag", "v_ang")]
+    + [("branches", f) for f in ("r", "x", "b_shunt")]
+    + [("transformers", f) for f in ("r", "x", "tap", "phase_shift")]
+    + [("dgs", f) for f in ("p_out", "q_out", "p_surplus", "q_surplus")],
+)
+def test_non_finite_field_named_in_code(section, field, value):
+    net = with_transformer()
+    setattr(getattr(net, section)[-1], field, value)
+    violations = [v for v in validate_network(net) if v.code.startswith("non-finite")]
+    assert [v.code for v in violations] == ["non-finite-" + field.replace("_", "-")]
+    assert f"{field} = " in violations[0].detail
+
+
 def test_duplicate_dg_id():
     net = two_bus(with_dg=True)
     net.buses.append(Bus(2, BusKind.PQ, 12.47))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcomm.partition import (
+    MergeStep,
     Partition,
     PeakPolicy,
     WeightedGraph,
@@ -244,6 +246,112 @@ def test_relabel_equivariance():
         frozenset(int(perm[i]) for i in q.members(c)) for c in range(q.n_communities)
     )
     assert mapped == blocks_of(p)
+
+
+def reference_greedy(g, peak):
+    """The original O(n^3) agglomeration: rescan every live pair in
+    ascending (a, b) order on every merge, keep the first strict maximum.
+    Returns the merge steps, the chosen step, the assignment and its
+    modularity."""
+    n = g.n_nodes
+    two_m = g.total_weight
+    w_com = g.weights.copy()
+    deg = g.degrees.copy()
+    active = list(range(n))
+    m_now = float(-(np.sum((deg / two_m) ** 2)))
+    trace = [m_now]
+    steps = []
+    for step in range(1, n):
+        best, best_gain = None, -np.inf
+        for ai in range(len(active)):
+            a = active[ai]
+            for bi in range(ai + 1, len(active)):
+                b = active[bi]
+                gain = 2.0 * (w_com[a, b] / two_m - (deg[a] / two_m) * (deg[b] / two_m))
+                if gain > best_gain:
+                    best_gain, best = gain, (a, b)
+        a, b = best
+        w_com[a, :] += w_com[b, :]
+        w_com[:, a] += w_com[:, b]
+        w_com[b, :] = 0.0
+        w_com[:, b] = 0.0
+        deg[a] += deg[b]
+        deg[b] = 0.0
+        active.remove(b)
+        m_now += float(best_gain)
+        trace.append(m_now)
+        steps.append(MergeStep(step=step, community_a=a, community_b=b, modularity_after=m_now))
+
+    if peak is PeakPolicy.GLOBAL:
+        best_step = int(np.argmax(trace))
+    else:
+        best_step = next((s for s in range(n - 1) if trace[s + 1] < trace[s]), n - 1)
+    label = list(range(n))
+    for merge in steps[:best_step]:
+        label = [merge.community_a if x == merge.community_b else x for x in label]
+    rank = {r: c for c, r in enumerate(sorted(set(label)))}
+    p = make_partition([rank[x] for x in label])
+    return steps, best_step, p.community_of, modularity(g, p)
+
+
+@st.composite
+def tied_weights(draw):
+    """Symmetric small-integer weights on 2..40 nodes with many equal gains:
+    k copies of one random motif joined in a ring, in a drawn node order."""
+    m = draw(st.integers(1, 40))
+    k = draw(st.integers(2 if m == 1 else 1, 40 // m))
+    upper = draw(st.lists(st.integers(0, 3), min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
+    motif = np.zeros((m, m))
+    motif[np.triu_indices(m, 1)] = upper
+    w = np.kron(np.eye(k), motif + motif.T)
+    link = draw(st.integers(1, 3))
+    for i in range(k if k > 2 else k - 1):
+        j = (i + 1) % k
+        w[i * m, j * m] = w[j * m, i * m] = link
+    order = draw(st.permutations(range(m * k)))
+    w = w[np.ix_(order, order)]
+    if w.sum() == 0:
+        w[0, 1] = w[1, 0] = 1.0
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_weights(), st.sampled_from(list(PeakPolicy)))
+def test_greedy_matches_reference_scan_exactly(w, peak):
+    g = graph(w)
+    p, dendro = greedy_partition(g, peak=peak)
+    steps, best_step, community_of, mod = reference_greedy(g, peak)
+    assert dendro.steps == steps
+    assert dendro.best_step == best_step
+    assert p.community_of == community_of
+    assert p.modularity == mod
+
+
+def test_greedy_matches_reference_scan_on_skewed_weights():
+    # from_weights accepts up to 1e-12 of asymmetry; the reference reads the
+    # upper triangle, so the greedy must too.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(2, 20))
+        w = random_graph(rng, n, density=0.8)
+        w += np.triu(rng.random((n, n)) * 1e-13, 1)
+        g = graph(w)
+        p, dendro = greedy_partition(g)
+        steps, best_step, community_of, _ = reference_greedy(g, PeakPolicy.GLOBAL)
+        assert (dendro.steps, dendro.best_step, p.community_of) == (steps, best_step, community_of)
+
+
+def test_merged_gain_tying_an_older_best_takes_the_lower_partner():
+    # Merging 1 and 2 first gives node 0 the gain to {1, 2} that it already
+    # had to 3 (same weight 2, same degree 12), bit for bit. The tie goes to
+    # the lower pair (0, 1), which a row that kept its old partner 3 misses.
+    w = np.zeros((15, 15))
+    for i, j, x in [(1, 2, 5), (0, 1, 1), (0, 2, 1), (0, 3, 2)] + [(3, k, 1) for k in range(5, 15)]:
+        w[i, j] = w[j, i] = x
+    g = graph(w)
+    _, dendro = greedy_partition(g)
+    assert [(s.community_a, s.community_b) for s in dendro.steps[:2]] == [(1, 2), (0, 1)]
+    assert dendro.steps == reference_greedy(g, PeakPolicy.GLOBAL)[0]
 
 
 def test_peak_policies_agree_on_clean_split():
