@@ -6,7 +6,8 @@ and writes the report directory, `sensitivity` dumps the four sensitivity
 submatrices. Networks come from a JSON file (--network) or the synthetic
 generator (--synth key=value,...).
 
-Exit codes: 0 success, 2 bad input, 3 power flow failure.
+Exit codes: 0 success, 2 bad input (an unreadable or unwritable path
+included), 3 power flow failure.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def main(argv=None) -> int:
     except (NetworkFormatError, NetworkValidationError, ScenarioError, SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PowerFlowError, SingularJacobianError, SimulationDiverged) as exc:

@@ -1,4 +1,4 @@
-"""Network file loading and saving.
+"""Network file loading and saving, and the typed reader of file elements.
 
 The on-disk format is JSON with top-level keys ``s_base_mva``, ``buses``,
 ``branches``, ``transformers`` and ``dgs``; field names match the in-memory
@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import MISSING, fields
+from enum import Enum
+from functools import cache
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
-from .network import DG, Branch, Bus, BusKind, NetworkModel, Transformer, validate_network
+from .network import DG, Branch, Bus, NetworkModel, Transformer, validate_network
 
 
 class NetworkFormatError(ValueError):
@@ -27,10 +32,87 @@ class NetworkValidationError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-_BUS_FIELDS = {"id", "kind", "base_kv", "v_mag", "v_ang", "p_load", "q_load"}
-_BRANCH_FIELDS = {"from_bus", "to_bus", "r", "x", "b_shunt"}
-_XFMR_FIELDS = {"primary_bus", "secondary_bus", "r", "x", "tap", "phase_shift"}
-_DG_FIELDS = {"id", "bus", "p_out", "q_out", "p_surplus", "q_surplus", "online"}
+# Section key -> element type; each key is also the NetworkModel list it fills.
+_SECTIONS = {"buses": Bus, "branches": Branch, "transformers": Transformer, "dgs": DG}
+_DEGREES = frozenset({"v_ang", "phase_shift"})
+
+
+def _rule(tp) -> tuple:
+    """(JSON types, convert, expected) for one annotated field type.
+
+    A value is taken only if its exact type is listed: a bool or a string is
+    no number. ``convert`` (None keeps the value) makes an int a float and a
+    string an enum member; it raises ValueError for a string outside the
+    enum and OverflowError for an integer beyond the float range.
+    """
+    if tp is float:
+        return (int, float), float, "a number"
+    if tp is int:
+        return (int,), None, "an integer"
+    if tp is bool:
+        return (bool,), None, "true or false"
+    if tp == float | None:
+        return (int, float, type(None)), _optional_float, "a number or null"
+    if _is_enum(tp):
+        return (str,), tp, "one of " + ", ".join(repr(m.value) for m in tp)
+    raise TypeError(f"no JSON rule for field type {tp!r}")
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _is_enum(tp) -> bool:
+    return isinstance(tp, type) and issubclass(tp, Enum)
+
+
+@cache
+def _rules(cls) -> tuple[dict, frozenset, tuple]:
+    """A dataclass's read rule per field, its required field names and the
+    (name, convert) pairs that put its fields in their file form."""
+    hints = get_type_hints(cls)
+    rules = {f.name: _rule(hints[f.name]) for f in fields(cls)}
+    required = frozenset(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    to_file = [(name, math.degrees) for name in rules if name in _DEGREES]
+    to_file += [(name, attrgetter("value")) for name in rules if _is_enum(hints[name])]
+    return rules, required, tuple(to_file)
+
+
+def read_value(tp, value, where: str, error: type[Exception]):
+    """One JSON value read as a field of type ``tp``; ``error`` names ``where``."""
+    types, convert, expected = _rule(tp)
+    try:
+        if type(value) not in types:
+            raise ValueError
+        return value if convert is None else convert(value)
+    except (ValueError, OverflowError):
+        raise error(f"{where} must be {expected}, got {value!r}") from None
+
+
+def read_element(cls, item, where: str, error: type[Exception]):
+    """Build a ``cls`` dataclass from one JSON object, typed by its fields.
+
+    Field names, required-ness and defaults come from the dataclass, JSON
+    types from its annotations (see ``_rule``). An unknown, missing or
+    wrongly typed field raises ``error`` naming ``where`` and the field.
+    """
+    if type(item) is not dict:
+        raise error(f"{where} must be an object, got {item!r}")
+    rules, required, _ = _rules(cls)
+    if not required <= item.keys():
+        raise error(f"{where} missing field(s) {sorted(required - item.keys())}")
+    if not item.keys() <= rules.keys():
+        raise error(f"{where} has unknown field(s) {sorted(item.keys() - rules.keys())}")
+    kwargs = {}
+    try:
+        for name, value in item.items():
+            types, convert, _ = rules[name]
+            if type(value) not in types:
+                raise ValueError
+            kwargs[name] = value if convert is None else convert(value)
+    except (ValueError, OverflowError):
+        raise error(f"{where} field '{name}' must be {rules[name][2]}, got {value!r}") from None
+    return cls(**kwargs)
 
 
 def load_network(path: str | Path) -> NetworkModel:
@@ -45,72 +127,27 @@ def load_network(path: str | Path) -> NetworkModel:
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"{path}: not valid JSON ({exc})") from exc
 
-    if not isinstance(raw, dict):
+    if type(raw) is not dict:
         raise NetworkFormatError(f"{path}: top level must be an object")
     for key in ("s_base_mva", "buses", "branches"):
         if key not in raw:
             raise NetworkFormatError(f"{path}: missing top-level key '{key}'")
+    unknown = raw.keys() - _SECTIONS.keys() - {"s_base_mva"}
+    if unknown:
+        raise NetworkFormatError(f"{path}: unknown top-level key(s) {sorted(unknown)}")
 
-    net = NetworkModel(s_base=_num(raw, "s_base_mva", path))
-    for i, item in enumerate(raw.get("buses", [])):
-        where = f"buses[{i}]"
-        _check_fields(item, _BUS_FIELDS, {"id"}, where, path)
-        kind = item.get("kind", "pq")
-        if kind not in ("slack", "pq"):
-            raise NetworkFormatError(f"{path}: {where} has unknown kind '{kind}'")
-        net.buses.append(
-            Bus(
-                id=_int(item, "id", where, path),
-                kind=BusKind(kind),
-                base_kv=float(item.get("base_kv", 1.0)),
-                v_mag=float(item.get("v_mag", 1.0)),
-                v_ang=math.radians(float(item.get("v_ang", 0.0))),
-                p_load=float(item.get("p_load", 0.0)),
-                q_load=float(item.get("q_load", 0.0)),
-            )
-        )
-    for i, item in enumerate(raw.get("branches", [])):
-        where = f"branches[{i}]"
-        _check_fields(item, _BRANCH_FIELDS, {"from_bus", "to_bus", "r", "x"}, where, path)
-        net.branches.append(
-            Branch(
-                from_bus=_int(item, "from_bus", where, path),
-                to_bus=_int(item, "to_bus", where, path),
-                r=float(item["r"]),
-                x=float(item["x"]),
-                b_shunt=float(item.get("b_shunt", 0.0)),
-            )
-        )
-    for i, item in enumerate(raw.get("transformers", [])):
-        where = f"transformers[{i}]"
-        _check_fields(item, _XFMR_FIELDS, {"primary_bus", "secondary_bus", "r", "x"}, where, path)
-        net.transformers.append(
-            Transformer(
-                primary_bus=_int(item, "primary_bus", where, path),
-                secondary_bus=_int(item, "secondary_bus", where, path),
-                r=float(item["r"]),
-                x=float(item["x"]),
-                tap=float(item.get("tap", 1.0)),
-                phase_shift=math.radians(float(item.get("phase_shift", 0.0))),
-            )
-        )
-    for i, item in enumerate(raw.get("dgs", [])):
-        where = f"dgs[{i}]"
-        _check_fields(item, _DG_FIELDS, {"id", "bus"}, where, path)
-        online = item.get("online", True)
-        if not isinstance(online, bool):
-            raise NetworkFormatError(f"{path}: {where} field 'online' must be true or false, got {online!r}")
-        net.dgs.append(
-            DG(
-                id=_int(item, "id", where, path),
-                bus=_int(item, "bus", where, path),
-                p_out=float(item.get("p_out", 0.0)),
-                q_out=float(item.get("q_out", 0.0)),
-                p_surplus=float(item.get("p_surplus", 0.0)),
-                q_surplus=float(item.get("q_surplus", 0.0)),
-                online=online,
-            )
-        )
+    net = NetworkModel(s_base=read_value(float, raw["s_base_mva"], f"{path}: 's_base_mva'", NetworkFormatError))
+    for key, cls in _SECTIONS.items():
+        items = raw.get(key, [])
+        if type(items) is not list:
+            raise NetworkFormatError(f"{path}: '{key}' must be a list, got {items!r}")
+        section = getattr(net, key)
+        angles = _DEGREES.intersection(_rules(cls)[0])
+        for i, item in enumerate(items):
+            element = read_element(cls, item, f"{path}: {key}[{i}]", NetworkFormatError)
+            for name in angles:
+                setattr(element, name, math.radians(getattr(element, name)))
+            section.append(element)
 
     violations = validate_network(net)
     if violations:
@@ -119,72 +156,19 @@ def load_network(path: str | Path) -> NetworkModel:
 
 
 def save_network(net: NetworkModel, path: str | Path) -> None:
-    """Write the model back out; load_network(save_network(net)) is identity."""
-    doc = {
-        "s_base_mva": net.s_base,
-        "buses": [
-            {
-                "id": b.id,
-                "kind": b.kind.value,
-                "base_kv": b.base_kv,
-                "v_mag": b.v_mag,
-                "v_ang": math.degrees(b.v_ang),
-                "p_load": b.p_load,
-                "q_load": b.q_load,
-            }
-            for b in net.buses
-        ],
-        "branches": [
-            {"from_bus": br.from_bus, "to_bus": br.to_bus, "r": br.r, "x": br.x, "b_shunt": br.b_shunt}
-            for br in net.branches
-        ],
-        "transformers": [
-            {
-                "primary_bus": t.primary_bus,
-                "secondary_bus": t.secondary_bus,
-                "r": t.r,
-                "x": t.x,
-                "tap": t.tap,
-                "phase_shift": math.degrees(t.phase_shift),
-            }
-            for t in net.transformers
-        ],
-        "dgs": [
-            {
-                "id": d.id,
-                "bus": d.bus,
-                "p_out": d.p_out,
-                "q_out": d.q_out,
-                "p_surplus": d.p_surplus,
-                "q_surplus": d.q_surplus,
-                "online": d.online,
-            }
-            for d in net.dgs
-        ],
-    }
+    """Write the model in the file format ``load_network`` reads.
+
+    Every field but the two angles survives a save and a load exactly. An
+    angle can move by one unit in the last place: not every float in
+    radians has a float in degrees that converts back to it.
+    """
+    doc = {"s_base_mva": net.s_base}
+    for key, cls in _SECTIONS.items():
+        rules, _, to_file = _rules(cls)
+        rows = [{name: getattr(element, name) for name in rules} for element in getattr(net, key)]
+        for row in rows:
+            for name, convert in to_file:
+                row[name] = convert(row[name])
+        doc[key] = rows
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
-
-def _num(raw: dict, key: str, path: Path) -> float:
-    try:
-        return float(raw[key])
-    except (TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"{path}: '{key}' must be a number") from exc
-
-
-def _int(item: dict, key: str, where: str, path: Path) -> int:
-    value = item[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise NetworkFormatError(f"{path}: {where} field '{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _check_fields(item, allowed: set[str], required: set[str], where: str, path: Path) -> None:
-    if not isinstance(item, dict):
-        raise NetworkFormatError(f"{path}: {where} must be an object")
-    missing = required - item.keys()
-    if missing:
-        raise NetworkFormatError(f"{path}: {where} missing field(s) {sorted(missing)}")
-    unknown = item.keys() - allowed
-    if unknown:
-        raise NetworkFormatError(f"{path}: {where} has unknown field(s) {sorted(unknown)}")

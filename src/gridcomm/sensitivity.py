@@ -6,7 +6,9 @@ At a converged operating point the linearization
     [dV]     = [a_vp       a_vq     ] [dQ]
 
 maps per-unit injection changes at non-slack buses to angle and voltage
-changes. Rows and columns are ordered by non-slack bus id ascending.
+changes. Rows and columns follow the order of the non-slack buses in the
+network (the file's bus order for a loaded network), not their ids:
+``SensitivityMatrix.bus_ids`` lists them.
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ from .control import (
     solve_lp,
 )
 from .network import NetworkModel
+from .network_io import read_element, read_value
 from .partition import Partition
 from .powerflow import PowerFlowError, PowerFlowOptions, PowerFlowSolution, solve_power_flow
 from .sensitivity import SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix
@@ -138,36 +139,22 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(events_raw, list):
         raise ScenarioError(f"{path}: 'events' must be a list")
     events: list[Event] = []
-    for i, ev in enumerate(events_raw):
-        if not isinstance(ev, dict):
-            raise ScenarioError(f"{path}: event {i} must be an object")
-        unknown = set(ev) - {"at_tick", "kind", "target", "magnitude"}
-        if unknown:
-            raise ScenarioError(f"{path}: event {i} has unknown keys {sorted(unknown)}")
-        try:
-            kind = EventKind(ev["kind"])
-        except (KeyError, ValueError):
-            raise ScenarioError(f"{path}: event {i} has missing or unknown kind {ev.get('kind')!r}")
-        tick = ev.get("at_tick")
-        if not isinstance(tick, int) or isinstance(tick, bool) or tick < 0:
-            raise ScenarioError(f"{path}: event {i} needs a nonnegative integer at_tick")
-        target = ev.get("target")
-        if not isinstance(target, int) or isinstance(target, bool):
-            raise ScenarioError(f"{path}: event {i} needs an integer target id")
-        magnitude = ev.get("magnitude")
-        if kind is EventKind.LOAD_CHANGE:
-            if not isinstance(magnitude, (int, float)) or isinstance(magnitude, bool) or not np.isfinite(magnitude):
-                raise ScenarioError(f"{path}: load_change event {i} needs a finite magnitude")
-            magnitude = float(magnitude)
-        elif magnitude is not None:
-            raise ScenarioError(f"{path}: event {i} ({kind.value}) takes no magnitude")
-        events.append(Event(at_tick=tick, kind=kind, target=target, magnitude=magnitude))
+    for i, item in enumerate(events_raw):
+        where = f"{path}: events[{i}]"
+        ev = read_element(Event, item, where, ScenarioError)
+        if ev.at_tick < 0:
+            raise ScenarioError(f"{where} field 'at_tick' must be nonnegative, got {ev.at_tick}")
+        if ev.kind is EventKind.LOAD_CHANGE:
+            if ev.magnitude is None or not np.isfinite(ev.magnitude):
+                raise ScenarioError(f"{where} field 'magnitude' must be a finite number on load_change, got {ev.magnitude}")
+        elif ev.magnitude is not None:
+            raise ScenarioError(f"{where} field 'magnitude' is not taken by {ev.kind.value}")
+        events.append(ev)
     duration = raw.get("duration")
     if duration is None:
-        duration = (max((e.at_tick for e in events), default=-1)) + 2
-        duration = max(duration, 1)
-    elif not isinstance(duration, int) or isinstance(duration, bool) or duration < 1:
-        raise ScenarioError(f"{path}: duration must be a positive integer")
+        duration = max((e.at_tick for e in events), default=-1) + 2
+    elif read_value(int, duration, f"{path}: 'duration'", ScenarioError) < 1:
+        raise ScenarioError(f"{path}: 'duration' must be at least 1, got {duration}")
     name = raw.get("name", path.stem)
     if not isinstance(name, str):
         raise ScenarioError(f"{path}: name must be a string")

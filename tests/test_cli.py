@@ -4,15 +4,21 @@ Every test drives main() in process and inspects exit code, captured
 stdout/stderr and the files written under --out.
 """
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcomm.cli import main
 from gridcomm.network_io import save_network
 from gridcomm.powerflow import PowerFlowOptions, solve_power_flow
+from gridcomm.simulation import EventKind
 
 from conftest import FIXTURES, trip_restore30, two_bus, write_scenario
 
@@ -139,6 +145,31 @@ def test_invalid_network_file_exits_2(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+def test_network_path_is_directory_exits_2(tmp_path, capsys):
+    code, _, stderr = run_cli(capsys, "partition", "--network", str(tmp_path), "--out", str(tmp_path / "p"))
+    assert code == 2
+    assert stderr.startswith("error:")
+    assert str(tmp_path) in stderr
+
+
+def test_scenario_path_is_directory_exits_2(tmp_path, capsys):
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--network", str(NET6), "--scenario", str(tmp_path), "--out", str(tmp_path / "r")
+    )
+    assert code == 2
+    assert stderr.startswith("error:")
+    assert str(tmp_path) in stderr
+
+
+def test_out_path_is_existing_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, stderr = run_cli(capsys, "partition", "--network", str(NET6), "--out", str(taken))
+    assert code == 2
+    assert stderr.startswith("error:")
+    assert str(taken) in stderr
+
+
 def _set(doc, section, index, key, value):
     if section is None:
         doc[key] = value
@@ -161,6 +192,14 @@ def _set(doc, section, index, key, value):
         ("branches", 0, "r", float("nan"), "non-finite-r: branch[0] 0-1 r"),
         ("branches", 1, "x", float("inf"), "non-finite-x: branch[1] 1-2 x"),
         ("buses", 0, "v_mag", float("nan"), "non-finite-v-mag: bus 0 v_mag"),
+        ("branches", 0, "r", "0.01", "branches[0] field 'r'"),
+        ("dgs", 1, "q_surplus", True, "dgs[1] field 'q_surplus'"),
+        (None, None, "s_base_mva", "10", "'s_base_mva'"),
+        (None, None, "s_base_mva", True, "'s_base_mva'"),
+        ("buses", 2, "p_load", None, "buses[2] field 'p_load'"),
+        (None, None, "transformers", None, "'transformers' must be a list"),
+        (None, None, "buses", 5, "'buses' must be a list"),
+        (None, None, "loads", [], "unknown top-level key(s) ['loads']"),
     ],
 )
 def test_coerced_network_field_exits_2(tmp_path, capsys, section, index, key, value, fragment):
@@ -172,6 +211,83 @@ def test_coerced_network_field_exits_2(tmp_path, capsys, section, index, key, va
     assert code == 2
     assert stderr.startswith("error:")
     assert fragment in stderr
+
+
+# Values of every JSON type but a number. A bool is a wrong type for a
+# number, a number for a bool, and a string outside the enum for an enum field.
+_NOT_A_NUMBER = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_WRONG = {
+    "number": _NOT_A_NUMBER,
+    "bool": st.one_of(_NOT_A_NUMBER.filter(lambda v: type(v) is not bool), st.integers(), st.floats()),
+    "kind": _NOT_A_NUMBER.filter(lambda v: v not in ("pq", "slack")),
+    "event kind": _NOT_A_NUMBER.filter(lambda v: v not in [k.value for k in EventKind]),
+    "list": _NOT_A_NUMBER.filter(lambda v: type(v) is not list),
+}
+
+
+def _net6_fields():
+    doc = json.loads(NET6.read_text())
+    out = [(None, None, "s_base_mva", "number")]
+    out += [(None, None, key, "list") for key in ("buses", "branches", "transformers", "dgs")]
+    for section in ("buses", "branches", "dgs"):
+        for i, item in enumerate(doc[section]):
+            for key in item:
+                kind = {"kind": "kind", "online": "bool"}.get(key, "number")
+                out.append((section, i, key, kind))
+    return out
+
+
+def _run_quiet(*argv: str):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(_net6_fields()), data=st.data())
+def test_wrong_json_type_in_network_exits_2_naming_field(field, data):
+    section, index, key, kind = field
+    doc = json.loads(NET6.read_text())
+    _set(doc, section, index, key, data.draw(_WRONG[kind], label="value"))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, stderr = _run_quiet("partition", "--network", str(bad), "--out", str(Path(tmp) / "p"))
+    assert code == 2
+    assert f"'{key}'" in stderr
+    if section is not None:
+        assert f"{section}[{index}] field '{key}'" in stderr
+
+
+_SCENARIO = [
+    {"at_tick": 0, "kind": "dg_trip", "target": 1},
+    {"at_tick": 1, "kind": "load_change", "target": 3, "magnitude": 0.01},
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    field=st.sampled_from([(i, key) for i, ev in enumerate(_SCENARIO) for key in ev]),
+    data=st.data(),
+)
+def test_wrong_json_type_in_event_exits_2_naming_field(field, data):
+    index, key = field
+    events = json.loads(json.dumps(_SCENARIO))
+    events[index][key] = data.draw(_WRONG["event kind" if key == "kind" else "number"], label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = write_scenario(Path(tmp) / "s.json", events, duration=3)
+        code, stderr = _run_quiet(
+            "simulate", "--network", str(NET6), "--scenario", str(scenario), "--out", str(Path(tmp) / "r")
+        )
+    assert code == 2
+    assert f"events[{index}] field '{key}'" in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridcomm.network import BusKind
+from gridcomm.network import DG, Branch, Bus, BusKind, NetworkModel, Transformer, validate_network
 from gridcomm.network_io import NetworkFormatError, NetworkValidationError, load_network, save_network
 
 from conftest import FIXTURES, two_bus
@@ -104,3 +108,92 @@ def test_transformer_phase_shift_degrees(tmp_path):
     ]
     net = load_network(write(tmp_path, payload))
     assert net.transformers[0].phase_shift == pytest.approx(math.pi / 6, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# save/load round trip over generated valid networks
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+_NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6)
+# Radians whose degrees stay finite; flat zero is what every synthetic and
+# fixture network holds.
+_ANGLE = st.one_of(st.just(0.0), st.floats(min_value=-1e6, max_value=1e6))
+
+
+@st.composite
+def valid_networks(draw, angle=_ANGLE):
+    ids = draw(st.lists(st.integers(-1000, 1000), min_size=1, max_size=8, unique=True))
+    slack = draw(st.sampled_from(ids))
+    buses = [
+        Bus(
+            id=b,
+            kind=BusKind.SLACK if b == slack else BusKind.PQ,
+            base_kv=draw(_POSITIVE),
+            v_mag=draw(_FINITE),
+            v_ang=draw(angle),
+            p_load=draw(_FINITE),
+            q_load=draw(_FINITE),
+        )
+        for b in ids
+    ]
+    # a spanning tree of branches and transformers keeps the network connected
+    branches, transformers = [], []
+    for i in range(1, len(ids)):
+        a, b = ids[draw(st.integers(0, i - 1))], ids[i]
+        if draw(st.booleans()):
+            transformers.append(
+                Transformer(a, b, r=draw(_FINITE), x=draw(_POSITIVE), tap=draw(_POSITIVE), phase_shift=draw(angle))
+            )
+        else:
+            branches.append(Branch(a, b, r=draw(_FINITE), x=draw(_POSITIVE), b_shunt=draw(_FINITE)))
+    hosts = draw(st.lists(st.sampled_from(ids), unique=True).map(lambda bs: [b for b in bs if b != slack]))
+    dg_ids = draw(st.lists(st.integers(0, 1000), min_size=len(hosts), max_size=len(hosts), unique=True))
+    dgs = [
+        DG(
+            id=g,
+            bus=b,
+            p_out=draw(_FINITE),
+            q_out=draw(_FINITE),
+            p_surplus=draw(_NONNEGATIVE),
+            q_surplus=draw(_NONNEGATIVE),
+            online=draw(st.booleans()),
+        )
+        for g, b in zip(dg_ids, hosts)
+    ]
+    s_base = draw(_POSITIVE)
+    return NetworkModel(s_base=s_base, buses=buses, branches=branches, transformers=transformers, dgs=dgs)
+
+
+def _save_load(net):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        save_network(net, path)
+        return path.read_text(), load_network(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_networks())
+def test_save_load_keeps_every_field(net):
+    text, loaded = _save_load(net)
+    assert validate_network(net) == []
+    # the angles pass through degrees: each lands within one unit in the
+    # last place, and exactly on what the conversion gives
+    for before, after, name in [(b, c, "v_ang") for b, c in zip(net.buses, loaded.buses)] + [
+        (t, u, "phase_shift") for t, u in zip(net.transformers, loaded.transformers)
+    ]:
+        x, y = getattr(before, name), getattr(after, name)
+        assert y == math.radians(math.degrees(x))
+        assert abs(y - x) <= math.ulp(x)
+        setattr(after, name, x)
+    assert loaded == net
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_networks(angle=st.just(0.0)))
+def test_save_load_save_is_byte_identical(net):
+    first, loaded = _save_load(net)
+    second, again = _save_load(loaded)
+    assert loaded == net
+    assert again == net
+    assert second == first
