@@ -125,6 +125,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    for flag, value in (("--vmin", args.vmin), ("--vmax", args.vmax)):
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
     if not args.vmin < args.vmax:
         raise ValueError(f"--vmin must be below --vmax, got {args.vmin} >= {args.vmax}")
     net = _load_net(args)

@@ -101,15 +101,6 @@ class CommunitySubsets:
     subsets: list[Subset]
     generation: int = 0
 
-    def subset_of(self, node: int) -> Subset | None:
-        for s in self.subsets:
-            if node in s.nodes:
-                return s
-        return None
-
-    def all_nodes(self) -> list[int]:
-        return sorted(n for s in self.subsets for n in s.nodes)
-
 
 def derive_subsets(
     d_com: np.ndarray,
@@ -191,9 +182,6 @@ class ControlSolution:
     objective: float | None
     feasible: bool
     binding: list[tuple] = field(default_factory=list)
-
-    def adjustment_of(self, dg_id: int) -> float:
-        return float(self.x[self.dg_ids.index(dg_id)])
 
 
 def formulate_lp(problem: ControlProblem) -> LinearProgram:

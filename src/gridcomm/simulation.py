@@ -7,6 +7,14 @@ into an adjustment LP over the violated nodes' DG subsets, and DG agents
 Message and every message stays inside one community; the log is the proof
 of locality.
 
+A CA decides from its CommunityView alone: its own non-slack buses and their
+voltages, its available DGs with their setpoints and ranges, the voltage
+sensitivities between the two, and the angle rows of the transformers
+touching it. Only `_view` (and `initialize`) read the network-wide flow and
+sensitivities. The view is a slice of the global Jacobian inverse, so how
+the rest of the network responds to a DG move (the boundary) comes from the
+global factor, not from a model of the community alone.
+
 Tick phases, all deterministic:
 
 1. apply the scenario events due this tick (trips, restores, load steps,
@@ -28,10 +36,10 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,7 +110,14 @@ class EventKind(str, Enum):
     COMM_RESTORE = "comm_restore"
 
 
-_DG_EVENTS = {EventKind.DG_TRIP, EventKind.DG_RESTORE, EventKind.COMM_LOSS, EventKind.COMM_RESTORE}
+# DG event -> (whether it switches the DG's power or its link to the CA,
+# the state it leaves that switch in)
+_DG_TOGGLES = {
+    EventKind.DG_TRIP: (True, False),
+    EventKind.DG_RESTORE: (True, True),
+    EventKind.COMM_LOSS: (False, False),
+    EventKind.COMM_RESTORE: (False, True),
+}
 
 
 @dataclass(frozen=True)
@@ -166,7 +181,7 @@ def validate_scenario(scenario: Scenario, net: NetworkModel) -> None:
     bus_ids = {b.id for b in net.buses}
     dg_ids = {d.id for d in net.dgs}
     for ev in scenario.events:
-        if ev.kind in _DG_EVENTS and ev.target not in dg_ids:
+        if ev.kind in _DG_TOGGLES and ev.target not in dg_ids:
             raise ScenarioError(f"event {ev.kind.value} targets unknown DG id {ev.target}")
         if ev.kind is EventKind.LOAD_CHANGE and ev.target not in bus_ids:
             raise ScenarioError(f"event load_change targets unknown bus id {ev.target}")
@@ -204,16 +219,16 @@ class SimulationState:
     pf: PowerFlowSolution
     mode: SensitivityMode
     v_limits: tuple[float, float]
-    communities: list[int]
-    nodes_of: dict[int, list[int]]  # community -> non-slack bus ids
-    dgs_of: dict[int, list[int]]  # community -> all DG ids, online or not
+    nodes_of: dict[int, list[int]]  # community -> non-slack bus ids, community id ascending
     subsets: dict[int, CommunitySubsets]
     cap_range: dict[int, tuple[float, float]]  # DG id -> (lo, hi) of the mode's setpoint
     options: PowerFlowOptions
+    bus_pos: dict[int, int]  # bus id -> position in net.buses and the flow's arrays
+    sens_row: dict[int, int]  # non-slack bus id -> row and column in the sensitivity blocks
+    dg_pos: dict[int, int]  # DG id -> position in net.dgs; keys id ascending
     tick: int = 0
     comm_lost: set[int] = field(default_factory=set)
     excluded: dict[int, set[int]] = field(default_factory=dict)
-    degraded: set[int] = field(default_factory=set)
     messages: list[Message] = field(default_factory=list)
     events_applied: list[tuple[int, Event]] = field(default_factory=list)
     controls: list[ControlRecord] = field(default_factory=list)
@@ -226,14 +241,28 @@ class SimulationState:
     regenerations: int = 0
     _seq: int = 0
 
-    def community_of_dg(self, dg_id: int) -> int:
-        return self.partition.community_of[self.net.dg_by_id(dg_id).bus]
-
     def send(self, sender: AgentId, receiver: AgentId, kind: MessageKind, payload: dict) -> None:
         self.messages.append(
             Message(seq=self._seq, tick=self.tick, sender=sender, receiver=receiver, kind=kind, payload=payload)
         )
         self._seq += 1
+
+
+@dataclass(frozen=True)
+class CommunityView:
+    """Everything one CA decides from: its own buses and available DGs, and
+    the sensitivities between them at the current operating point."""
+
+    community: int
+    node_ids: list[int]  # non-slack buses, id ascending
+    v0: np.ndarray  # their voltage magnitudes
+    dg_ids: list[int]  # online, reachable, not excluded; id ascending
+    dg_buses: list[int]
+    now: np.ndarray  # the DGs' setpoints in the run's mode
+    lo: np.ndarray  # and their capability ranges
+    hi: np.ndarray
+    v_sens: np.ndarray  # node_ids x dg_ids voltage sensitivities
+    transformers: list[TransformerAngleRows]  # touching the community, over dg_ids
 
 
 def initialize(
@@ -252,14 +281,10 @@ def initialize(
         raise PowerFlowError("cannot initialize simulation from a non-converging network")
 
     slack_id = net.slack_bus.id
-    communities = sorted(set(partition.community_of.values()))
-    nodes_of = {c: [] for c in communities}
+    nodes_of: dict[int, list[int]] = {c: [] for c in sorted(set(partition.community_of.values()))}
     for bus_id in sorted(partition.community_of):
         if bus_id != slack_id:
             nodes_of[partition.community_of[bus_id]].append(bus_id)
-    dgs_of = {c: [] for c in communities}
-    for d in net.dgs_sorted():
-        dgs_of[partition.community_of[d.bus]].append(d.id)
 
     state = SimulationState(
         net=net,
@@ -268,42 +293,73 @@ def initialize(
         pf=pf,
         mode=mode,
         v_limits=v_limits,
-        communities=communities,
         nodes_of=nodes_of,
-        dgs_of=dgs_of,
         subsets={},
         cap_range={d.id: capability_range(d, mode) for d in net.dgs_sorted()},
         options=options,
+        bus_pos={b.id: i for i, b in enumerate(net.buses)},
+        sens_row={b: i for i, b in enumerate(sens.bus_ids)},
+        dg_pos=dict(sorted((d.id, i) for i, d in enumerate(net.dgs))),
     )
-    for c in communities:
-        state.subsets[c] = _build_subsets(state, c, generation=0)
+    for c in nodes_of:
+        state.subsets[c] = _build_subsets(_view(state, c), generation=0)
         _record_subsets(state, c)
     return state
 
 
-def _available_dgs(state: SimulationState, community: int, exclude: Iterable[int] = ()) -> list[int]:
-    banned = set(exclude)
-    out = []
-    for dg_id in state.dgs_of[community]:
-        dg = state.net.dg_by_id(dg_id)
-        if dg.online and dg_id not in state.comm_lost and dg_id not in banned:
-            out.append(dg_id)
-    return out
-
-
-def _build_subsets(state: SimulationState, community: int, generation: int) -> CommunitySubsets:
-    avail = _available_dgs(state, community, state.excluded.get(community, ()))
+def _view(state: SimulationState, community: int) -> CommunityView:
+    """Slice one community's view out of the network-wide flow and
+    sensitivities; the only reader of them on the CA side."""
+    community_of = state.partition.community_of
+    banned = state.excluded.get(community, ())
+    dgs = []
+    for i in state.dg_pos.values():
+        d = state.net.dgs[i]
+        if community_of[d.bus] == community and d.online and d.id not in state.comm_lost and d.id not in banned:
+            dgs.append(d)
     nodes = state.nodes_of[community]
-    if not avail or not nodes:
-        state.degraded.add(community)
-        return CommunitySubsets(community=community, subsets=[], generation=generation)
-    state.degraded.discard(community)
-    block = state.sens.voltage_block(state.mode)
-    rows = [state.sens.row_of(b) for b in nodes]
-    cols = [state.sens.row_of(state.net.dg_by_id(g).bus) for g in avail]
-    d_com = build_community_dg_matrix(block[np.ix_(rows, cols)], nodes, avail)
-    dg_bus_of = {g: state.net.dg_by_id(g).bus for g in avail}
-    return derive_subsets(d_com, nodes, avail, dg_bus_of, community=community, generation=generation)
+    rows = [state.sens_row[b] for b in nodes]
+    cols = [state.sens_row[d.bus] for d in dgs]
+    ranges = np.array([state.cap_range[d.id] for d in dgs]).reshape(-1, 2)
+    angle = state.sens.angle_block(state.mode)
+    theta = state.pf.v_ang
+
+    def angle_row(bus: int) -> np.ndarray:
+        row = state.sens_row.get(bus)
+        return np.zeros(len(cols)) if row is None else angle[row, cols]
+
+    transformers = [
+        TransformerAngleRows(
+            label=f"{t.primary_bus}->{t.secondary_bus}",
+            theta_p0=float(theta[state.bus_pos[t.primary_bus]]),
+            theta_s0=float(theta[state.bus_pos[t.secondary_bus]]),
+            theta_shift=t.phase_shift,
+            p_row=angle_row(t.primary_bus),
+            s_row=angle_row(t.secondary_bus),
+        )
+        for t in state.net.transformers
+        if community in (community_of.get(t.primary_bus), community_of.get(t.secondary_bus))
+    ]
+    return CommunityView(
+        community=community,
+        node_ids=nodes,
+        v0=state.pf.v_mag[[state.bus_pos[b] for b in nodes]],
+        dg_ids=[d.id for d in dgs],
+        dg_buses=[d.bus for d in dgs],
+        now=np.array([setpoint(d, state.mode) for d in dgs]),
+        lo=ranges[:, 0],
+        hi=ranges[:, 1],
+        v_sens=state.sens.voltage_block(state.mode)[np.ix_(rows, cols)],
+        transformers=transformers,
+    )
+
+
+def _build_subsets(view: CommunityView, generation: int) -> CommunitySubsets:
+    if not view.dg_ids or not view.node_ids:
+        return CommunitySubsets(community=view.community, subsets=[], generation=generation)
+    d_com = build_community_dg_matrix(view.v_sens, view.node_ids, view.dg_ids)
+    dg_bus_of = dict(zip(view.dg_ids, view.dg_buses))
+    return derive_subsets(d_com, view.node_ids, view.dg_ids, dg_bus_of, community=view.community, generation=generation)
 
 
 def _record_subsets(state: SimulationState, community: int) -> None:
@@ -328,10 +384,10 @@ def self_organize(state: SimulationState, community: int) -> None:
     """Rebuild a community's subsets from its currently reachable DGs and
     bump the generation counter."""
     gen = state.subsets[community].generation + 1
-    state.subsets[community] = _build_subsets(state, community, generation=gen)
+    state.subsets[community] = _build_subsets(_view(state, community), generation=gen)
     state.regenerations += 1
     _record_subsets(state, community)
-    if community in state.degraded:
+    if not state.subsets[community].subsets:
         ca = AgentId(AgentKind.CA, community)
         state.send(ca, ca, MessageKind.INFEASIBLE_NOTICE, {"community": community, "reason": "no_available_dg"})
 
@@ -349,42 +405,29 @@ def _apply_events(state: SimulationState, events: Sequence[Event]) -> tuple[bool
     changed = False
     marks: set[int] = set()
     for ev in events:
+        state.events_applied.append((state.tick, ev))
         if ev.kind is EventKind.LOAD_CHANGE:
-            bus = state.net.bus_by_id(ev.target)
-            bus.p_load += float(ev.magnitude)
+            state.net.buses[state.bus_pos[ev.target]].p_load += float(ev.magnitude)
             changed = True
-            state.events_applied.append((state.tick, ev))
             continue
 
-        dg = state.net.dg_by_id(ev.target)
+        dg = state.net.dgs[state.dg_pos[ev.target]]
+        power, on = _DG_TOGGLES[ev.kind]
+        if (dg.online if power else dg.id not in state.comm_lost) is on:
+            continue
+        if power:
+            dg.online = on
+            changed = True
+        elif on:
+            state.comm_lost.discard(dg.id)
+        else:
+            state.comm_lost.add(dg.id)
         community = state.partition.community_of[dg.bus]
-        ca = AgentId(AgentKind.CA, community)
-        da = AgentId(AgentKind.DA, dg.id)
-        if ev.kind is EventKind.DG_TRIP:
-            if dg.online:
-                dg.online = False
-                changed = True
-                state.send(da, ca, MessageKind.TRIP_NOTICE, {"dg": dg.id})
-                marks.add(community)
-                state.excluded.pop(community, None)
-        elif ev.kind is EventKind.DG_RESTORE:
-            if not dg.online:
-                dg.online = True
-                changed = True
-                state.send(da, ca, MessageKind.RESTORE_NOTICE, {"dg": dg.id})
-                marks.add(community)
-                state.excluded.pop(community, None)
-        elif ev.kind is EventKind.COMM_LOSS:
-            if dg.id not in state.comm_lost:
-                state.comm_lost.add(dg.id)
-                marks.add(community)
-                state.excluded.pop(community, None)
-        elif ev.kind is EventKind.COMM_RESTORE:
-            if dg.id in state.comm_lost:
-                state.comm_lost.discard(dg.id)
-                marks.add(community)
-                state.excluded.pop(community, None)
-        state.events_applied.append((state.tick, ev))
+        marks.add(community)
+        state.excluded.pop(community, None)
+        if power:
+            notice = MessageKind.RESTORE_NOTICE if on else MessageKind.TRIP_NOTICE
+            state.send(AgentId(AgentKind.DA, dg.id), AgentId(AgentKind.CA, community), notice, {"dg": dg.id})
     return changed, marks
 
 
@@ -397,87 +440,35 @@ def _update_episodes(state: SimulationState, violating: set[int]) -> None:
         state.violations_resolved += 1
 
 
-def _direction_for(state: SimulationState, buses: list[int]) -> ControlDirection:
-    v_min, v_max = state.v_limits
-    worst_over = max((state.pf.v_of(b) - v_max for b in buses), default=0.0)
-    worst_under = max((v_min - state.pf.v_of(b) for b in buses), default=0.0)
-    return ControlDirection.OVERVOLTAGE if worst_over >= worst_under else ControlDirection.UNDERVOLTAGE
-
-
-def _headroom(state: SimulationState, dg_id: int, direction: ControlDirection) -> float:
-    now = setpoint(state.net.dg_by_id(dg_id), state.mode)
-    lo, hi = state.cap_range[dg_id]
-    return now - lo if direction is ControlDirection.OVERVOLTAGE else hi - now
-
-
-def _transformer_rows(state: SimulationState, community: int, dg_buses: list[int]) -> list[TransformerAngleRows]:
-    rows = []
-    cols = [state.sens.row_of(b) for b in dg_buses]
-    idx = {b.id: i for i, b in enumerate(state.net.buses)}
-    for t in state.net.transformers:
-        if (
-            state.partition.community_of.get(t.primary_bus) != community
-            and state.partition.community_of.get(t.secondary_bus) != community
-        ):
-            continue
-        p_row = state.sens.angle_row(t.primary_bus, state.mode)[cols] if cols else np.zeros(0)
-        s_row = state.sens.angle_row(t.secondary_bus, state.mode)[cols] if cols else np.zeros(0)
-        rows.append(
-            TransformerAngleRows(
-                label=f"{t.primary_bus}->{t.secondary_bus}",
-                theta_p0=float(state.pf.v_ang[idx[t.primary_bus]]),
-                theta_s0=float(state.pf.v_ang[idx[t.secondary_bus]]),
-                theta_shift=t.phase_shift,
-                p_row=np.asarray(p_row, dtype=float),
-                s_row=np.asarray(s_row, dtype=float),
-            )
-        )
-    return rows
-
-
-def _control_community(state: SimulationState, community: int, violated: list[int]) -> dict[int, float]:
-    """One CA's decision for this tick; returns the adjustments to apply."""
+def _control_community(state: SimulationState, view: CommunityView, violated: list[int]) -> dict[int, float]:
+    """One CA's decision for this tick, from its view alone; returns the
+    adjustments to apply."""
+    community = view.community
     ca = AgentId(AgentKind.CA, community)
-    direction = _direction_for(state, violated)
-    subsets = state.subsets[community]
+    v_min, v_max = state.v_limits
+    v = view.v0[np.searchsorted(view.node_ids, violated)]
+    over = v.max() - v_max >= v_min - v.min()
+    direction = ControlDirection.OVERVOLTAGE if over else ControlDirection.UNDERVOLTAGE
 
-    chosen: set[int] = set()
-    for bus in violated:
-        s = subsets.subset_of(bus)
-        if s is None:
-            # A node outside every subset (stale generation) falls back to
-            # the whole community's subset DG pool.
-            for sub in subsets.subsets:
-                chosen.update(sub.dg_ids)
-        else:
-            chosen.update(s.dg_ids)
-    avail = set(_available_dgs(state, community, state.excluded.get(community, ())))
-    dg_ids = sorted(chosen & avail)
-
-    if not dg_ids:
+    def refuse(reason: str, dgs: list[int], **detail) -> None:
         state.send(
             ca, ca, MessageKind.INFEASIBLE_NOTICE,
-            {"community": community, "reason": "no_available_dg", "nodes": violated},
+            {"community": community, "reason": reason, "nodes": violated, **detail},
         )
         state.controls.append(
-            ControlRecord(state.tick, community, direction.value, False, None, [], [], violated)
+            ControlRecord(state.tick, community, direction.value, False, None, dgs, [], violated)
         )
+
+    hit = set(violated)
+    dg_ids = sorted({g for s in state.subsets[community].subsets if not hit.isdisjoint(s.nodes) for g in s.dg_ids})
+    if not dg_ids:
+        refuse("no_available_dg", [])
         return {}
 
-    nodes = state.nodes_of[community]
-    mode = state.mode
-    block = state.sens.voltage_block(mode)
-    rows = [state.sens.row_of(b) for b in nodes]
-    dg_buses = [state.net.dg_by_id(g).bus for g in dg_ids]
-    cols = [state.sens.row_of(b) for b in dg_buses]
-    v0 = np.array([state.pf.v_of(b) for b in nodes])
-    v_sens = block[np.ix_(rows, cols)]
-
-    now = np.array([setpoint(state.net.dg_by_id(g), mode) for g in dg_ids])
-    lo, hi = np.array([state.cap_range[g] for g in dg_ids]).T
-
-    v_min, v_max = state.v_limits
-    if direction is ControlDirection.OVERVOLTAGE:
+    col_of = {g: j for j, g in enumerate(view.dg_ids)}
+    cols = [col_of[g] for g in dg_ids]
+    now, lo, hi = view.now[cols], view.lo[cols], view.hi[cols]
+    if over:
         v_max = v_max - LIN_GUARD
     else:
         v_min = v_min + LIN_GUARD
@@ -485,44 +476,31 @@ def _control_community(state: SimulationState, community: int, violated: list[in
     try:
         problem = ControlProblem(
             direction=direction,
-            mode=mode,
+            mode=state.mode,
             dg_ids=dg_ids,
-            node_ids=list(nodes),
-            v0=v0,
-            v_sens=v_sens,
+            node_ids=view.node_ids,
+            v0=view.v0,
+            v_sens=view.v_sens[:, cols],
             x_lower=lo - now,
             x_upper=hi - now,
-            transformers=_transformer_rows(state, community, dg_buses),
+            transformers=[replace(t, p_row=t.p_row[cols], s_row=t.s_row[cols]) for t in view.transformers],
             v_min=v_min,
             v_max=v_max,
         )
     except ValueError as exc:
         # Active-power control cannot raise voltages; log and leave the
         # episode open rather than abort the run.
-        state.send(
-            ca, ca, MessageKind.INFEASIBLE_NOTICE,
-            {"community": community, "reason": str(exc), "nodes": violated},
-        )
-        state.controls.append(
-            ControlRecord(state.tick, community, direction.value, False, None, dg_ids, [], violated)
-        )
+        refuse(str(exc), dg_ids)
         return {}
 
     solution = solve_lp(formulate_lp(problem))
 
     if not solution.feasible:
-        exhausted = {g for g in dg_ids if _headroom(state, g, direction) <= HEADROOM_TOL}
+        headroom = now - lo if over else hi - now
+        exhausted = {g for g, room in zip(dg_ids, headroom) if room <= HEADROOM_TOL}
         already = state.excluded.setdefault(community, set())
         new = exhausted - already
-        reason = "exhausted_dg" if new else "no_feasible_adjustment"
-        state.send(
-            ca, ca, MessageKind.INFEASIBLE_NOTICE,
-            {"community": community, "reason": reason, "nodes": violated,
-             "exhausted": sorted(exhausted)},
-        )
-        state.controls.append(
-            ControlRecord(state.tick, community, direction.value, False, None, dg_ids, [], violated)
-        )
+        refuse("exhausted_dg" if new else "no_feasible_adjustment", dg_ids, exhausted=sorted(exhausted))
         if new:
             already.update(new)
             self_organize(state, community)
@@ -568,11 +546,11 @@ def step(state: SimulationState, events: Sequence[Event] = ()) -> SimulationStat
 
     pending: dict[int, float] = {}
     for c in sorted(by_community):
-        pending.update(_control_community(state, c, sorted(by_community[c])))
+        pending.update(_control_community(state, _view(state, c), sorted(by_community[c])))
 
     if pending:
         for g in sorted(pending):
-            apply_adjustment(state.net.dg_by_id(g), state.mode, pending[g], *state.cap_range[g])
+            apply_adjustment(state.net.dgs[state.dg_pos[g]], state.mode, pending[g], *state.cap_range[g])
             state.control_actions += 1
         _resolve(state, "control adjustments")
 

@@ -284,7 +284,7 @@ def test_criterion_7_trip_regroup_restore_inversion():
     net = null_trip30()
     part, sens = prepared(net)
     state = initialize(net, part, sens, options=PF)
-    community = state.community_of_dg(21)
+    community = part.community_of[state.net.dg_by_id(21).bus]
     snapshot = lambda: [(s.anchor_dg, s.dg_ids, s.nodes) for s in state.subsets[community].subsets]
 
     gen0 = snapshot()
@@ -293,7 +293,7 @@ def test_criterion_7_trip_regroup_restore_inversion():
     step(state, [Event(0, EventKind.DG_TRIP, 21)])
     gen1 = snapshot()
     assert [s[0] for s in gen1] == [20, 25]
-    assert state.subsets[community].all_nodes() == sorted(state.nodes_of[community])
+    assert sorted(n for s in state.subsets[community].subsets for n in s.nodes) == sorted(state.nodes_of[community])
 
     # orphaned nodes must adopt the surviving DG with the highest
     # sensitivity, ties to the lower id: independent argmax oracle

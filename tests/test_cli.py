@@ -422,6 +422,24 @@ def test_simulate_bad_voltage_band_exits_2(tmp_path, capsys):
     assert "vmin" in stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--vmax", "inf"), ("--vmin", "-inf"), ("--vmax", "nan"), ("--vmin", "nan")])
+def test_simulate_non_finite_voltage_band_exits_2(tmp_path, capsys, flag, value):
+    scenario = write_scenario(tmp_path / "empty.json", [], duration=1)
+    code, _, stderr = run_cli(
+        capsys,
+        "simulate",
+        "--network",
+        str(NET6),
+        "--scenario",
+        str(scenario),
+        f"{flag}={value}",
+        "--out",
+        str(tmp_path / "r"),
+    )
+    assert code == 2
+    assert f"error: {flag} must be a finite number" in stderr
+
+
 def test_simulate_nonconvergent_network_exits_3(tmp_path, capsys):
     net_file = tmp_path / "heavy.json"
     save_network(two_bus(p=100.0, q=50.0), net_file)

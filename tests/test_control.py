@@ -90,7 +90,7 @@ def test_subsets_group_by_anchor():
     by_anchor = {s.anchor_dg: s for s in subs.subsets}
     assert by_anchor[0].nodes == (10, 12)
     assert by_anchor[1].nodes == (11,)
-    assert subs.all_nodes() == [10, 11, 12]
+    assert sorted(n for s in subs.subsets for n in s.nodes) == [10, 11, 12]
 
 
 def test_subsets_partition_nodes_exactly():
@@ -100,8 +100,8 @@ def test_subsets_partition_nodes_exactly():
     assert sorted(seen) == [10, 11, 12]
     assert len(seen) == len(set(seen))
     for node in (10, 11, 12):
-        assert subs.subset_of(node) is not None
-    assert subs.subset_of(99) is None
+        assert any(node in s.nodes for s in subs.subsets)
+    assert not any(99 in s.nodes for s in subs.subsets)
 
 
 def test_subsets_absorb_nodes_after_anchor_trip():
@@ -266,7 +266,7 @@ def test_solve_equal_dgs_share_equally():
     sol = solve_lp(formulate_lp(problem))
     assert sol.feasible
     assert sol.x == pytest.approx([-0.2, -0.2], abs=1e-9)
-    assert sol.adjustment_of(1) == pytest.approx(-0.2, abs=1e-9)
+    assert float(sol.x[sol.dg_ids.index(1)]) == pytest.approx(-0.2, abs=1e-9)
 
 
 def test_solution_satisfies_every_constraint_independently():
@@ -388,7 +388,7 @@ def test_end_to_end_overvoltage_clears():
     control = solve_lp(formulate_lp(problem))
     assert control.feasible
     assert control.x[0] < 0
-    after, residual = apply_and_resolve(net, control.adjustment_of(1))
+    after, residual = apply_and_resolve(net, float(control.x[control.dg_ids.index(1)]))
     assert residual == []
     assert after.v_of(2) <= 1.05 + 1e-9
     # No reverse active flow through the transformer at the new point.

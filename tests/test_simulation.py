@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcomm import simulation
 from gridcomm.network import DG
@@ -125,16 +128,17 @@ def test_initialize_agent_counts(net6):
     # One BA per bus, one DA per DG, one CA per community.
     assert len(state.net.buses) == 6
     assert len(state.net.dgs) == 2
-    assert len(state.communities) == 2
-    assert sorted(state.subsets) == state.communities
+    communities = sorted(set(part.community_of.values()))
+    assert len(communities) == 2
+    assert sorted(state.subsets) == communities
 
 
 def test_initialize_subsets_partition_nodes(net6):
     part, sens = prepared(net6)
     state = initialize(net6, part, sens, options=PF)
-    for c in state.communities:
+    for c in sorted(set(part.community_of.values())):
         assert state.subsets[c].generation == 0
-        assert state.subsets[c].all_nodes() == sorted(state.nodes_of[c])
+        assert sorted(n for s in state.subsets[c].subsets for n in s.nodes) == sorted(state.nodes_of[c])
 
 
 def test_initialize_deterministic(net6):
@@ -208,7 +212,7 @@ def test_control_locality():
     for i, bus in enumerate(state.pf.bus_ids):
         if i != state.pf.slack_index and state.pf.v_mag[i] > 1.05:
             violated_communities.add(part.community_of[bus])
-    quiet = set(state.communities) - violated_communities
+    quiet = set(part.community_of.values()) - violated_communities
     assert quiet, "fixture must leave at least one community untouched"
 
     step(state)
@@ -285,13 +289,13 @@ def test_trip_regroups_and_restore_inverts():
     state = initialize(net, part, sens, options=PF)
     gen0 = c3_subsets(state)
     assert [s[0] for s in gen0] == [20, 21, 25]
-    assert state.subsets[3].all_nodes() == sorted(state.nodes_of[3])
+    assert sorted(n for s in state.subsets[3].subsets for n in s.nodes) == sorted(state.nodes_of[3])
 
     step(state, [Event(0, EventKind.DG_TRIP, 21)])
     gen1 = c3_subsets(state)
     assert state.subsets[3].generation == 1
     assert [s[0] for s in gen1] == [20, 25]
-    assert state.subsets[3].all_nodes() == sorted(state.nodes_of[3])
+    assert sorted(n for s in state.subsets[3].subsets for n in s.nodes) == sorted(state.nodes_of[3])
 
     # Orphaned nodes adopt their next-best DG: independent argmax oracle
     # over the surviving columns.
@@ -356,6 +360,54 @@ def test_self_organize_bumps_generation_in_place():
     assert state.subsets[3].generation == before.generation + 1
     assert [s.nodes for s in state.subsets[3].subsets] == [s.nodes for s in before.subsets]
     assert state.regenerations == 1
+
+
+SYNTH30 = synth30()
+SYNTH30_PREPARED = prepared(SYNTH30)
+
+
+@st.composite
+def event_ticks(draw):
+    """4 to 6 ticks of random DG and load events on synth30."""
+    dg_ids = sorted(d.id for d in SYNTH30.dgs)
+    bus_ids = sorted(b.id for b in SYNTH30.buses)
+    dg_kinds = [EventKind.DG_TRIP, EventKind.DG_RESTORE, EventKind.COMM_LOSS, EventKind.COMM_RESTORE]
+    dg_event = st.builds(lambda k, g: (k, g, None), st.sampled_from(dg_kinds), st.sampled_from(dg_ids))
+    load_event = st.builds(
+        lambda b, m: (EventKind.LOAD_CHANGE, b, m), st.sampled_from(bus_ids), st.floats(-1.2, 1.2, allow_nan=False)
+    )
+    ticks = draw(st.lists(st.lists(st.one_of(dg_event, load_event), max_size=4), min_size=4, max_size=6))
+    return [[Event(t, kind, target, m) for kind, target, m in evs] for t, evs in enumerate(ticks)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(event_ticks())
+def test_views_stay_local_and_subsets_cover_nodes(ticks):
+    part, sens = SYNTH30_PREPARED
+    state = initialize(SYNTH30, part, sens, options=PF)
+    built = []
+    real_view = simulation._view
+
+    def recording_view(state, community):
+        view = real_view(state, community)
+        built.append(view)
+        return view
+
+    with mock.patch.object(simulation, "_view", recording_view):
+        for events in ticks:
+            step(state, events)
+            built.extend(real_view(state, c) for c in state.nodes_of)
+            for view in built:
+                c = view.community
+                assert all(part.community_of[b] == c for b in view.node_ids)
+                assert all(part.community_of[state.net.dg_by_id(g).bus] == c for g in view.dg_ids)
+                assert view.v_sens.shape == (len(view.node_ids), len(view.dg_ids))
+            for c, nodes in state.nodes_of.items():
+                if real_view(state, c).dg_ids:
+                    covered = [n for s in state.subsets[c].subsets for n in s.nodes]
+                    assert sorted(covered) == sorted(nodes)
+                    assert len(covered) == len(set(covered))
+            built.clear()
 
 
 # ------------------------------------------------------------ scenario runs
