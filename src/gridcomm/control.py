@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .network import DG
-from .partition import build_dg_adjacency
 from .powerflow import PowerFlowSolution
 from .sensitivity import SensitivityMode
 from .simplex import LPStatus, solve_inequality_lp
@@ -62,28 +61,8 @@ def apply_adjustment(dg: DG, mode: SensitivityMode, x: float, lo: float, hi: flo
     setattr(dg, out, min(max(getattr(dg, out) + x, lo), hi))
 
 
-class NoAvailableDGError(RuntimeError):
-    """A community has zero online, reachable DGs to control with."""
-
-
 class UnboundedControlError(RuntimeError):
     """The control LP is unbounded; surplus bounds should make this impossible."""
-
-
-def build_community_dg_matrix(
-    sens_block: np.ndarray, node_ids: Sequence[int], dg_ids: Sequence[int]
-) -> np.ndarray:
-    """Row-argmax 0/1 matrix over a community's nodes and its online DGs.
-
-    sens_block holds the voltage-sensitivity entries restricted to the
-    community (rows follow node_ids, columns follow dg_ids ascending).
-    """
-    if len(dg_ids) == 0:
-        raise NoAvailableDGError("community has no online DGs")
-    m = np.asarray(sens_block, dtype=float)
-    if m.shape != (len(node_ids), len(dg_ids)):
-        raise ValueError(f"expected {(len(node_ids), len(dg_ids))} matrix, got {m.shape}")
-    return build_dg_adjacency(m)
 
 
 @dataclass(frozen=True)

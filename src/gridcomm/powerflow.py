@@ -34,25 +34,46 @@ class PowerFlowOptions:
     flat_start: bool = True
 
 
+def lookup(index: dict[int, int], bus_id: int) -> int:
+    """Position of a bus id in an id -> position map; ValueError if absent."""
+    try:
+        return index[bus_id]
+    except KeyError:
+        raise ValueError(f"unknown bus id {bus_id}") from None
+
+
 @dataclass
 class PowerFlowSolution:
-    """Bus voltages at a solved (or abandoned) operating point.
+    """Bus voltages at a solved (or abandoned) operating point, and the
+    options it was solved with.
 
     v_mag/v_ang are indexed by position in NetworkModel.buses; bus_ids maps
-    positions back to ids.
+    positions back to ids and index_of ids to positions.
     """
 
     bus_ids: list[int]
+    index_of: dict[int, int]
     v_mag: np.ndarray
     v_ang: np.ndarray
     converged: bool
     iterations: int
     max_mismatch: float
+    options: PowerFlowOptions
     slack_index: int = 0
     non_slack: list[int] = field(default_factory=list)
 
     def v_of(self, bus_id: int) -> float:
-        return float(self.v_mag[self.bus_ids.index(bus_id)])
+        return float(self.v_mag[lookup(self.index_of, bus_id)])
+
+    def solves(self, net: NetworkModel) -> bool:
+        """Whether these voltages solve net's current injections within the
+        solution's own tolerance (the test Newton stops on)."""
+        if self.bus_ids != [b.id for b in net.buses]:
+            return False
+        ns = np.array([self.index_of[b] for b in self.non_slack], dtype=int)
+        p_spec, q_spec = _injections(net, self.index_of)
+        mis, _, _ = _mismatch(build_ybus(net, self.index_of), p_spec, q_spec, self.v_mag, self.v_ang, ns)
+        return bool(np.max(np.abs(mis)) <= self.options.tolerance)
 
 
 def build_ybus(net: NetworkModel, index_of: dict[int, int]) -> np.ndarray:
@@ -102,6 +123,15 @@ def _calc_pq(ybus: np.ndarray, v: np.ndarray, th: np.ndarray) -> tuple[np.ndarra
     vc = v * np.exp(1j * th)
     s = vc * np.conj(ybus @ vc)
     return s.real, s.imag
+
+
+def _mismatch(
+    ybus: np.ndarray, p_spec: np.ndarray, q_spec: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Specified minus calculated injections at the non-slack buses, P rows
+    then Q rows, and the calculated P and Q."""
+    p_calc, q_calc = _calc_pq(ybus, v, th)
+    return np.concatenate([(p_spec - p_calc)[ns], (q_spec - q_calc)[ns]]), p_calc, q_calc
 
 
 def _jacobian(
@@ -157,11 +187,7 @@ def solve_power_flow(net: NetworkModel, options: PowerFlowOptions | None = None)
     v[slack_idx] = net.slack_bus.v_mag
     th[slack_idx] = net.slack_bus.v_ang
 
-    def mismatch() -> np.ndarray:
-        p_calc, q_calc = _calc_pq(ybus, v, th)
-        return np.concatenate([(p_spec - p_calc)[ns], (q_spec - q_calc)[ns]]), p_calc, q_calc
-
-    mis, p_calc, q_calc = mismatch()
+    mis, p_calc, q_calc = _mismatch(ybus, p_spec, q_spec, v, th, ns)
     it = 0
     diverged = False
     while it < opts.max_iter:
@@ -185,17 +211,19 @@ def solve_power_flow(net: NetworkModel, options: PowerFlowOptions | None = None)
         if np.any(v[ns] <= 1e-6) or not np.all(np.isfinite(v[ns])):
             diverged = True
             break
-        mis, p_calc, q_calc = mismatch()
+        mis, p_calc, q_calc = _mismatch(ybus, p_spec, q_spec, v, th, ns)
 
     max_mis = float(np.max(np.abs(mis))) if np.all(np.isfinite(mis)) else float("inf")
     converged = (not diverged) and max_mis <= opts.tolerance
     return PowerFlowSolution(
         bus_ids=bus_ids,
+        index_of=index_of,
         v_mag=v,
         v_ang=th,
         converged=converged,
         iterations=it,
         max_mismatch=max_mis,
+        options=opts,
         slack_index=slack_idx,
         non_slack=[bus_ids[i] for i in ns],
     )

@@ -8,7 +8,8 @@ At a converged operating point the linearization
 maps per-unit injection changes at non-slack buses to angle and voltage
 changes. Rows and columns follow the order of the non-slack buses in the
 network (the file's bus order for a loaded network), not their ids:
-``SensitivityMatrix.bus_ids`` lists them.
+``SensitivityMatrix.bus_ids`` lists them and ``row`` maps ids to them. The
+matrix keeps the solved flow it was taken at as ``pf``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .network import NetworkModel
-from .powerflow import PowerFlowSolution, SingularJacobianError, _calc_pq, _jacobian, build_ybus
+from .powerflow import PowerFlowSolution, SingularJacobianError, _calc_pq, _jacobian, build_ybus, lookup
 
 
 class SensitivityMode(str, Enum):
@@ -36,9 +37,11 @@ class SensitivityMatrix:
     a_theta_q: np.ndarray
     a_vp: np.ndarray
     a_vq: np.ndarray
+    pf: PowerFlowSolution  # the operating point differentiated
+    row: dict[int, int]  # non-slack bus id -> row and column
 
     def row_of(self, bus_id: int) -> int:
-        return self.bus_ids.index(bus_id)
+        return lookup(self.row, bus_id)
 
     def voltage_block(self, mode: SensitivityMode) -> np.ndarray:
         return self.a_vq if mode is SensitivityMode.VQ else self.a_vp
@@ -48,9 +51,8 @@ class SensitivityMatrix:
 
     def angle_row(self, bus_id: int, mode: SensitivityMode) -> np.ndarray:
         """Angle-sensitivity row for a bus; zeros for the slack (fixed angle)."""
-        if bus_id not in self.bus_ids:
-            return np.zeros(len(self.bus_ids))
-        return self.angle_block(mode)[self.row_of(bus_id)]
+        row = self.row.get(bus_id)
+        return np.zeros(len(self.bus_ids)) if row is None else self.angle_block(mode)[row]
 
 
 @dataclass
@@ -59,7 +61,6 @@ class DGColumns:
     columns ordered by DG id ascending."""
 
     matrix: np.ndarray
-    bus_ids: list[int]
     dg_ids: list[int]
 
 
@@ -71,9 +72,8 @@ def compute_sensitivity_matrix(net: NetworkModel, sol: PowerFlowSolution) -> Sen
     """
     if not sol.converged:
         raise ValueError("sensitivity requires a converged power flow")
-    index_of = {bid: i for i, bid in enumerate(sol.bus_ids)}
-    ns = np.array([index_of[b] for b in sol.non_slack], dtype=int)
-    ybus = build_ybus(net, index_of)
+    ns = np.array([sol.index_of[b] for b in sol.non_slack], dtype=int)
+    ybus = build_ybus(net, sol.index_of)
     p_calc, q_calc = _calc_pq(ybus, sol.v_mag, sol.v_ang)
     jac = _jacobian(ybus, sol.v_mag, sol.v_ang, p_calc, q_calc, ns)
     try:
@@ -87,6 +87,8 @@ def compute_sensitivity_matrix(net: NetworkModel, sol: PowerFlowSolution) -> Sen
         a_theta_q=inv[:n1, n1:],
         a_vp=inv[n1:, :n1],
         a_vq=inv[n1:, n1:],
+        pf=sol,
+        row={b: i for i, b in enumerate(sol.non_slack)},
     )
 
 
@@ -105,8 +107,8 @@ def dg_columns(
     block = sens.voltage_block(mode)
     cols = []
     for d in dgs:
-        if d.bus not in sens.bus_ids:
+        if d.bus not in sens.row:
             raise ValueError(f"DG {d.id} is on slack bus {d.bus}; no sensitivity column")
-        cols.append(block[:, sens.row_of(d.bus)])
+        cols.append(block[:, sens.row[d.bus]])
     matrix = np.column_stack(cols) if cols else np.zeros((len(sens.bus_ids), 0))
-    return DGColumns(matrix=matrix, bus_ids=list(sens.bus_ids), dg_ids=[d.id for d in dgs])
+    return DGColumns(matrix=matrix, dg_ids=[d.id for d in dgs])

@@ -49,7 +49,6 @@ from .control import (
     CommunitySubsets,
     TransformerAngleRows,
     apply_adjustment,
-    build_community_dg_matrix,
     capability_range,
     derive_subsets,
     formulate_lp,
@@ -59,8 +58,8 @@ from .control import (
 )
 from .network import NetworkModel
 from .network_io import read_element, read_value
-from .partition import Partition
-from .powerflow import PowerFlowError, PowerFlowOptions, PowerFlowSolution, solve_power_flow
+from .partition import Partition, build_dg_adjacency
+from .powerflow import PowerFlowSolution, solve_power_flow
 from .sensitivity import SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix
 
 HEADROOM_TOL = 1e-9
@@ -180,11 +179,16 @@ def validate_scenario(scenario: Scenario, net: NetworkModel) -> None:
     """Check every event's target against the network; raises ScenarioError."""
     bus_ids = {b.id for b in net.buses}
     dg_ids = {d.id for d in net.dgs}
+    slack_id = net.slack_bus.id
     for ev in scenario.events:
         if ev.kind in _DG_TOGGLES and ev.target not in dg_ids:
             raise ScenarioError(f"event {ev.kind.value} targets unknown DG id {ev.target}")
         if ev.kind is EventKind.LOAD_CHANGE and ev.target not in bus_ids:
             raise ScenarioError(f"event load_change targets unknown bus id {ev.target}")
+        if ev.kind is EventKind.LOAD_CHANGE and ev.target == slack_id:
+            raise ScenarioError(
+                f"event load_change at tick {ev.at_tick} targets slack bus {ev.target}, where it moves no voltage"
+            )
         if ev.at_tick >= scenario.duration:
             raise ScenarioError(
                 f"event {ev.kind.value} at tick {ev.at_tick} never fires (duration {scenario.duration})"
@@ -215,16 +219,12 @@ class SimulationDiverged(RuntimeError):
 class SimulationState:
     net: NetworkModel
     partition: Partition
-    sens: SensitivityMatrix
-    pf: PowerFlowSolution
+    sens: SensitivityMatrix  # and, as sens.pf, the flow it was taken at
     mode: SensitivityMode
     v_limits: tuple[float, float]
     nodes_of: dict[int, list[int]]  # community -> non-slack bus ids, community id ascending
     subsets: dict[int, CommunitySubsets]
     cap_range: dict[int, tuple[float, float]]  # DG id -> (lo, hi) of the mode's setpoint
-    options: PowerFlowOptions
-    bus_pos: dict[int, int]  # bus id -> position in net.buses and the flow's arrays
-    sens_row: dict[int, int]  # non-slack bus id -> row and column in the sensitivity blocks
     dg_pos: dict[int, int]  # DG id -> position in net.dgs; keys id ascending
     tick: int = 0
     comm_lost: set[int] = field(default_factory=set)
@@ -240,6 +240,10 @@ class SimulationState:
     control_actions: int = 0
     regenerations: int = 0
     _seq: int = 0
+
+    @property
+    def pf(self) -> PowerFlowSolution:
+        return self.sens.pf
 
     def send(self, sender: AgentId, receiver: AgentId, kind: MessageKind, payload: dict) -> None:
         self.messages.append(
@@ -271,14 +275,13 @@ def initialize(
     sens: SensitivityMatrix,
     mode: SensitivityMode = SensitivityMode.VQ,
     v_limits: tuple[float, float] = (0.95, 1.05),
-    options: PowerFlowOptions | None = None,
 ) -> SimulationState:
-    """Stand up agents, subsets and capability ranges on a private copy of net."""
+    """Stand up agents, subsets and capability ranges on a private copy of
+    net, starting from the flow sens was taken at (sens.pf). Raises
+    ValueError if that flow does not solve net as it is now."""
     net = copy.deepcopy(net)
-    options = options or PowerFlowOptions()
-    pf = solve_power_flow(net, options)
-    if not pf.converged:
-        raise PowerFlowError("cannot initialize simulation from a non-converging network")
+    if not sens.pf.solves(net):
+        raise ValueError("the sensitivities' operating point does not solve this network")
 
     slack_id = net.slack_bus.id
     nodes_of: dict[int, list[int]] = {c: [] for c in sorted(set(partition.community_of.values()))}
@@ -290,15 +293,11 @@ def initialize(
         net=net,
         partition=partition,
         sens=sens,
-        pf=pf,
         mode=mode,
         v_limits=v_limits,
         nodes_of=nodes_of,
         subsets={},
         cap_range={d.id: capability_range(d, mode) for d in net.dgs_sorted()},
-        options=options,
-        bus_pos={b.id: i for i, b in enumerate(net.buses)},
-        sens_row={b: i for i, b in enumerate(sens.bus_ids)},
         dg_pos=dict(sorted((d.id, i) for i, d in enumerate(net.dgs))),
     )
     for c in nodes_of:
@@ -318,24 +317,18 @@ def _view(state: SimulationState, community: int) -> CommunityView:
         if community_of[d.bus] == community and d.online and d.id not in state.comm_lost and d.id not in banned:
             dgs.append(d)
     nodes = state.nodes_of[community]
-    rows = [state.sens_row[b] for b in nodes]
-    cols = [state.sens_row[d.bus] for d in dgs]
+    sens, pf, mode = state.sens, state.pf, state.mode
+    rows = [sens.row[b] for b in nodes]
+    cols = [sens.row[d.bus] for d in dgs]
     ranges = np.array([state.cap_range[d.id] for d in dgs]).reshape(-1, 2)
-    angle = state.sens.angle_block(state.mode)
-    theta = state.pf.v_ang
-
-    def angle_row(bus: int) -> np.ndarray:
-        row = state.sens_row.get(bus)
-        return np.zeros(len(cols)) if row is None else angle[row, cols]
-
     transformers = [
         TransformerAngleRows(
             label=f"{t.primary_bus}->{t.secondary_bus}",
-            theta_p0=float(theta[state.bus_pos[t.primary_bus]]),
-            theta_s0=float(theta[state.bus_pos[t.secondary_bus]]),
+            theta_p0=float(pf.v_ang[pf.index_of[t.primary_bus]]),
+            theta_s0=float(pf.v_ang[pf.index_of[t.secondary_bus]]),
             theta_shift=t.phase_shift,
-            p_row=angle_row(t.primary_bus),
-            s_row=angle_row(t.secondary_bus),
+            p_row=sens.angle_row(t.primary_bus, mode)[cols],
+            s_row=sens.angle_row(t.secondary_bus, mode)[cols],
         )
         for t in state.net.transformers
         if community in (community_of.get(t.primary_bus), community_of.get(t.secondary_bus))
@@ -343,13 +336,13 @@ def _view(state: SimulationState, community: int) -> CommunityView:
     return CommunityView(
         community=community,
         node_ids=nodes,
-        v0=state.pf.v_mag[[state.bus_pos[b] for b in nodes]],
+        v0=pf.v_mag[[pf.index_of[b] for b in nodes]],
         dg_ids=[d.id for d in dgs],
         dg_buses=[d.bus for d in dgs],
-        now=np.array([setpoint(d, state.mode) for d in dgs]),
+        now=np.array([setpoint(d, mode) for d in dgs]),
         lo=ranges[:, 0],
         hi=ranges[:, 1],
-        v_sens=state.sens.voltage_block(state.mode)[np.ix_(rows, cols)],
+        v_sens=sens.voltage_block(mode)[np.ix_(rows, cols)],
         transformers=transformers,
     )
 
@@ -357,7 +350,7 @@ def _view(state: SimulationState, community: int) -> CommunityView:
 def _build_subsets(view: CommunityView, generation: int) -> CommunitySubsets:
     if not view.dg_ids or not view.node_ids:
         return CommunitySubsets(community=view.community, subsets=[], generation=generation)
-    d_com = build_community_dg_matrix(view.v_sens, view.node_ids, view.dg_ids)
+    d_com = build_dg_adjacency(view.v_sens)
     dg_bus_of = dict(zip(view.dg_ids, view.dg_buses))
     return derive_subsets(d_com, view.node_ids, view.dg_ids, dg_bus_of, community=view.community, generation=generation)
 
@@ -393,10 +386,9 @@ def self_organize(state: SimulationState, community: int) -> None:
 
 
 def _resolve(state: SimulationState, why: str) -> None:
-    pf = solve_power_flow(state.net, state.options)
+    pf = solve_power_flow(state.net, state.pf.options)
     if not pf.converged:
         raise SimulationDiverged(f"power flow diverged after {why} at tick {state.tick}", state)
-    state.pf = pf
     state.sens = compute_sensitivity_matrix(state.net, pf)
 
 
@@ -407,7 +399,7 @@ def _apply_events(state: SimulationState, events: Sequence[Event]) -> tuple[bool
     for ev in events:
         state.events_applied.append((state.tick, ev))
         if ev.kind is EventKind.LOAD_CHANGE:
-            state.net.buses[state.bus_pos[ev.target]].p_load += float(ev.magnitude)
+            state.net.buses[state.pf.index_of[ev.target]].p_load += float(ev.magnitude)
             changed = True
             continue
 
@@ -595,11 +587,10 @@ def run_scenario(
     sens: SensitivityMatrix,
     mode: SensitivityMode = SensitivityMode.VQ,
     v_limits: tuple[float, float] = (0.95, 1.05),
-    options: PowerFlowOptions | None = None,
 ) -> RunReport:
     """Drive the tick loop over a scenario and collect the run's records."""
     validate_scenario(scenario, net)
-    state = initialize(net, partition, sens, mode=mode, v_limits=v_limits, options=options)
+    state = initialize(net, partition, sens, mode=mode, v_limits=v_limits)
     by_tick: dict[int, list[Event]] = {}
     for ev in scenario.events:
         by_tick.setdefault(ev.at_tick, []).append(ev)

@@ -240,7 +240,7 @@ def test_criterion_6_overvoltage_cleared_in_one_round():
 
     q0 = {d.id: d.q_out for d in net.dgs}
     p0 = {d.id: d.p_out for d in net.dgs}
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     step(state)
 
     movers = sorted(d.id for d in state.net.dgs if abs(d.q_out - q0[d.id]) > 1e-12)
@@ -283,7 +283,7 @@ def test_criterion_7_trip_regroup_restore_inversion():
     t_start = time.perf_counter()
     net = null_trip30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     community = part.community_of[state.net.dg_by_id(21).bus]
     snapshot = lambda: [(s.anchor_dg, s.dg_ids, s.nodes) for s in state.subsets[community].subsets]
 
@@ -377,7 +377,7 @@ def test_criterion_9_message_locality():
     counts = []
     for net, scenario in scenarios:
         part, sens = prepared(net)
-        report = run_scenario(net, scenario, part, sens, options=PF)
+        report = run_scenario(net, scenario, part, sens)
         state = report.final_state
         for msg in report.messages:
             assert _agent_community(state, msg.sender) == _agent_community(state, msg.receiver), str(msg)

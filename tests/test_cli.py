@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcomm import cli, simulation
 from gridcomm.cli import main
 from gridcomm.network_io import save_network
 from gridcomm.powerflow import PowerFlowOptions, solve_power_flow
@@ -380,6 +381,22 @@ def test_simulate_empty_scenario(tmp_path, capsys):
     assert stdout.strip() == "violations:0 resolved:0 unresolved:0 actions:0 regenerations:0"
 
 
+def test_simulate_solves_initial_flow_once(tmp_path, capsys, monkeypatch):
+    # The simulation starts from the flow the sensitivities were taken at; with
+    # no event and every bus in band nothing is solved again.
+    calls = []
+    for module in (cli, simulation):
+        real = module.solve_power_flow
+        monkeypatch.setattr(module, "solve_power_flow", lambda *a, real=real: calls.append(a) or real(*a))
+    scenario = write_scenario(tmp_path / "empty.json", [], duration=2)
+    code, stdout, _ = run_cli(
+        capsys, "simulate", "--synth", SYNTH30, "--scenario", str(scenario), "--out", str(tmp_path / "run")
+    )
+    assert code == 0
+    assert stdout.startswith("violations:0 ")
+    assert len(calls) == 1
+
+
 def test_simulate_unknown_dg_exits_2(tmp_path, capsys):
     scenario = write_scenario(
         tmp_path / "bad.json", [{"at_tick": 0, "kind": "dg_trip", "target": 404}], duration=2
@@ -390,6 +407,19 @@ def test_simulate_unknown_dg_exits_2(tmp_path, capsys):
     assert code == 2
     assert stderr.startswith("error:")
     assert "404" in stderr
+
+
+def test_simulate_load_change_on_slack_exits_2(tmp_path, capsys):
+    # The slack absorbs any load step, so the event could move no voltage.
+    scenario = write_scenario(
+        tmp_path / "slack.json", [{"at_tick": 1, "kind": "load_change", "target": 0, "magnitude": 0.2}], duration=3
+    )
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--network", str(NET6), "--scenario", str(scenario), "--out", str(tmp_path / "r")
+    )
+    assert code == 2
+    assert stderr.startswith("error: event load_change at tick 1 targets slack bus 0")
+    assert not (tmp_path / "r").exists()
 
 
 def test_simulate_malformed_scenario_exits_2(tmp_path, capsys):

@@ -5,10 +5,8 @@ from hypothesis import given, strategies as st
 from gridcomm.control import (
     ControlDirection,
     ControlProblem,
-    NoAvailableDGError,
     TransformerAngleRows,
     apply_adjustment,
-    build_community_dg_matrix,
     capability_range,
     derive_subsets,
     formulate_lp,
@@ -17,6 +15,7 @@ from gridcomm.control import (
     solve_lp,
 )
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
+from gridcomm.partition import build_dg_adjacency
 from gridcomm.powerflow import PowerFlowOptions, solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
 
@@ -60,31 +59,21 @@ def transformer_net(q_out=0.8):
 
 
 def test_dg_matrix_argmax_rows():
-    d = build_community_dg_matrix(SENS_3X2, [10, 11, 12], [0, 1])
+    d = build_dg_adjacency(SENS_3X2)
     np.testing.assert_array_equal(d, [[1, 0], [0, 1], [1, 0]])
 
 
 def test_dg_matrix_recompute_after_dg_loss():
     # DG0 offline: the surviving column decides every row.
-    d = build_community_dg_matrix(SENS_3X2[:, [1]], [10, 11, 12], [1])
+    d = build_dg_adjacency(SENS_3X2[:, [1]])
     np.testing.assert_array_equal(d, [[1], [1], [1]])
-
-
-def test_dg_matrix_no_dgs_raises():
-    with pytest.raises(NoAvailableDGError):
-        build_community_dg_matrix(np.zeros((3, 0)), [10, 11, 12], [])
-
-
-def test_dg_matrix_shape_mismatch():
-    with pytest.raises(ValueError):
-        build_community_dg_matrix(SENS_3X2, [10, 11], [0, 1])
 
 
 # ------------------------------------------------------- subsets
 
 
 def test_subsets_group_by_anchor():
-    d = build_community_dg_matrix(SENS_3X2, [10, 11, 12], [0, 1])
+    d = build_dg_adjacency(SENS_3X2)
     subs = derive_subsets(d, [10, 11, 12], [0, 1], {0: 10, 1: 11})
     assert len(subs.subsets) == 2
     by_anchor = {s.anchor_dg: s for s in subs.subsets}
@@ -94,7 +83,7 @@ def test_subsets_group_by_anchor():
 
 
 def test_subsets_partition_nodes_exactly():
-    d = build_community_dg_matrix(SENS_3X2, [10, 11, 12], [0, 1])
+    d = build_dg_adjacency(SENS_3X2)
     subs = derive_subsets(d, [10, 11, 12], [0, 1], {0: 10, 1: 11})
     seen = [n for s in subs.subsets for n in s.nodes]
     assert sorted(seen) == [10, 11, 12]
@@ -107,11 +96,11 @@ def test_subsets_partition_nodes_exactly():
 def test_subsets_absorb_nodes_after_anchor_trip():
     # Tripping DG0 removes its column; its nodes fall to the next-best DG.
     before = derive_subsets(
-        build_community_dg_matrix(SENS_3X2, [10, 11, 12], [0, 1]),
+        build_dg_adjacency(SENS_3X2),
         [10, 11, 12], [0, 1], {0: 10, 1: 11},
     )
     after = derive_subsets(
-        build_community_dg_matrix(SENS_3X2[:, [1]], [10, 11, 12], [1]),
+        build_dg_adjacency(SENS_3X2[:, [1]]),
         [10, 11, 12], [1], {1: 11},
     )
     assert len(before.subsets) == 2
@@ -122,14 +111,14 @@ def test_subsets_absorb_nodes_after_anchor_trip():
 
 def test_subset_includes_colocated_dgs():
     # DG1 sits on node 12, inside DG0's subset, so it joins that subset's DG set.
-    d = build_community_dg_matrix(SENS_3X2, [10, 11, 12], [0, 1])
+    d = build_dg_adjacency(SENS_3X2)
     subs = derive_subsets(d, [10, 11, 12], [0, 1], {0: 10, 1: 12})
     by_anchor = {s.anchor_dg: s for s in subs.subsets}
     assert by_anchor[0].dg_ids == (0, 1)
 
 
 def test_single_dg_single_subset():
-    d = build_community_dg_matrix(np.array([[0.4], [0.2]]), [7, 8], [3])
+    d = build_dg_adjacency(np.array([[0.4], [0.2]]))
     subs = derive_subsets(d, [7, 8], [3], {3: 7})
     assert len(subs.subsets) == 1
     assert subs.subsets[0].nodes == (7, 8)

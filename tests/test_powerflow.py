@@ -5,6 +5,7 @@ import pytest
 
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
 from gridcomm.powerflow import PowerFlowOptions, build_ybus, solve_power_flow
+from gridcomm.sensitivity import compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
 from conftest import two_bus
@@ -138,8 +139,12 @@ def test_solution_accessors():
     assert sol.slack_index == 0
     assert list(sol.non_slack) == [1]
     assert sol.bus_ids == [0, 1]
+    sens = compute_sensitivity_matrix(net, sol)
+    for lookup in (sol.v_of, sens.row_of):
+        with pytest.raises(ValueError):
+            lookup(9)
     with pytest.raises(ValueError):
-        sol.v_of(9)
+        sens.row_of(0)  # the slack has no sensitivity row
 
 
 def test_flat_start_false_reuses_stored_voltages():

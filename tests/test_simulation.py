@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gridcomm import simulation
 from gridcomm.network import DG
-from gridcomm.powerflow import PowerFlowOptions
 from gridcomm.sensitivity import SensitivityMode
 from gridcomm.simulation import (
     AgentKind,
@@ -28,9 +27,6 @@ from gridcomm.simulation import (
 )
 
 from conftest import null_trip30, overvoltage30, prepared, synth30, trip_restore30, write_scenario
-
-
-PF = PowerFlowOptions(tolerance=1e-10)
 
 
 def community_of_agent(state, agent):
@@ -124,7 +120,7 @@ def test_validate_scenario_names_unknown_ids():
 
 def test_initialize_agent_counts(net6):
     part, sens = prepared(net6)
-    state = initialize(net6, part, sens, options=PF)
+    state = initialize(net6, part, sens)
     # One BA per bus, one DA per DG, one CA per community.
     assert len(state.net.buses) == 6
     assert len(state.net.dgs) == 2
@@ -135,7 +131,7 @@ def test_initialize_agent_counts(net6):
 
 def test_initialize_subsets_partition_nodes(net6):
     part, sens = prepared(net6)
-    state = initialize(net6, part, sens, options=PF)
+    state = initialize(net6, part, sens)
     for c in sorted(set(part.community_of.values())):
         assert state.subsets[c].generation == 0
         assert sorted(n for s in state.subsets[c].subsets for n in s.nodes) == sorted(state.nodes_of[c])
@@ -143,8 +139,8 @@ def test_initialize_subsets_partition_nodes(net6):
 
 def test_initialize_deterministic(net6):
     part, sens = prepared(net6)
-    a = initialize(net6, part, sens, options=PF)
-    b = initialize(net6, part, sens, options=PF)
+    a = initialize(net6, part, sens)
+    b = initialize(net6, part, sens)
     assert np.array_equal(a.pf.v_mag, b.pf.v_mag)
     assert a.subsets == b.subsets
     assert a.cap_range == b.cap_range
@@ -154,8 +150,8 @@ def test_initialize_deterministic(net6):
 def test_initialize_capability_box():
     net = synth30()
     part, sens = prepared(net)
-    vq = initialize(net, part, sens, options=PF)
-    vp = initialize(net, part, sens, mode=SensitivityMode.VP, options=PF)
+    vq = initialize(net, part, sens)
+    vp = initialize(net, part, sens, mode=SensitivityMode.VP)
     for d in net.dgs_sorted():
         assert vq.cap_range[d.id] == pytest.approx((d.q_out - d.q_surplus, d.q_out + d.q_surplus))
         assert vp.cap_range[d.id] == pytest.approx((d.p_out - d.p_surplus, d.p_out + d.p_surplus))
@@ -163,9 +159,26 @@ def test_initialize_capability_box():
 
 def test_initialize_copies_network(net6):
     part, sens = prepared(net6)
-    state = initialize(net6, part, sens, options=PF)
+    state = initialize(net6, part, sens)
     state.net.dg_by_id(1).q_out = 99.0
     assert net6.dg_by_id(1).q_out != 99.0
+
+
+def test_initialize_solves_no_flow(monkeypatch):
+    net = synth30()
+    part, sens = prepared(net)
+    calls = []
+    monkeypatch.setattr(simulation, "solve_power_flow", lambda *a: calls.append(a))
+    state = initialize(net, part, sens)
+    assert calls == []
+    assert state.pf is sens.pf
+
+
+def test_initialize_rejects_stale_sensitivities(net6):
+    part, sens = prepared(net6)
+    net6.buses[3].p_load += 0.05
+    with pytest.raises(ValueError, match="does not solve"):
+        initialize(net6, part, sens)
 
 
 # ------------------------------------------------------------ stepping
@@ -174,7 +187,7 @@ def test_initialize_copies_network(net6):
 def test_quiescent_step_changes_only_tick():
     net = synth30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     v_before = state.pf.v_mag.copy()
     step(state)
     assert state.tick == 1
@@ -189,7 +202,7 @@ def test_quiescent_step_changes_only_tick():
 def test_overvoltage_cleared_in_one_round():
     net = overvoltage30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     assert state.pf.v_mag.max() > 1.05
 
     step(state)
@@ -207,7 +220,7 @@ def test_overvoltage_cleared_in_one_round():
 def test_control_locality():
     net = overvoltage30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     violated_communities = set()
     for i, bus in enumerate(state.pf.bus_ids):
         if i != state.pf.slack_index and state.pf.v_mag[i] > 1.05:
@@ -239,7 +252,7 @@ def test_control_locality():
 def test_adjustments_respect_capability_box():
     net = overvoltage30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     step(state)
     for d in state.net.dgs_sorted():
         lo, hi = state.cap_range[d.id]
@@ -253,7 +266,7 @@ def test_infeasible_lp_applies_nothing():
     for d in net.dgs:
         d.q_surplus = 0.01
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     step(state)
     assert state.controls and not any(r.feasible for r in state.controls)
     assert MessageKind.ADJUSTMENT_COMMAND not in {m.kind for m in state.messages}
@@ -267,7 +280,7 @@ def test_in_band_trip_solves_once(monkeypatch):
     # bus in band no DA moves and nothing is solved again.
     net = synth30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     calls = []
     real = simulation.solve_power_flow
     monkeypatch.setattr(simulation, "solve_power_flow", lambda *a: calls.append(a) or real(*a))
@@ -286,7 +299,7 @@ def c3_subsets(state):
 def test_trip_regroups_and_restore_inverts():
     net = null_trip30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     gen0 = c3_subsets(state)
     assert [s[0] for s in gen0] == [20, 21, 25]
     assert sorted(n for s in state.subsets[3].subsets for n in s.nodes) == sorted(state.nodes_of[3])
@@ -321,10 +334,10 @@ def test_comm_loss_regroups_like_trip_but_keeps_output():
     net.dg_by_id(21).q_out = 0.05
     part, sens = prepared(net)
 
-    tripped = initialize(net, part, sens, options=PF)
+    tripped = initialize(net, part, sens)
     step(tripped, [Event(0, EventKind.DG_TRIP, 21)])
 
-    lost = initialize(net, part, sens, options=PF)
+    lost = initialize(net, part, sens)
     step(lost, [Event(0, EventKind.COMM_LOSS, 21)])
 
     assert [(s.anchor_dg, s.nodes) for s in lost.subsets[3].subsets] == [
@@ -343,7 +356,7 @@ def test_comm_loss_regroups_like_trip_but_keeps_output():
 def test_trip_restore_notices_flow_to_ca():
     net = null_trip30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     step(state, [Event(0, EventKind.DG_TRIP, 21)])
     step(state, [Event(1, EventKind.DG_RESTORE, 21)])
     kinds = [(m.kind, str(m.sender), str(m.receiver)) for m in state.messages]
@@ -354,7 +367,7 @@ def test_trip_restore_notices_flow_to_ca():
 def test_self_organize_bumps_generation_in_place():
     net = synth30()
     part, sens = prepared(net)
-    state = initialize(net, part, sens, options=PF)
+    state = initialize(net, part, sens)
     before = state.subsets[3]
     self_organize(state, 3)
     assert state.subsets[3].generation == before.generation + 1
@@ -384,7 +397,7 @@ def event_ticks(draw):
 @given(event_ticks())
 def test_views_stay_local_and_subsets_cover_nodes(ticks):
     part, sens = SYNTH30_PREPARED
-    state = initialize(SYNTH30, part, sens, options=PF)
+    state = initialize(SYNTH30, part, sens)
     built = []
     real_view = simulation._view
 
@@ -416,7 +429,7 @@ def test_views_stay_local_and_subsets_cover_nodes(ticks):
 def test_empty_scenario_reports_zeroes():
     net = synth30()
     part, sens = prepared(net)
-    report = run_scenario(net, Scenario(events=[], duration=3), part, sens, options=PF)
+    report = run_scenario(net, Scenario(events=[], duration=3), part, sens)
     assert report.summary() == "violations:0 resolved:0 unresolved:0 actions:0 regenerations:0"
     assert report.controls == []
     assert len(report.voltage_rows) == 3 * len(net.buses)
@@ -430,7 +443,7 @@ def test_trip_restore_resolves_within_tick():
         duration=5,
         name="trip-restore",
     )
-    report = run_scenario(net, scenario, part, sens, options=PF)
+    report = run_scenario(net, scenario, part, sens)
     assert report.summary() == (
         "violations:1 resolved:1 unresolved:0 actions:1 regenerations:2"
     )
@@ -456,7 +469,7 @@ def test_degraded_community_flags_unresolved(tmp_path):
         duration=2,
         name="stranded",
     )
-    report = run_scenario(net, scenario, part, sens, options=PF)
+    report = run_scenario(net, scenario, part, sens)
     assert report.violations == 1
     assert report.resolved == 0
     assert report.unresolved == 1
@@ -475,7 +488,7 @@ def test_divergence_preserves_state():
     part, sens = prepared(net)
     scenario = Scenario(events=[Event(1, EventKind.LOAD_CHANGE, 17, 80.0)], duration=3)
     with pytest.raises(SimulationDiverged) as exc:
-        run_scenario(net, scenario, part, sens, options=PF)
+        run_scenario(net, scenario, part, sens)
     assert exc.value.state.tick == 1
     assert exc.value.state.events_applied[-1][1].magnitude == 80.0
 
@@ -486,7 +499,7 @@ def test_run_rejects_invalid_scenario():
     with pytest.raises(ScenarioError):
         run_scenario(
             net, Scenario(events=[Event(0, EventKind.DG_TRIP, 404)], duration=2),
-            part, sens, options=PF,
+            part, sens,
         )
 
 
@@ -504,7 +517,7 @@ def test_write_report_deterministic(tmp_path):
     names = ["events.csv", "controls.csv", "voltages.csv", "subsets_history.csv", "messages.csv", "summary.txt"]
     outs = []
     for sub in ("a", "b"):
-        report = run_scenario(net, scenario, part, sens, options=PF)
+        report = run_scenario(net, scenario, part, sens)
         out = tmp_path / sub
         write_report(report, out)
         outs.append(out)
@@ -520,7 +533,7 @@ def test_write_report_structure(tmp_path):
         duration=5,
         name="shape",
     )
-    report = run_scenario(net, scenario, part, sens, options=PF)
+    report = run_scenario(net, scenario, part, sens)
     write_report(report, tmp_path)
 
     events = (tmp_path / "events.csv").read_text().splitlines()
@@ -549,7 +562,7 @@ def test_run_report_messages_match_payload_kinds():
         events=[Event(1, EventKind.DG_TRIP, 21), Event(3, EventKind.DG_RESTORE, 21)],
         duration=5,
     )
-    report = run_scenario(net, scenario, part, sens, options=PF)
+    report = run_scenario(net, scenario, part, sens)
     for m in report.messages:
         if m.kind is MessageKind.VIOLATION_REPORT:
             assert {"bus", "v", "side"} <= set(m.payload)
