@@ -13,14 +13,13 @@ included), 3 power flow failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .network import NetworkModel
-from .network_io import NetworkFormatError, NetworkValidationError, load_network
+from .network_io import NetworkFormatError, NetworkValidationError, joined, load_network, write_table
 from .partition import Dendrogram, Partition, PeakPolicy, partition_network
 from .powerflow import PowerFlowError, SingularJacobianError, solve_power_flow
 from .sensitivity import SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix
@@ -48,6 +47,8 @@ def _parse_synth(text: str, seed: int) -> SynthSpec:
             raise ValueError(f"synth spec entry {part!r} is not key=value")
         if key not in _SYNTH_KEYS:
             raise ValueError(f"unknown synth key {key!r}; known: {sorted(_SYNTH_KEYS)}")
+        if _SYNTH_KEYS[key] in kwargs:
+            raise ValueError(f"synth key {key!r} is given twice")
         try:
             kwargs[_SYNTH_KEYS[key]] = int(value)
         except ValueError:
@@ -70,19 +71,10 @@ def _solved(net: NetworkModel):
     return sol
 
 
-def _write_matrix(path: Path, bus_ids: list[int], m: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["bus"] + [str(b) for b in bus_ids])
-        for i, bus in enumerate(bus_ids):
-            w.writerow([str(bus)] + [repr(float(x)) for x in m[i]])
-
-
 def _dump_sensitivity(sens: SensitivityMatrix, out: Path) -> None:
-    _write_matrix(out / "a_vq.csv", sens.bus_ids, sens.a_vq)
-    _write_matrix(out / "a_vp.csv", sens.bus_ids, sens.a_vp)
-    _write_matrix(out / "a_theta_p.csv", sens.bus_ids, sens.a_theta_p)
-    _write_matrix(out / "a_theta_q.csv", sens.bus_ids, sens.a_theta_q)
+    for name in ("a_vq", "a_vp", "a_theta_p", "a_theta_q"):
+        rows = zip(sens.bus_ids, getattr(sens, name).tolist())
+        write_table(out / f"{name}.csv", ["bus", *sens.bus_ids], ([bus, *row] for bus, row in rows))
 
 
 def _write_partition(partition: Partition, dendro: Dendrogram, net: NetworkModel, out: Path) -> None:
@@ -90,23 +82,18 @@ def _write_partition(partition: Partition, dendro: Dendrogram, net: NetworkModel
     dg_comm: dict[int, list[int]] = {}
     for d in net.dgs_sorted():
         dg_comm.setdefault(partition.community_of[d.bus], []).append(d.id)
-    with open(out / "community_table.csv", "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["community", "nodes", "dgs"])
-        for c in range(partition.n_communities):
-            nodes = partition.members(c)
-            w.writerow([c, "|".join(str(n) for n in nodes), "|".join(str(g) for g in dg_comm.get(c, []))])
-    with open(out / "node_assignment.csv", "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["bus", "community"])
-        for bus in sorted(partition.community_of):
-            w.writerow([bus, partition.community_of[bus]])
-    with open(out / "dendrogram.csv", "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["step", "community_a", "community_b", "modularity"])
-        w.writerow([0, "", "", repr(dendro.initial_modularity)])
-        for s in dendro.steps:
-            w.writerow([s.step, s.community_a, s.community_b, repr(s.modularity_after)])
+    write_table(
+        out / "community_table.csv",
+        ["community", "nodes", "dgs"],
+        ((c, joined(partition.members(c)), joined(dg_comm.get(c, ()))) for c in range(partition.n_communities)),
+    )
+    write_table(out / "node_assignment.csv", ["bus", "community"], sorted(partition.community_of.items()))
+    steps = ((s.step, s.community_a, s.community_b, s.modularity_after) for s in dendro.steps)
+    write_table(
+        out / "dendrogram.csv",
+        ["step", "community_a", "community_b", "modularity"],
+        [(0, None, None, dendro.initial_modularity), *steps],
+    )
 
 
 def cmd_partition(args) -> int:
@@ -163,13 +150,14 @@ def _peak(text: str) -> PeakPolicy:
     return PeakPolicy.GLOBAL if text == "global" else PeakPolicy.FIRST_LOCAL
 
 
-def _add_common(p: argparse.ArgumentParser, scenario: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, partitions: bool = True, scenario: bool = False) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--network", help="network JSON file")
     src.add_argument("--synth", help="synthetic spec, e.g. feeders=2,transformers=4,rows=4,cols=4,loads=10,dgs=4")
     p.add_argument("--seed", type=int, default=0, help="seed for --synth (default 0)")
-    p.add_argument("--mode", choices=["vq", "vp"], default="vq", help="sensitivity mode (default vq)")
-    p.add_argument("--peak", choices=["global", "first"], default="global", help="dendrogram peak policy")
+    if partitions:
+        p.add_argument("--mode", choices=["vq", "vp"], default="vq", help="sensitivity mode (default vq)")
+        p.add_argument("--peak", choices=["global", "first"], default="global", help="dendrogram peak policy")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     if scenario:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -194,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sensitivity", help="write the sensitivity submatrices")
-    _add_common(p)
+    _add_common(p, partitions=False)
     p.set_defaults(func=cmd_sensitivity)
 
     return parser

@@ -1,4 +1,5 @@
-"""Network file loading and saving, and the typed reader of file elements.
+"""Network file loading and saving, the typed reader of file elements, and
+the writer of every CSV table.
 
 The on-disk format is JSON with top-level keys ``s_base_mva``, ``buses``,
 ``branches``, ``transformers`` and ``dgs``; field names match the in-memory
@@ -8,8 +9,10 @@ radians in memory. See docs/network-format.md for the full schema.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import MISSING, fields
 from enum import Enum
 from functools import cache
@@ -115,6 +118,27 @@ def read_element(cls, item, where: str, error: type[Exception]):
     return cls(**kwargs)
 
 
+def load_json(path: Path, error: type[Exception]):
+    """Parse a JSON file in which no object names a member twice.
+
+    Malformed JSON and a repeated member name raise ``error`` naming the
+    file (and the key): ``json`` alone would keep the last value silently.
+    """
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for k in keys if keys.count(k) > 1)
+            raise error(f"{path}: key {key!r} appears twice in one object")
+        return obj
+
+    try:
+        return json.loads(path.read_text(), object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_network(path: str | Path) -> NetworkModel:
     """Read, normalize and validate a network file.
 
@@ -122,11 +146,7 @@ def load_network(path: str | Path) -> NetworkModel:
     (carrying the violation list) when invariants are broken.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}: not valid JSON ({exc})") from exc
-
+    raw = load_json(path, NetworkFormatError)
     if type(raw) is not dict:
         raise NetworkFormatError(f"{path}: top level must be an object")
     for key in ("s_base_mva", "buses", "branches"):
@@ -172,3 +192,23 @@ def save_network(net: NetworkModel, path: str | Path) -> None:
         doc[key] = rows
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
+
+def joined(values: Iterable) -> str:
+    """A list cell: the values' text joined by ``|``, empty for no values."""
+    return "|".join(map(str, values))
+
+
+def write_table(path: str | Path, header: list, rows: Iterable) -> None:
+    """Write a CSV table: the header, then ``rows`` streamed in order.
+
+    This is the one cell format of every table gridcomm writes. Cells go to
+    ``csv`` as they are: an int or str as its text, a Python float as its
+    ``repr`` (so it reads back exactly), ``None`` as an empty cell. Callers
+    convert the rest: a bool to ``int``, an enum to its ``.value``, a list
+    through ``joined`` and a payload to compact JSON with sorted keys.
+    Lines end in a bare newline.
+    """
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)

@@ -57,7 +57,7 @@ from .control import (
     solve_lp,
 )
 from .network import NetworkModel
-from .network_io import read_element, read_value
+from .network_io import joined, load_json, read_element, read_value, write_table
 from .partition import Partition, build_dg_adjacency
 from .powerflow import PowerFlowSolution, solve_power_flow
 from .sensitivity import SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix
@@ -140,10 +140,7 @@ class Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
+    raw = load_json(path, ScenarioError)
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be an object")
     unknown = set(raw) - {"events", "duration", "name"}
@@ -233,6 +230,7 @@ class SimulationState:
     events_applied: list[tuple[int, Event]] = field(default_factory=list)
     controls: list[ControlRecord] = field(default_factory=list)
     voltage_rows: list[tuple[int, int, float]] = field(default_factory=list)
+    # (tick, community, generation, anchor DG or None, DG ids, node ids)
     subset_rows: list[tuple] = field(default_factory=list)
     open_episode_since: dict[int, int] = field(default_factory=dict)
     violations_seen: int = 0
@@ -357,20 +355,8 @@ def _build_subsets(view: CommunityView, generation: int) -> CommunitySubsets:
 
 def _record_subsets(state: SimulationState, community: int) -> None:
     cs = state.subsets[community]
-    if not cs.subsets:
-        state.subset_rows.append((state.tick, community, cs.generation, "", "", ""))
-        return
-    for s in cs.subsets:
-        state.subset_rows.append(
-            (
-                state.tick,
-                community,
-                cs.generation,
-                s.anchor_dg,
-                "|".join(str(g) for g in s.dg_ids),
-                "|".join(str(n) for n in s.nodes),
-            )
-        )
+    rows = [(s.anchor_dg, s.dg_ids, s.nodes) for s in cs.subsets] or [(None, (), ())]
+    state.subset_rows.extend((state.tick, community, cs.generation, *row) for row in rows)
 
 
 def self_organize(state: SimulationState, community: int) -> None:
@@ -614,60 +600,34 @@ def run_scenario(
     )
 
 
-def _payload_str(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def write_report(report: RunReport, out_dir: str | Path) -> None:
     """Write the run's CSV logs; output is a pure function of the run."""
-    import csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def writer(name: str):
-        f = open(out / name, "w", newline="")
-        return f, csv.writer(f, lineterminator="\n")
-
-    f, w = writer("events.csv")
-    with f:
-        w.writerow(["tick", "kind", "target", "magnitude"])
-        for tick, ev in report.events:
-            w.writerow([tick, ev.kind.value, ev.target, "" if ev.magnitude is None else repr(ev.magnitude)])
-
-    f, w = writer("controls.csv")
-    with f:
-        w.writerow(["tick", "community", "direction", "feasible", "objective", "dgs", "adjustments", "nodes"])
-        for r in report.controls:
-            w.writerow(
-                [
-                    r.tick,
-                    r.community,
-                    r.direction,
-                    int(r.feasible),
-                    "" if r.objective is None else repr(r.objective),
-                    "|".join(str(g) for g in r.dg_ids),
-                    "|".join(repr(x) for x in r.adjustments),
-                    "|".join(str(n) for n in r.nodes),
-                ]
-            )
-
-    f, w = writer("voltages.csv")
-    with f:
-        w.writerow(["tick", "bus", "v_mag"])
-        for tick, bus, v in report.voltage_rows:
-            w.writerow([tick, bus, repr(v)])
-
-    f, w = writer("subsets_history.csv")
-    with f:
-        w.writerow(["tick", "community", "generation", "anchor_dg", "dgs", "nodes"])
-        for row in report.subset_rows:
-            w.writerow(list(row))
-
-    f, w = writer("messages.csv")
-    with f:
-        w.writerow(["seq", "tick", "sender", "receiver", "kind", "payload"])
-        for m in report.messages:
-            w.writerow([m.seq, m.tick, str(m.sender), str(m.receiver), m.kind.value, _payload_str(m.payload)])
-
+    payload = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    write_table(
+        out / "events.csv",
+        ["tick", "kind", "target", "magnitude"],
+        ((tick, ev.kind.value, ev.target, ev.magnitude) for tick, ev in report.events),
+    )
+    write_table(
+        out / "controls.csv",
+        ["tick", "community", "direction", "feasible", "objective", "dgs", "adjustments", "nodes"],
+        (
+            (r.tick, r.community, r.direction, int(r.feasible), r.objective,
+             joined(r.dg_ids), joined(r.adjustments), joined(r.nodes))
+            for r in report.controls
+        ),
+    )
+    write_table(out / "voltages.csv", ["tick", "bus", "v_mag"], report.voltage_rows)
+    write_table(
+        out / "subsets_history.csv",
+        ["tick", "community", "generation", "anchor_dg", "dgs", "nodes"],
+        ((t, c, gen, anchor, joined(dgs), joined(nodes)) for t, c, gen, anchor, dgs, nodes in report.subset_rows),
+    )
+    write_table(
+        out / "messages.csv",
+        ["seq", "tick", "sender", "receiver", "kind", "payload"],
+        ((m.seq, m.tick, str(m.sender), str(m.receiver), m.kind.value, payload(m.payload)) for m in report.messages),
+    )
     (out / "summary.txt").write_text(report.summary() + "\n")

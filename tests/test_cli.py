@@ -107,6 +107,7 @@ def test_partition_synth_spec(tmp_path, capsys):
         ("bogus=3", "bogus"),
         ("feeders=abc", "integer"),
         ("feeders", "key=value"),
+        ("rows=5,rows=3", "'rows' is given twice"),
     ],
 )
 def test_bad_synth_spec_exits_2(tmp_path, capsys, spec, fragment):
@@ -144,6 +145,27 @@ def test_invalid_network_file_exits_2(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "partition", "--network", str(bad), "--out", str(tmp_path / "p"))
     assert code == 2
     assert stderr.startswith("error:")
+
+
+def test_repeated_network_key_exits_2(tmp_path, capsys):
+    # json alone keeps the later value, which would partition with q_surplus 0.3
+    text = NET6.read_text().replace('"q_surplus": 0.3}', '"q_surplus": 999.0, "q_surplus": 0.3}', 1)
+    net_file = tmp_path / "repeated.json"
+    net_file.write_text(text)
+    code, _, stderr = run_cli(capsys, "partition", "--network", str(net_file), "--out", str(tmp_path / "p"))
+    assert code == 2
+    assert stderr == f"error: {net_file}: key 'q_surplus' appears twice in one object\n"
+    assert not (tmp_path / "p").exists()
+
+
+def test_repeated_scenario_key_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "repeated.json"
+    scenario.write_text('{"events": [{"at_tick": 1, "kind": "dg_trip", "target": 1, "target": 2}], "duration": 3}')
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--network", str(NET6), "--scenario", str(scenario), "--out", str(tmp_path / "r")
+    )
+    assert code == 2
+    assert stderr == f"error: {scenario}: key 'target' appears twice in one object\n"
 
 
 def test_network_path_is_directory_exits_2(tmp_path, capsys):
@@ -325,6 +347,16 @@ def test_sensitivity_dump_matches_finite_difference(tmp_path, capsys):
     bumped = solve_power_flow(bumped_net, opts)
     fd = (bumped.v_of(1) - base.v_of(1)) / h
     assert dumped == pytest.approx(fd, abs=1e-5)
+
+
+@pytest.mark.parametrize("option", [["--mode", "vp"], ["--peak", "first"]])
+def test_sensitivity_rejects_partition_options(tmp_path, capsys, option):
+    # the four blocks do not depend on either option, so taking one would be a silent no-op
+    with pytest.raises(SystemExit) as exc:
+        main(["sensitivity", "--network", str(NET6), "--out", str(tmp_path / "s"), *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_sensitivity_nonconvergent_network_exits_3(tmp_path, capsys):

@@ -49,6 +49,22 @@ def test_duplicate_bus_id_rejected_and_named(tmp_path):
     assert "5" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"s_base_mva": 1.0, "s_base_mva": 2.0, "buses": [], "branches": []}', "s_base_mva"),
+        ('{"s_base_mva": 1.0, "buses": [{"id": 0, "id": 1, "kind": "slack", "base_kv": 12.47}], "branches": []}', "id"),
+    ],
+    ids=["top level", "in a bus"],
+)
+def test_repeated_key_rejected_and_named(tmp_path, text, key):
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    with pytest.raises(NetworkFormatError) as exc:
+        load_network(path)
+    assert str(exc.value) == f"{path}: key '{key}' appears twice in one object"
+
+
 def test_net6_fixture_counts():
     net = load_network(FIXTURES / "net6.json")
     assert len(net.buses) == 6

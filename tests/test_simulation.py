@@ -97,6 +97,22 @@ def test_scenario_not_json(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"duration": 3, "duration": 5}', "duration"),
+        ('{"events": [{"at_tick": 1, "at_tick": 2, "kind": "dg_trip", "target": 1}]}', "at_tick"),
+    ],
+    ids=["top level", "in an event"],
+)
+def test_scenario_repeated_key_rejected_and_named(tmp_path, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == f"{path}: key '{key}' appears twice in one object"
+
+
 def test_validate_scenario_names_unknown_ids():
     net = synth30()
     with pytest.raises(ScenarioError) as exc:
