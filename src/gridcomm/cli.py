@@ -56,19 +56,21 @@ def _parse_synth(text: str, seed: int) -> SynthSpec:
     return SynthSpec(**kwargs)
 
 
-def _load_net(args) -> NetworkModel:
+def _linearized(args) -> tuple[NetworkModel, SensitivityMatrix]:
+    """Load the network named by --network or --synth/--seed, solve its
+    flow and take the sensitivities at the solved point."""
     if args.network:
-        return load_network(args.network)
-    return generate_synthetic_network(_parse_synth(args.synth, args.seed))
-
-
-def _solved(net: NetworkModel):
+        if args.seed is not None:
+            raise ValueError("--seed applies only to --synth, not to --network")
+        net = load_network(args.network)
+    else:
+        net = generate_synthetic_network(_parse_synth(args.synth, args.seed or 0))
     sol = solve_power_flow(net)
     if not sol.converged:
         raise PowerFlowError(
             f"power flow did not converge ({sol.iterations} iterations, max mismatch {sol.max_mismatch:.3e})"
         )
-    return sol
+    return net, compute_sensitivity_matrix(net, sol)
 
 
 def _dump_sensitivity(sens: SensitivityMatrix, out: Path) -> None:
@@ -97,9 +99,7 @@ def _write_partition(partition: Partition, dendro: Dendrogram, net: NetworkModel
 
 
 def cmd_partition(args) -> int:
-    net = _load_net(args)
-    sol = _solved(net)
-    sens = compute_sensitivity_matrix(net, sol)
+    net, sens = _linearized(args)
     partition, dendro = partition_network(
         net, sens, mode=SensitivityMode(args.mode), peak=_peak(args.peak)
     )
@@ -117,10 +117,8 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"{flag} must be a finite number, got {value}")
     if not args.vmin < args.vmax:
         raise ValueError(f"--vmin must be below --vmax, got {args.vmin} >= {args.vmax}")
-    net = _load_net(args)
     scenario = load_scenario(args.scenario)
-    sol = _solved(net)
-    sens = compute_sensitivity_matrix(net, sol)
+    net, sens = _linearized(args)
     partition, _ = partition_network(net, sens, mode=SensitivityMode(args.mode), peak=_peak(args.peak))
     report = run_scenario(
         net,
@@ -136,9 +134,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    net = _load_net(args)
-    sol = _solved(net)
-    sens = compute_sensitivity_matrix(net, sol)
+    _, sens = _linearized(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_sensitivity(sens, out)
@@ -154,7 +150,7 @@ def _add_common(p: argparse.ArgumentParser, partitions: bool = True, scenario: b
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--network", help="network JSON file")
     src.add_argument("--synth", help="synthetic spec, e.g. feeders=2,transformers=4,rows=4,cols=4,loads=10,dgs=4")
-    p.add_argument("--seed", type=int, default=0, help="seed for --synth (default 0)")
+    p.add_argument("--seed", type=int, help="seed for --synth (default 0); an error with --network")
     if partitions:
         p.add_argument("--mode", choices=["vq", "vp"], default="vq", help="sensitivity mode (default vq)")
         p.add_argument("--peak", choices=["global", "first"], default="global", help="dendrogram peak policy")

@@ -20,9 +20,10 @@ class BusKind(str, Enum):
 class Bus:
     """A network node.
 
-    v_mag/v_ang hold the as-loaded operating point (flat 1.0/0.0 unless the
-    file says otherwise); solved voltages live in PowerFlowSolution, never
-    here.
+    On the slack, v_mag/v_ang fix the reference voltage of every power
+    flow. On other buses they are carried through load and save but never
+    read: every solve starts flat. Solved voltages live in
+    PowerFlowSolution, never here.
     """
 
     id: int

@@ -265,8 +265,7 @@ def partition_network(
     if not dgc.dg_ids:
         raise ValueError("network has no online DGs to partition around")
     d = build_dg_adjacency(dgc.matrix)
-    dg_node_index = [sens.row[d.bus] for d in net.dgs_sorted(online_only=True)]
-    graph = combine_weights(sens.voltage_block(mode), d, dg_node_index)
+    graph = combine_weights(sens.voltage_block(mode), d, dgc.bus_rows)
     node_part, dendro = greedy_partition(graph, peak=peak)
 
     community_of = {bus_id: node_part.community_of[i] for i, bus_id in enumerate(sens.bus_ids)}

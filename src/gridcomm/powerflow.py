@@ -12,7 +12,7 @@ enter as negative load at their bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +27,7 @@ class PowerFlowError(RuntimeError):
     """A power flow needed by a downstream step failed to converge."""
 
 
-@dataclass
-class PowerFlowOptions:
-    tolerance: float = 1e-8
-    max_iter: int = 50
-    flat_start: bool = True
+MAX_ITER = 50  # Newton iterations before a solve is declared unconverged
 
 
 def lookup(index: dict[int, int], bus_id: int) -> int:
@@ -44,11 +40,13 @@ def lookup(index: dict[int, int], bus_id: int) -> int:
 
 @dataclass
 class PowerFlowSolution:
-    """Bus voltages at a solved (or abandoned) operating point, and the
-    options it was solved with.
+    """Bus voltages at a solved (or abandoned) operating point, with the
+    tolerance and the Y-bus it was solved with.
 
     v_mag/v_ang are indexed by position in NetworkModel.buses; bus_ids maps
-    positions back to ids and index_of ids to positions.
+    positions back to ids and index_of ids to positions. non_slack_pos
+    holds the non-slack positions, the row and column order of
+    ``jacobian()``.
     """
 
     bus_ids: list[int]
@@ -58,22 +56,32 @@ class PowerFlowSolution:
     converged: bool
     iterations: int
     max_mismatch: float
-    options: PowerFlowOptions
-    slack_index: int = 0
-    non_slack: list[int] = field(default_factory=list)
+    tolerance: float
+    ybus: np.ndarray
+    slack_index: int
+    non_slack_pos: np.ndarray
+
+    @property
+    def non_slack(self) -> list[int]:
+        return [self.bus_ids[i] for i in self.non_slack_pos]
 
     def v_of(self, bus_id: int) -> float:
         return float(self.v_mag[lookup(self.index_of, bus_id)])
+
+    def jacobian(self) -> np.ndarray:
+        """The Newton Jacobian at these voltages, built as the solve builds it."""
+        p_calc, q_calc = _calc_pq(self.ybus, self.v_mag, self.v_ang)
+        return _jacobian(self.ybus, self.v_mag, self.v_ang, p_calc, q_calc, self.non_slack_pos)
 
     def solves(self, net: NetworkModel) -> bool:
         """Whether these voltages solve net's current injections within the
         solution's own tolerance (the test Newton stops on)."""
         if self.bus_ids != [b.id for b in net.buses]:
             return False
-        ns = np.array([self.index_of[b] for b in self.non_slack], dtype=int)
         p_spec, q_spec = _injections(net, self.index_of)
-        mis, _, _ = _mismatch(build_ybus(net, self.index_of), p_spec, q_spec, self.v_mag, self.v_ang, ns)
-        return bool(np.max(np.abs(mis)) <= self.options.tolerance)
+        ybus = build_ybus(net, self.index_of)
+        mis, _, _ = _mismatch(ybus, p_spec, q_spec, self.v_mag, self.v_ang, self.non_slack_pos)
+        return bool(np.max(np.abs(mis)) <= self.tolerance)
 
 
 def build_ybus(net: NetworkModel, index_of: dict[int, int]) -> np.ndarray:
@@ -161,15 +169,16 @@ def _jacobian(
     return np.vstack([top, bot])
 
 
-def solve_power_flow(net: NetworkModel, options: PowerFlowOptions | None = None) -> PowerFlowSolution:
-    """Newton-Raphson solve; deterministic for a fixed network and options.
+def solve_power_flow(net: NetworkModel, tolerance: float = 1e-8) -> PowerFlowSolution:
+    """Newton-Raphson solve from a flat start (1.0 pu, 0 rad; the slack at
+    its own v_mag/v_ang) until the largest mismatch is within tolerance;
+    deterministic for a fixed network and tolerance.
 
-    Non-convergence within max_iter (or a diverging iterate) returns a
+    Non-convergence within MAX_ITER (or a diverging iterate) returns a
     solution flagged converged=False. A singular Jacobian at the starting
     point raises SingularJacobianError; one appearing mid-run after wild
     steps is treated as divergence.
     """
-    opts = options or PowerFlowOptions()
     bus_ids = [b.id for b in net.buses]
     index_of = {bid: i for i, bid in enumerate(bus_ids)}
     slack_idx = index_of[net.slack_bus.id]
@@ -178,23 +187,19 @@ def solve_power_flow(net: NetworkModel, options: PowerFlowOptions | None = None)
     ybus = build_ybus(net, index_of)
     p_spec, q_spec = _injections(net, index_of)
 
-    if opts.flat_start:
-        v = np.ones(len(bus_ids))
-        th = np.zeros(len(bus_ids))
-    else:
-        v = np.array([b.v_mag for b in net.buses], dtype=float)
-        th = np.array([b.v_ang for b in net.buses], dtype=float)
+    v = np.ones(len(bus_ids))
+    th = np.zeros(len(bus_ids))
     v[slack_idx] = net.slack_bus.v_mag
     th[slack_idx] = net.slack_bus.v_ang
 
     mis, p_calc, q_calc = _mismatch(ybus, p_spec, q_spec, v, th, ns)
     it = 0
     diverged = False
-    while it < opts.max_iter:
+    while it < MAX_ITER:
         if not np.all(np.isfinite(mis)):
             diverged = True
             break
-        if np.max(np.abs(mis)) <= opts.tolerance:
+        if np.max(np.abs(mis)) <= tolerance:
             break
         jac = _jacobian(ybus, v, th, p_calc, q_calc, ns)
         try:
@@ -214,7 +219,7 @@ def solve_power_flow(net: NetworkModel, options: PowerFlowOptions | None = None)
         mis, p_calc, q_calc = _mismatch(ybus, p_spec, q_spec, v, th, ns)
 
     max_mis = float(np.max(np.abs(mis))) if np.all(np.isfinite(mis)) else float("inf")
-    converged = (not diverged) and max_mis <= opts.tolerance
+    converged = (not diverged) and max_mis <= tolerance
     return PowerFlowSolution(
         bus_ids=bus_ids,
         index_of=index_of,
@@ -223,7 +228,8 @@ def solve_power_flow(net: NetworkModel, options: PowerFlowOptions | None = None)
         converged=converged,
         iterations=it,
         max_mismatch=max_mis,
-        options=opts,
+        tolerance=tolerance,
+        ybus=ybus,
         slack_index=slack_idx,
-        non_slack=[bus_ids[i] for i in ns],
+        non_slack_pos=ns,
     )

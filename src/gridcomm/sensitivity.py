@@ -9,7 +9,8 @@ maps per-unit injection changes at non-slack buses to angle and voltage
 changes. Rows and columns follow the order of the non-slack buses in the
 network (the file's bus order for a loaded network), not their ids:
 ``SensitivityMatrix.bus_ids`` lists them and ``row`` maps ids to them. The
-matrix keeps the solved flow it was taken at as ``pf``.
+matrix keeps the solved flow it was taken at as ``pf``; the inverted matrix
+is that flow's own ``jacobian()``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .network import NetworkModel
-from .powerflow import PowerFlowSolution, SingularJacobianError, _calc_pq, _jacobian, build_ybus, lookup
+from .powerflow import PowerFlowSolution, SingularJacobianError, lookup
+from .powerflow import build_ybus  # noqa: F401  unused; bench/spans.py TARGETS looks it up here
 
 
 class SensitivityMode(str, Enum):
@@ -62,33 +64,35 @@ class DGColumns:
 
     matrix: np.ndarray
     dg_ids: list[int]
+    bus_rows: list[int]  # each DG bus's row (and column) in the sensitivity blocks
 
 
 def compute_sensitivity_matrix(net: NetworkModel, sol: PowerFlowSolution) -> SensitivityMatrix:
-    """Invert the Jacobian at the solved point and partition it.
+    """Invert the Jacobian of sol, a converged flow of net, and name its
+    four blocks.
 
-    Requires sol.converged; raises SingularJacobianError if the operating
-    point admits no inverse.
+    Raises ValueError if sol is unconverged or was solved on other buses
+    than net's, and SingularJacobianError if the operating point admits no
+    inverse.
     """
     if not sol.converged:
         raise ValueError("sensitivity requires a converged power flow")
-    ns = np.array([sol.index_of[b] for b in sol.non_slack], dtype=int)
-    ybus = build_ybus(net, sol.index_of)
-    p_calc, q_calc = _calc_pq(ybus, sol.v_mag, sol.v_ang)
-    jac = _jacobian(ybus, sol.v_mag, sol.v_ang, p_calc, q_calc, ns)
+    if sol.bus_ids != [b.id for b in net.buses]:
+        raise ValueError("the power flow was solved on other buses than this network's")
     try:
-        inv = np.linalg.inv(jac)
+        inv = np.linalg.inv(sol.jacobian())
     except np.linalg.LinAlgError as exc:
         raise SingularJacobianError(str(exc)) from exc
-    n1 = len(ns)
+    non_slack = sol.non_slack
+    n1 = len(non_slack)
     return SensitivityMatrix(
-        bus_ids=list(sol.non_slack),
+        bus_ids=non_slack,
         a_theta_p=inv[:n1, :n1],
         a_theta_q=inv[:n1, n1:],
         a_vp=inv[n1:, :n1],
         a_vq=inv[n1:, n1:],
         pf=sol,
-        row={b: i for i, b in enumerate(sol.non_slack)},
+        row={b: i for i, b in enumerate(non_slack)},
     )
 
 
@@ -104,11 +108,10 @@ def dg_columns(
     column exists there).
     """
     dgs = net.dgs_sorted(online_only=online_only)
-    block = sens.voltage_block(mode)
-    cols = []
     for d in dgs:
         if d.bus not in sens.row:
             raise ValueError(f"DG {d.id} is on slack bus {d.bus}; no sensitivity column")
-        cols.append(block[:, sens.row[d.bus]])
-    matrix = np.column_stack(cols) if cols else np.zeros((len(sens.bus_ids), 0))
-    return DGColumns(matrix=matrix, dg_ids=[d.id for d in dgs])
+    bus_rows = [sens.row[d.bus] for d in dgs]
+    block = sens.voltage_block(mode)
+    matrix = np.column_stack([block[:, r] for r in bus_rows]) if dgs else np.zeros((len(sens.bus_ids), 0))
+    return DGColumns(matrix=matrix, dg_ids=[d.id for d in dgs], bus_rows=bus_rows)

@@ -372,7 +372,7 @@ def self_organize(state: SimulationState, community: int) -> None:
 
 
 def _resolve(state: SimulationState, why: str) -> None:
-    pf = solve_power_flow(state.net, state.pf.options)
+    pf = solve_power_flow(state.net, state.pf.tolerance)
     if not pf.converged:
         raise SimulationDiverged(f"power flow diverged after {why} at tick {state.tick}", state)
     state.sens = compute_sensitivity_matrix(state.net, pf)

@@ -8,24 +8,42 @@ means re-deriving the expectations.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridcomm import powerflow
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel
 from gridcomm.network_io import load_network
 from gridcomm.partition import Partition, WeightedGraph, modularity, partition_network
-from gridcomm.powerflow import PowerFlowOptions, solve_power_flow
+from gridcomm.powerflow import solve_power_flow
 from gridcomm.sensitivity import compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def count_ybus_builds(monkeypatch) -> list:
+    """Record one entry per build_ybus call, through whichever gridcomm
+    module name it is called."""
+    real = powerflow.build_ybus
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gridcomm") and getattr(module, "build_ybus", None) is real:
+            monkeypatch.setattr(module, "build_ybus", counted)
+    return calls
+
+
 def prepared(net: NetworkModel, tolerance: float = 1e-10):
     """Solve, differentiate and partition a network for simulation entry."""
-    sol = solve_power_flow(net, PowerFlowOptions(tolerance=tolerance))
+    sol = solve_power_flow(net, tolerance=tolerance)
     assert sol.converged, "fixture network must solve"
     sens = compute_sensitivity_matrix(net, sol)
     part, _ = partition_network(net, sens)

@@ -17,7 +17,7 @@ import pytest
 from gridcomm.cli import main
 from gridcomm.network_io import load_network, save_network
 from gridcomm.partition import Partition, WeightedGraph, greedy_partition, modularity
-from gridcomm.powerflow import PowerFlowOptions, solve_power_flow
+from gridcomm.powerflow import solve_power_flow
 from gridcomm.sensitivity import compute_sensitivity_matrix
 from gridcomm.simplex import LPStatus, solve_inequality_lp
 from gridcomm.simulation import Event, EventKind, Scenario, initialize, run_scenario, step
@@ -39,8 +39,8 @@ from conftest import (
     write_scenario,
 )
 
-TIGHT = PowerFlowOptions(tolerance=1e-12, max_iter=60)
-PF = PowerFlowOptions(tolerance=1e-10)
+TIGHT = 1e-12  # power-flow tolerances
+PF = 1e-10
 
 
 def blocks_of(p: Partition) -> frozenset:
@@ -57,7 +57,7 @@ def one_block(n: int) -> Partition:
 
 def test_criterion_1_two_bus_closed_form():
     t0 = time.perf_counter()
-    sol = solve_power_flow(two_bus(), TIGHT)
+    sol = solve_power_flow(two_bus(), tolerance=TIGHT)
     # lossless feeder, x = 0.1, q = 0.1: the receiving voltage solves
     # v^2 = v - q*x, whose high root is (1 + sqrt(1 - 4*q*x)) / 2
     exact = (1.0 + math.sqrt(1.0 - 4.0 * 0.1 * 0.1)) / 2.0
@@ -74,7 +74,7 @@ def test_criterion_1_two_bus_closed_form():
 
 
 def _linearization_error(net, h: float, rng: np.random.Generator, n_dirs: int = 10) -> float:
-    base = solve_power_flow(net, TIGHT)
+    base = solve_power_flow(net, tolerance=TIGHT)
     assert base.converged
     sens = compute_sensitivity_matrix(net, base)
     ids = sens.bus_ids
@@ -94,7 +94,7 @@ def _linearization_error(net, h: float, rng: np.random.Generator, n_dirs: int = 
             bus = pert.bus_by_id(b)
             bus.p_load -= dp[i]
             bus.q_load -= dq[i]
-        sol = solve_power_flow(pert, TIGHT)
+        sol = solve_power_flow(pert, tolerance=TIGHT)
         assert sol.converged
         err_v = np.max(np.abs(sol.v_mag[pos] - pred_v))
         err_t = np.max(np.abs(sol.v_ang[pos] - pred_t))
@@ -233,7 +233,7 @@ def test_criterion_5_lp_fixtures():
 def test_criterion_6_overvoltage_cleared_in_one_round():
     net = overvoltage30()
     part, sens = prepared(net)
-    before = solve_power_flow(net, PF)
+    before = solve_power_flow(net, tolerance=PF)
     ids = sens.bus_ids
     pos = {b: before.bus_ids.index(b) for b in before.bus_ids}
     assert max(before.v_mag) > 1.05
@@ -250,7 +250,7 @@ def test_criterion_6_overvoltage_cleared_in_one_round():
     commanded = sorted({g for c in state.controls for g in c.dg_ids})
     assert commanded == movers
 
-    after = solve_power_flow(state.net, PF)
+    after = solve_power_flow(state.net, tolerance=PF)
     assert after.converged
     assert max(after.v_mag) <= 1.05 + 1e-9
     assert max(after.v_mag) == pytest.approx(1.0431642637627283, abs=1e-6)

@@ -16,13 +16,13 @@ from gridcomm.control import (
 )
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
 from gridcomm.partition import build_dg_adjacency
-from gridcomm.powerflow import PowerFlowOptions, solve_power_flow
+from gridcomm.powerflow import solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
 
 from conftest import lp_vertex_oracle
 
 
-PF = PowerFlowOptions(tolerance=1e-12)
+PF = 1e-12  # power-flow tolerance
 
 SENS_3X2 = np.array([[0.3, 0.1], [0.1, 0.3], [0.2, 0.2]])
 
@@ -321,14 +321,14 @@ def test_maxmin_optimal_against_vertex_oracle():
 def apply_and_resolve(net, x, mode=SensitivityMode.VQ, v_min=0.95, v_max=1.05):
     dg = net.dgs[0]
     apply_adjustment(dg, mode, x, *capability_range(dg, mode))
-    sol = solve_power_flow(net, PF)
+    sol = solve_power_flow(net, tolerance=PF)
     assert sol.converged
     return sol, scan_voltage_limits(sol, v_min, v_max)
 
 
 def test_scan_skips_slack_and_sorts():
     net = transformer_net(q_out=0.8)
-    sol = solve_power_flow(net, PF)
+    sol = solve_power_flow(net, tolerance=PF)
     found = scan_voltage_limits(sol, v_min=0.999, v_max=1.001)
     assert [v.bus for v in found] == [1, 2]
     assert all(v.side == "high" for v in found)
@@ -337,7 +337,7 @@ def test_scan_skips_slack_and_sorts():
 
 def test_prediction_close_to_resolved_flow():
     net = transformer_net(q_out=0.8)
-    sol = solve_power_flow(net, PF)
+    sol = solve_power_flow(net, tolerance=PF)
     sens = compute_sensitivity_matrix(net, sol)
     col = sens.row_of(2)
     x = -0.25
@@ -348,7 +348,7 @@ def test_prediction_close_to_resolved_flow():
 
 def test_end_to_end_overvoltage_clears():
     net = transformer_net(q_out=0.8)
-    sol = solve_power_flow(net, PF)
+    sol = solve_power_flow(net, tolerance=PF)
     assert sol.v_of(2) > 1.05
     sens = compute_sensitivity_matrix(net, sol)
     col = sens.row_of(2)
@@ -386,7 +386,7 @@ def test_end_to_end_overvoltage_clears():
 
 def test_apply_zero_changes_nothing():
     net = transformer_net(q_out=0.3)
-    before = solve_power_flow(net, PF)
+    before = solve_power_flow(net, tolerance=PF)
     after, residual = apply_and_resolve(net, 0.0)
     np.testing.assert_allclose(after.v_mag, before.v_mag, atol=1e-12)
     assert residual == []

@@ -13,7 +13,7 @@ from gridcomm.partition import (
     modularity,
     partition_network,
 )
-from gridcomm.powerflow import PowerFlowOptions, solve_power_flow
+from gridcomm.powerflow import solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 
 from conftest import barbell8, brute_force_best_modularity, k4, random_graph, two_triangles
@@ -78,7 +78,7 @@ def test_dg_adjacency_rejects_empty_and_nonfinite():
 
 
 def test_dg_adjacency_matches_argmax_scan(net6):
-    sol = solve_power_flow(net6, PowerFlowOptions(tolerance=1e-12))
+    sol = solve_power_flow(net6, tolerance=1e-12)
     sens = compute_sensitivity_matrix(net6, sol)
     cols = dg_columns(sens, net6, online_only=True)
     d = build_dg_adjacency(cols.matrix)
@@ -365,7 +365,7 @@ def test_peak_policies_agree_on_clean_split():
 
 
 def solved_sens(net):
-    sol = solve_power_flow(net, PowerFlowOptions(tolerance=1e-12))
+    sol = solve_power_flow(net, tolerance=1e-12)
     return compute_sensitivity_matrix(net, sol)
 
 

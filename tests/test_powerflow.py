@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
-from gridcomm.powerflow import PowerFlowOptions, build_ybus, solve_power_flow
+from gridcomm.powerflow import build_ybus, solve_power_flow
 from gridcomm.sensitivity import compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
@@ -23,7 +23,7 @@ def analytic_two_bus(p, q, x):
 
 def test_two_bus_reactive_load_matches_closed_form():
     net = two_bus(p=0.0, q=0.1, r=0.0, x=0.1)
-    sol = solve_power_flow(net, PowerFlowOptions(tolerance=1e-12))
+    sol = solve_power_flow(net, tolerance=1e-12)
     assert sol.converged
     exact = (1.0 + math.sqrt(0.96)) / 2.0
     assert sol.v_of(1) == pytest.approx(exact, abs=1e-10)
@@ -32,7 +32,7 @@ def test_two_bus_reactive_load_matches_closed_form():
 
 def test_two_bus_general_load_matches_quartic():
     net = two_bus(p=0.3, q=0.1, r=0.0, x=0.1)
-    sol = solve_power_flow(net, PowerFlowOptions(tolerance=1e-12))
+    sol = solve_power_flow(net, tolerance=1e-12)
     assert sol.converged
     assert sol.v_of(1) == pytest.approx(analytic_two_bus(0.3, 0.1, 0.1), abs=1e-10)
 
@@ -54,10 +54,10 @@ def test_absurd_load_reports_divergence_without_raising():
 
 def test_mismatch_below_tolerance():
     net = generate_synthetic_network(SynthSpec(seed=4))
-    opts = PowerFlowOptions(tolerance=1e-10)
-    sol = solve_power_flow(net, opts)
+    sol = solve_power_flow(net, tolerance=1e-10)
     assert sol.converged
-    assert sol.max_mismatch <= opts.tolerance
+    assert sol.tolerance == 1e-10
+    assert sol.max_mismatch <= sol.tolerance
 
 
 def test_dg_injection_raises_voltage():
@@ -146,12 +146,3 @@ def test_solution_accessors():
     with pytest.raises(ValueError):
         sens.row_of(0)  # the slack has no sensitivity row
 
-
-def test_flat_start_false_reuses_stored_voltages():
-    net = two_bus(p=0.3, q=0.1)
-    warm = solve_power_flow(net, PowerFlowOptions(tolerance=1e-12))
-    net.buses[1].v_mag = float(warm.v_of(1))
-    net.buses[1].v_ang = float(warm.v_ang[1])
-    again = solve_power_flow(net, PowerFlowOptions(tolerance=1e-12, flat_start=False))
-    assert again.converged
-    assert again.iterations <= warm.iterations

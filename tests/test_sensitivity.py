@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from gridcomm.network import DG
-from gridcomm.powerflow import PowerFlowOptions, solve_power_flow
+from gridcomm.network_io import load_network
+from gridcomm.powerflow import _calc_pq, _jacobian, build_ybus, solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
-from conftest import two_bus
+from conftest import FIXTURES, count_ybus_builds, synth30, two_bus
 
 
-OPTS = PowerFlowOptions(tolerance=1e-12, max_iter=60)
+TOLERANCE = 1e-12
 
 
 def solved(net):
-    sol = solve_power_flow(net, OPTS)
+    sol = solve_power_flow(net, tolerance=TOLERANCE)
     assert sol.converged
     return sol
 
@@ -136,3 +137,36 @@ def test_no_dgs_gives_empty_matrix():
     cols = dg_columns(sens, net)
     assert cols.matrix.shape == (1, 0)
     assert cols.dg_ids == []
+
+
+@pytest.mark.parametrize("make", [lambda: load_network(FIXTURES / "net6.json"), synth30], ids=["net6", "synth30"])
+def test_blocks_are_the_inverse_of_a_freshly_built_jacobian(make):
+    # The Jacobian taken from a fresh Y-bus of the network, as sensitivities
+    # were once computed, inverts to the same bits as the solution's own.
+    net = make()
+    sol = solved(net)
+    sens = compute_sensitivity_matrix(net, sol)
+    ns = np.array([sol.index_of[b] for b in sens.bus_ids], dtype=int)
+    ybus = build_ybus(net, sol.index_of)
+    p_calc, q_calc = _calc_pq(ybus, sol.v_mag, sol.v_ang)
+    inv = np.linalg.inv(_jacobian(ybus, sol.v_mag, sol.v_ang, p_calc, q_calc, ns))
+    n1 = len(ns)
+    np.testing.assert_array_equal(sens.a_theta_p, inv[:n1, :n1])
+    np.testing.assert_array_equal(sens.a_theta_q, inv[:n1, n1:])
+    np.testing.assert_array_equal(sens.a_vp, inv[n1:, :n1])
+    np.testing.assert_array_equal(sens.a_vq, inv[n1:, n1:])
+
+
+def test_solve_and_linearize_build_the_ybus_once(monkeypatch):
+    net = synth30()
+    calls = count_ybus_builds(monkeypatch)
+    compute_sensitivity_matrix(net, solve_power_flow(net))
+    assert len(calls) == 1
+
+
+def test_flow_of_another_network_rejected():
+    net = two_bus(q=0.1)
+    sol = solved(net)
+    net.buses[1].id = 7
+    with pytest.raises(ValueError, match="other buses"):
+        compute_sensitivity_matrix(net, sol)

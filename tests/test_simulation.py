@@ -26,7 +26,7 @@ from gridcomm.simulation import (
     write_report,
 )
 
-from conftest import null_trip30, overvoltage30, prepared, synth30, trip_restore30, write_scenario
+from conftest import count_ybus_builds, null_trip30, overvoltage30, prepared, synth30, trip_restore30, write_scenario
 
 
 def community_of_agent(state, agent):
@@ -302,6 +302,19 @@ def test_in_band_trip_solves_once(monkeypatch):
     monkeypatch.setattr(simulation, "solve_power_flow", lambda *a: calls.append(a) or real(*a))
     step(state, [Event(0, EventKind.DG_TRIP, 21)])
     assert state.violations_seen == 0
+    assert len(calls) == 1
+
+
+def test_load_change_builds_the_ybus_once(monkeypatch):
+    # The re-solve after a small in-band load change builds the Y-bus, and
+    # the sensitivities are taken from that same matrix.
+    net = synth30()
+    part, sens = prepared(net)
+    state = initialize(net, part, sens)
+    bus = state.sens.bus_ids[-1]
+    calls = count_ybus_builds(monkeypatch)
+    step(state, [Event(0, EventKind.LOAD_CHANGE, bus, 0.001)])
+    assert state.violations_seen == 0 and state.control_actions == 0
     assert len(calls) == 1
 
 
