@@ -21,9 +21,9 @@ class Bus:
     """A network node.
 
     On the slack, v_mag/v_ang fix the reference voltage of every power
-    flow. On other buses they are carried through load and save but never
-    read: every solve starts flat. Solved voltages live in
-    PowerFlowSolution, never here.
+    flow, and v_mag must be positive. On other buses they are carried
+    through load and save but never read: every solve starts flat. Solved
+    voltages live in PowerFlowSolution, never here.
     """
 
     id: int
@@ -149,6 +149,9 @@ def validate_network(net: NetworkModel) -> list[Violation]:
                 out.append(Violation("non-finite-load", f"bus {b.id} {name} = {val}"))
         if not isfinite(b.base_kv + b.v_mag + b.v_ang):
             out += _non_finite(f"bus {b.id}", b, ("base_kv", "v_mag", "v_ang"))
+        # only the slack's v_mag is read; a non-finite one is reported above
+        if b.kind is BusKind.SLACK and b.v_mag <= 0 and isfinite(b.v_mag):
+            out.append(Violation("bad-slack-v-mag", f"slack bus {b.id} v_mag = {b.v_mag}, must be positive"))
 
     slack_ids = [b.id for b in net.buses if b.kind is BusKind.SLACK]
     if not slack_ids:

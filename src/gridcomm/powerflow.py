@@ -8,6 +8,15 @@ The solver works in polar coordinates with the full (unscaled) Jacobian,
 so that the inverse of the converged Jacobian is directly the injection-to-
 state sensitivity matrix used downstream. All non-slack buses are PQ; DGs
 enter as negative load at their bus.
+
+The Jacobian is the real and imaginary part of the derivatives of the
+complex injection S = diag(V) conj(I), I = Y V, in the form of MATPOWER's
+dSbus_dV (Zimmerman, Murillo-Sanchez & Thomas, IEEE TPWRS 2011):
+
+    dS/dtheta = j diag(V) conj(diag(I) - Y diag(V))
+    dS/d|V|   = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|)
+
+taken on the non-slack rows and columns only.
 """
 
 from __future__ import annotations
@@ -70,17 +79,15 @@ class PowerFlowSolution:
 
     def jacobian(self) -> np.ndarray:
         """The Newton Jacobian at these voltages, built as the solve builds it."""
-        p_calc, q_calc = _calc_pq(self.ybus, self.v_mag, self.v_ang)
-        return _jacobian(self.ybus, self.v_mag, self.v_ang, p_calc, q_calc, self.non_slack_pos)
+        return _jacobian(self.ybus, self.v_mag, self.v_ang, self.non_slack_pos)
 
     def solves(self, net: NetworkModel) -> bool:
         """Whether these voltages solve net's current injections within the
         solution's own tolerance (the test Newton stops on)."""
         if self.bus_ids != [b.id for b in net.buses]:
             return False
-        p_spec, q_spec = _injections(net, self.index_of)
         ybus = build_ybus(net, self.index_of)
-        mis, _, _ = _mismatch(ybus, p_spec, q_spec, self.v_mag, self.v_ang, self.non_slack_pos)
+        mis = _mismatch(ybus, _injections(net, self.index_of), self.v_mag, self.v_ang, self.non_slack_pos)
         return bool(np.max(np.abs(mis)) <= self.tolerance)
 
 
@@ -111,62 +118,35 @@ def build_ybus(net: NetworkModel, index_of: dict[int, int]) -> np.ndarray:
     return y
 
 
-def _injections(net: NetworkModel, index_of: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    n = len(net.buses)
-    p = np.zeros(n)
-    q = np.zeros(n)
+def _injections(net: NetworkModel, index_of: dict[int, int]) -> np.ndarray:
+    """Scheduled complex injection P + jQ at each bus: online DG output minus load."""
+    s = np.zeros(len(net.buses), dtype=complex)
     for b in net.buses:
-        i = index_of[b.id]
-        p[i] -= b.p_load
-        q[i] -= b.q_load
+        s[index_of[b.id]] -= complex(b.p_load, b.q_load)
     for d in net.dgs:
         if d.online:
-            i = index_of[d.bus]
-            p[i] += d.p_out
-            q[i] += d.q_out
-    return p, q
+            s[index_of[d.bus]] += complex(d.p_out, d.q_out)
+    return s
 
 
-def _calc_pq(ybus: np.ndarray, v: np.ndarray, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vc = v * np.exp(1j * th)
-    s = vc * np.conj(ybus @ vc)
-    return s.real, s.imag
-
-
-def _mismatch(
-    ybus: np.ndarray, p_spec: np.ndarray, q_spec: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mismatch(ybus: np.ndarray, s_spec: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """Specified minus calculated injections at the non-slack buses, P rows
-    then Q rows, and the calculated P and Q."""
-    p_calc, q_calc = _calc_pq(ybus, v, th)
-    return np.concatenate([(p_spec - p_calc)[ns], (q_spec - q_calc)[ns]]), p_calc, q_calc
+    then Q rows."""
+    vc = v * np.exp(1j * th)
+    ds = (s_spec - vc * np.conj(ybus @ vc))[ns]
+    return np.concatenate([ds.real, ds.imag])
 
 
-def _jacobian(
-    ybus: np.ndarray, v: np.ndarray, th: np.ndarray, p_calc: np.ndarray, q_calc: np.ndarray, ns: np.ndarray
-) -> np.ndarray:
-    """Full polar Jacobian restricted to non-slack rows/columns.
-
-    Block layout [[dP/dth, dP/dV], [dQ/dth, dQ/dV]] with true dV (unscaled).
-    """
-    g, b = ybus.real, ybus.imag
-    dth = th[:, None] - th[None, :]
-    cs, sn = np.cos(dth), np.sin(dth)
-    vv = v[:, None] * v[None, :]
-
-    h = vv * (g * sn - b * cs)          # dP/dtheta, off-diagonal
-    n_ = v[:, None] * (g * cs + b * sn)  # dP/dV
-    k = -vv * (g * cs + b * sn)          # dQ/dtheta
-    l_ = v[:, None] * (g * sn - b * cs)  # dQ/dV
-
-    np.fill_diagonal(h, -q_calc - b.diagonal() * v * v)
-    np.fill_diagonal(n_, p_calc / v + g.diagonal() * v)
-    np.fill_diagonal(k, p_calc - g.diagonal() * v * v)
-    np.fill_diagonal(l_, q_calc / v - b.diagonal() * v)
-
-    top = np.hstack([h[np.ix_(ns, ns)], n_[np.ix_(ns, ns)]])
-    bot = np.hstack([k[np.ix_(ns, ns)], l_[np.ix_(ns, ns)]])
-    return np.vstack([top, bot])
+def _jacobian(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """The polar Jacobian on the non-slack rows and columns, from the complex
+    derivatives dS/dtheta and dS/d|V| (module docstring)."""
+    vc = v * np.exp(1j * th)
+    i = (ybus @ vc)[ns]
+    vs, unit = vc[ns], np.exp(1j * th[ns])  # V and V/|V| on the non-slack buses
+    y = ybus[np.ix_(ns, ns)]
+    dth = 1j * vs[:, None] * np.conj(np.diag(i) - y * vs)
+    dv = vs[:, None] * np.conj(y * unit) + np.diag(np.conj(i) * unit)
+    return np.block([[dth.real, dv.real], [dth.imag, dv.imag]])
 
 
 def solve_power_flow(net: NetworkModel, tolerance: float = 1e-8) -> PowerFlowSolution:
@@ -185,14 +165,14 @@ def solve_power_flow(net: NetworkModel, tolerance: float = 1e-8) -> PowerFlowSol
     ns = np.array([i for i in range(len(bus_ids)) if i != slack_idx], dtype=int)
 
     ybus = build_ybus(net, index_of)
-    p_spec, q_spec = _injections(net, index_of)
+    s_spec = _injections(net, index_of)
 
     v = np.ones(len(bus_ids))
     th = np.zeros(len(bus_ids))
     v[slack_idx] = net.slack_bus.v_mag
     th[slack_idx] = net.slack_bus.v_ang
 
-    mis, p_calc, q_calc = _mismatch(ybus, p_spec, q_spec, v, th, ns)
+    mis = _mismatch(ybus, s_spec, v, th, ns)
     it = 0
     diverged = False
     while it < MAX_ITER:
@@ -201,7 +181,7 @@ def solve_power_flow(net: NetworkModel, tolerance: float = 1e-8) -> PowerFlowSol
             break
         if np.max(np.abs(mis)) <= tolerance:
             break
-        jac = _jacobian(ybus, v, th, p_calc, q_calc, ns)
+        jac = _jacobian(ybus, v, th, ns)
         try:
             dx = np.linalg.solve(jac, mis)
         except np.linalg.LinAlgError as exc:
@@ -216,7 +196,7 @@ def solve_power_flow(net: NetworkModel, tolerance: float = 1e-8) -> PowerFlowSol
         if np.any(v[ns] <= 1e-6) or not np.all(np.isfinite(v[ns])):
             diverged = True
             break
-        mis, p_calc, q_calc = _mismatch(ybus, p_spec, q_spec, v, th, ns)
+        mis = _mismatch(ybus, s_spec, v, th, ns)
 
     max_mis = float(np.max(np.abs(mis))) if np.all(np.isfinite(mis)) else float("inf")
     converged = (not diverged) and max_mis <= tolerance

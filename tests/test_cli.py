@@ -247,6 +247,7 @@ def _set(doc, section, index, key, value):
         (None, None, "transformers", None, "'transformers' must be a list"),
         (None, None, "buses", 5, "'buses' must be a list"),
         (None, None, "loads", [], "unknown top-level key(s) ['loads']"),
+        ("buses", 0, "v_mag", 0.0, "bad-slack-v-mag: slack bus 0 v_mag"),
     ],
 )
 def test_coerced_network_field_exits_2(tmp_path, capsys, section, index, key, value, fragment):

@@ -96,6 +96,18 @@ def test_non_finite_load():
     assert "non-finite-load" in codes(net)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_slack_v_mag_must_be_positive(value):
+    net = two_bus()
+    net.buses[0].v_mag = value
+    violations = validate_network(net)
+    assert [v.code for v in violations] == ["bad-slack-v-mag"]
+    assert f"slack bus 0 v_mag = {value}" in violations[0].detail
+    net.buses[0].v_mag = 1.0
+    net.buses[1].v_mag = value  # never read off the slack
+    assert validate_network(net) == []
+
+
 def test_bad_s_base():
     net = two_bus()
     net.s_base = 0.0

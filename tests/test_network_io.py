@@ -146,7 +146,7 @@ def valid_networks(draw, angle=_ANGLE):
             id=b,
             kind=BusKind.SLACK if b == slack else BusKind.PQ,
             base_kv=draw(_POSITIVE),
-            v_mag=draw(_FINITE),
+            v_mag=draw(_POSITIVE if b == slack else _FINITE),
             v_ang=draw(angle),
             p_load=draw(_FINITE),
             q_load=draw(_FINITE),

@@ -1,14 +1,17 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
-from gridcomm.powerflow import build_ybus, solve_power_flow
+from gridcomm.powerflow import _jacobian, build_ybus, solve_power_flow
 from gridcomm.sensitivity import compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
-from conftest import two_bus
+from conftest import synth30, two_bus
 
 
 def analytic_two_bus(p, q, x):
@@ -145,4 +148,58 @@ def test_solution_accessors():
             lookup(9)
     with pytest.raises(ValueError):
         sens.row_of(0)  # the slack has no sensitivity row
+
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian against the textbook polar form
+
+
+def trig_jacobian(ybus, v, th, ns):
+    """The polar Jacobian from the four cos/sin blocks of the power-flow
+    equations (as in Grainger & Stevenson), on the non-slack buses."""
+    vc = v * np.exp(1j * th)
+    s = vc * np.conj(ybus @ vc)
+    p_calc, q_calc = s.real, s.imag
+    g, b = ybus.real, ybus.imag
+    dth = th[:, None] - th[None, :]
+    cs, sn = np.cos(dth), np.sin(dth)
+    vv = v[:, None] * v[None, :]
+
+    h = vv * (g * sn - b * cs)  # dP/dtheta
+    n_ = v[:, None] * (g * cs + b * sn)  # dP/dV
+    k = -vv * (g * cs + b * sn)  # dQ/dtheta
+    l_ = v[:, None] * (g * sn - b * cs)  # dQ/dV
+
+    np.fill_diagonal(h, -q_calc - b.diagonal() * v * v)
+    np.fill_diagonal(n_, p_calc / v + g.diagonal() * v)
+    np.fill_diagonal(k, p_calc - g.diagonal() * v * v)
+    np.fill_diagonal(l_, q_calc / v - b.diagonal() * v)
+
+    top = np.hstack([h[np.ix_(ns, ns)], n_[np.ix_(ns, ns)]])
+    bot = np.hstack([k[np.ix_(ns, ns)], l_[np.ix_(ns, ns)]])
+    return np.vstack([top, bot])
+
+
+SYNTH30 = synth30()
+N, M = len(SYNTH30.buses), len(SYNTH30.transformers)
+
+
+def arrays(low, high, size):
+    return st.lists(st.floats(low, high), min_size=size, max_size=size).map(np.array)
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=arrays(0.8, 1.2, N), th=arrays(-0.5, 0.5, N), taps=arrays(0.9, 1.1, M), shifts=arrays(-0.5, 0.5, M))
+def test_jacobian_matches_trig_form_off_the_solution(v, th, taps, shifts):
+    # Any voltages, taps and phase shifts (an asymmetric Y-bus): the complex
+    # form is an identity, not a property of converged points.
+    net = copy.deepcopy(SYNTH30)
+    for t, tap, shift in zip(net.transformers, taps, shifts):
+        t.tap, t.phase_shift = float(tap), float(shift)
+    ybus = build_ybus(net, index_map(net))
+    ns = np.array([i for i, b in enumerate(net.buses) if b.kind is not BusKind.SLACK])
+    new, oracle = _jacobian(ybus, v, th, ns), trig_jacobian(ybus, v, th, ns)
+    assert new.shape == oracle.shape == (2 * (N - 1), 2 * (N - 1))
+    assert np.max(np.abs(new - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 

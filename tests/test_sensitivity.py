@@ -5,7 +5,7 @@ import pytest
 
 from gridcomm.network import DG
 from gridcomm.network_io import load_network
-from gridcomm.powerflow import _calc_pq, _jacobian, build_ybus, solve_power_flow
+from gridcomm.powerflow import _jacobian, build_ybus, solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
@@ -148,8 +148,7 @@ def test_blocks_are_the_inverse_of_a_freshly_built_jacobian(make):
     sens = compute_sensitivity_matrix(net, sol)
     ns = np.array([sol.index_of[b] for b in sens.bus_ids], dtype=int)
     ybus = build_ybus(net, sol.index_of)
-    p_calc, q_calc = _calc_pq(ybus, sol.v_mag, sol.v_ang)
-    inv = np.linalg.inv(_jacobian(ybus, sol.v_mag, sol.v_ang, p_calc, q_calc, ns))
+    inv = np.linalg.inv(_jacobian(ybus, sol.v_mag, sol.v_ang, ns))
     n1 = len(ns)
     np.testing.assert_array_equal(sens.a_theta_p, inv[:n1, :n1])
     np.testing.assert_array_equal(sens.a_theta_q, inv[:n1, n1:])

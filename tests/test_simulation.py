@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcomm import simulation
@@ -422,8 +422,18 @@ def event_ticks(draw):
     return [[Event(t, kind, target, m) for kind, target, m in evs] for t, evs in enumerate(ticks)]
 
 
+def _load_steps(tick, *steps):
+    return [Event(tick, EventKind.LOAD_CHANGE, bus, pu) for bus, pu in steps]
+
+
+# The last tick's load steps at buses 5 and 15 pass the point of voltage
+# collapse: at 98% of them the flow still converges (min |V| 0.60).
+COLLAPSE = [[], [], _load_steps(2, (1, 1.0), (5, 1.0)), _load_steps(3, (5, 1.0), (5, 1.125), (15, 1.125))]
+
+
 @settings(max_examples=30, deadline=None)
 @given(event_ticks())
+@example(COLLAPSE)
 def test_views_stay_local_and_subsets_cover_nodes(ticks):
     part, sens = SYNTH30_PREPARED
     state = initialize(SYNTH30, part, sens)
@@ -435,15 +445,24 @@ def test_views_stay_local_and_subsets_cover_nodes(ticks):
         built.append(view)
         return view
 
+    def check_local():
+        for view in built:
+            c = view.community
+            assert all(part.community_of[b] == c for b in view.node_ids)
+            assert all(part.community_of[state.net.dg_by_id(g).bus] == c for g in view.dg_ids)
+            assert view.v_sens.shape == (len(view.node_ids), len(view.dg_ids))
+
     with mock.patch.object(simulation, "_view", recording_view):
         for events in ticks:
-            step(state, events)
+            try:
+                step(state, events)
+            except SimulationDiverged as exc:
+                # the documented way out of a collapsed flow
+                assert exc.state is state
+                check_local()
+                return
             built.extend(real_view(state, c) for c in state.nodes_of)
-            for view in built:
-                c = view.community
-                assert all(part.community_of[b] == c for b in view.node_ids)
-                assert all(part.community_of[state.net.dg_by_id(g).bus] == c for g in view.dg_ids)
-                assert view.v_sens.shape == (len(view.node_ids), len(view.dg_ids))
+            check_local()
             for c, nodes in state.nodes_of.items():
                 if real_view(state, c).dg_ids:
                     covered = [n for s in state.subsets[c].subsets for n in s.nodes]
