@@ -74,8 +74,10 @@ def _linearized(args) -> tuple[NetworkModel, SensitivityMatrix]:
 
 
 def _dump_sensitivity(sens: SensitivityMatrix, out: Path) -> None:
-    for name in ("a_vq", "a_vp", "a_theta_p", "a_theta_q"):
-        rows = zip(sens.bus_ids, getattr(sens, name).tolist())
+    n1 = len(sens.bus_ids)
+    p, q = (sens.columns(mode, sens.bus_ids) for mode in (SensitivityMode.VP, SensitivityMode.VQ))
+    for name, block in (("a_vq", q[n1:]), ("a_vp", p[n1:]), ("a_theta_p", p[:n1]), ("a_theta_q", q[:n1])):
+        rows = zip(sens.bus_ids, block.tolist())
         write_table(out / f"{name}.csv", ["bus", *sens.bus_ids], ([bus, *row] for bus, row in rows))
 
 

@@ -1,11 +1,11 @@
 """Sensitivity-weighted modularity partitioning of the network into
 DG-centric communities.
 
-The pipeline: slice voltage-sensitivity columns at DG buses, mark each
-node's strongest DG in a 0/1 adjacency matrix, fold that boost back into the
-node-node sensitivity weights, then greedily agglomerate communities to the
-modularity peak. Weighted modularity generalizes the edge-count form: the
-normalizer is the total weight and degrees are weighted degrees, which
+The pipeline: solve for one mode's voltage-sensitivity block, mark each
+node's strongest DG column in a 0/1 adjacency matrix, fold that boost into
+the node-node sensitivity weights, then greedily agglomerate communities to
+the modularity peak. Weighted modularity generalizes the edge-count form:
+the normalizer is the total weight and degrees are weighted degrees, which
 reduces to the unweighted formula on 0/1 graphs.
 """
 
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .network import NetworkModel
-from .sensitivity import SensitivityMatrix, SensitivityMode, dg_columns
+from .sensitivity import SensitivityMatrix, SensitivityMode, dg_buses
 
 _SYM_TOL = 1e-12
 
@@ -261,11 +261,11 @@ def partition_network(
     the community of its lowest-id neighbor. Returned community_of is keyed
     by bus id.
     """
-    dgc = dg_columns(sens, net, mode=mode, online_only=True)
-    if not dgc.dg_ids:
+    dg_rows = [sens.row[b] for b in dg_buses(sens, net.dgs_sorted(online_only=True))]
+    if not dg_rows:
         raise ValueError("network has no online DGs to partition around")
-    d = build_dg_adjacency(dgc.matrix)
-    graph = combine_weights(sens.voltage_block(mode), d, dgc.bus_rows)
+    block = sens.voltage_block(mode)
+    graph = combine_weights(block, build_dg_adjacency(block[:, dg_rows]), dg_rows)
     node_part, dendro = greedy_partition(graph, peak=peak)
 
     community_of = {bus_id: node_part.community_of[i] for i, bus_id in enumerate(sens.bus_ids)}

@@ -1,4 +1,5 @@
-"""Injection-to-state sensitivities from the inverse power-flow Jacobian.
+"""Injection-to-state sensitivities, solved as columns of the inverse
+power-flow Jacobian.
 
 At a converged operating point the linearization
 
@@ -6,11 +7,10 @@ At a converged operating point the linearization
     [dV]     = [a_vp       a_vq     ] [dQ]
 
 maps per-unit injection changes at non-slack buses to angle and voltage
-changes. Rows and columns follow the order of the non-slack buses in the
-network (the file's bus order for a loaded network), not their ids:
-``SensitivityMatrix.bus_ids`` lists them and ``row`` maps ids to them. The
-matrix keeps the solved flow it was taken at as ``pf``; the inverted matrix
-is that flow's own ``jacobian()``.
+changes. ``SensitivityMatrix.columns`` solves for just the columns a caller
+reads; the inverse is never formed. Rows and columns follow the non-slack
+buses in network order, not their ids: ``bus_ids`` lists them and ``row``
+maps ids to them. ``pf`` is the flow whose ``jacobian()`` is solved.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import NetworkModel
+from .network import DG, NetworkModel
 from .powerflow import PowerFlowSolution, SingularJacobianError, lookup
 from .powerflow import build_ybus  # noqa: F401  unused; bench/spans.py TARGETS looks it up here
 
@@ -35,65 +35,61 @@ class SensitivityMode(str, Enum):
 @dataclass
 class SensitivityMatrix:
     bus_ids: list[int]  # non-slack bus ids, row/column order of every block
-    a_theta_p: np.ndarray
-    a_theta_q: np.ndarray
-    a_vp: np.ndarray
-    a_vq: np.ndarray
     pf: PowerFlowSolution  # the operating point differentiated
     row: dict[int, int]  # non-slack bus id -> row and column
 
     def row_of(self, bus_id: int) -> int:
         return lookup(self.row, bus_id)
 
+    def columns(self, mode: SensitivityMode, bus_ids: list[int]) -> np.ndarray:
+        """Responses to a unit injection of the mode's kind (P or Q) at each
+        bus, one column per bus: angle rows, then voltage rows. Raises
+        SingularJacobianError if the Jacobian is singular."""
+        n1 = len(self.bus_ids)
+        unit = np.zeros((2 * n1, len(bus_ids)))
+        offset = n1 if mode is SensitivityMode.VQ else 0
+        unit[[offset + self.row_of(b) for b in bus_ids], np.arange(len(bus_ids))] = 1.0
+        try:
+            return np.linalg.solve(self.pf.jacobian(), unit)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(f"the power-flow Jacobian is singular at the solved point ({exc})") from exc
+
     def voltage_block(self, mode: SensitivityMode) -> np.ndarray:
-        return self.a_vq if mode is SensitivityMode.VQ else self.a_vp
-
-    def angle_block(self, mode: SensitivityMode) -> np.ndarray:
-        return self.a_theta_q if mode is SensitivityMode.VQ else self.a_theta_p
-
-    def angle_row(self, bus_id: int, mode: SensitivityMode) -> np.ndarray:
-        """Angle-sensitivity row for a bus; zeros for the slack (fixed angle)."""
-        row = self.row.get(bus_id)
-        return np.zeros(len(self.bus_ids)) if row is None else self.angle_block(mode)[row]
+        """a_vq or a_vp: the voltage rows of the mode's columns at every bus."""
+        return self.columns(mode, self.bus_ids)[len(self.bus_ids) :]
 
 
 @dataclass
 class DGColumns:
-    """Voltage-sensitivity columns at DG buses: rows all non-slack buses,
-    columns ordered by DG id ascending."""
+    """Sensitivity columns at DG buses: rows all non-slack buses, columns
+    ordered by DG id ascending."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray  # voltage rows
     dg_ids: list[int]
-    bus_rows: list[int]  # each DG bus's row (and column) in the sensitivity blocks
+    angles: np.ndarray  # angle rows
 
 
 def compute_sensitivity_matrix(net: NetworkModel, sol: PowerFlowSolution) -> SensitivityMatrix:
-    """Invert the Jacobian of sol, a converged flow of net, and name its
-    four blocks.
+    """Name the non-slack rows of sol, a converged flow of net, whose
+    Jacobian ``columns`` solves.
 
     Raises ValueError if sol is unconverged or was solved on other buses
-    than net's, and SingularJacobianError if the operating point admits no
-    inverse.
+    than net's.
     """
     if not sol.converged:
         raise ValueError("sensitivity requires a converged power flow")
     if sol.bus_ids != [b.id for b in net.buses]:
         raise ValueError("the power flow was solved on other buses than this network's")
-    try:
-        inv = np.linalg.inv(sol.jacobian())
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobianError(str(exc)) from exc
     non_slack = sol.non_slack
-    n1 = len(non_slack)
-    return SensitivityMatrix(
-        bus_ids=non_slack,
-        a_theta_p=inv[:n1, :n1],
-        a_theta_q=inv[:n1, n1:],
-        a_vp=inv[n1:, :n1],
-        a_vq=inv[n1:, n1:],
-        pf=sol,
-        row={b: i for i, b in enumerate(non_slack)},
-    )
+    return SensitivityMatrix(bus_ids=non_slack, pf=sol, row={b: i for i, b in enumerate(non_slack)})
+
+
+def dg_buses(sens: SensitivityMatrix, dgs: list[DG]) -> list[int]:
+    """The buses of dgs; ValueError for one on the slack, which has no column."""
+    for d in dgs:
+        if d.bus not in sens.row:
+            raise ValueError(f"DG {d.id} is on slack bus {d.bus}; no sensitivity column")
+    return [d.bus for d in dgs]
 
 
 def dg_columns(
@@ -102,16 +98,9 @@ def dg_columns(
     mode: SensitivityMode = SensitivityMode.VQ,
     online_only: bool = False,
 ) -> DGColumns:
-    """Column-slice of the voltage block at DG buses.
-
-    Raises ValueError for a DG sitting on the slack bus (no sensitivity
-    column exists there).
-    """
+    """The mode's columns at DG buses, from one solve; ValueError for a DG
+    on the slack."""
     dgs = net.dgs_sorted(online_only=online_only)
-    for d in dgs:
-        if d.bus not in sens.row:
-            raise ValueError(f"DG {d.id} is on slack bus {d.bus}; no sensitivity column")
-    bus_rows = [sens.row[d.bus] for d in dgs]
-    block = sens.voltage_block(mode)
-    matrix = np.column_stack([block[:, r] for r in bus_rows]) if dgs else np.zeros((len(sens.bus_ids), 0))
-    return DGColumns(matrix=matrix, dg_ids=[d.id for d in dgs], bus_rows=bus_rows)
+    cols = sens.columns(mode, dg_buses(sens, dgs))
+    n1 = len(sens.bus_ids)
+    return DGColumns(matrix=cols[n1:], dg_ids=[d.id for d in dgs], angles=cols[:n1])

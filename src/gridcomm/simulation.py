@@ -11,9 +11,10 @@ A CA decides from its CommunityView alone: its own non-slack buses and their
 voltages, its available DGs with their setpoints and ranges, the voltage
 sensitivities between the two, and the angle rows of the transformers
 touching it. Only `_view` (and `initialize`) read the network-wide flow and
-sensitivities. The view is a slice of the global Jacobian inverse, so how
-the rest of the network responds to a DG move (the boundary) comes from the
-global factor, not from a model of the community alone.
+sensitivities. The view slices the online DGs' columns, solved once per
+operating point against the whole network's Jacobian, so how the rest of
+the network responds to a DG move (the boundary) comes from the global
+Jacobian, not from a model of the community alone.
 
 Tick phases, all deterministic:
 
@@ -60,7 +61,7 @@ from .network import NetworkModel
 from .network_io import joined, load_json, read_element, read_value, write_table
 from .partition import Partition, build_dg_adjacency
 from .powerflow import PowerFlowSolution, solve_power_flow
-from .sensitivity import SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix
+from .sensitivity import DGColumns, SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix, dg_columns
 
 HEADROOM_TOL = 1e-9
 # Linearization guard: the LP targets a band tightened by this much on the
@@ -218,6 +219,7 @@ class SimulationState:
     partition: Partition
     sens: SensitivityMatrix  # and, as sens.pf, the flow it was taken at
     mode: SensitivityMode
+    cols: DGColumns  # the mode's columns at the online DGs, at sens.pf
     v_limits: tuple[float, float]
     nodes_of: dict[int, list[int]]  # community -> non-slack bus ids, community id ascending
     subsets: dict[int, CommunitySubsets]
@@ -292,6 +294,7 @@ def initialize(
         partition=partition,
         sens=sens,
         mode=mode,
+        cols=dg_columns(sens, net, mode, online_only=True),
         v_limits=v_limits,
         nodes_of=nodes_of,
         subsets={},
@@ -315,9 +318,13 @@ def _view(state: SimulationState, community: int) -> CommunityView:
         if community_of[d.bus] == community and d.online and d.id not in state.comm_lost and d.id not in banned:
             dgs.append(d)
     nodes = state.nodes_of[community]
-    sens, pf, mode = state.sens, state.pf, state.mode
-    rows = [sens.row[b] for b in nodes]
-    cols = [sens.row[d.bus] for d in dgs]
+    sens, pf, mode, online = state.sens, state.pf, state.mode, state.cols
+    cols = np.searchsorted(online.dg_ids, [d.id for d in dgs])
+
+    def angle_row(bus_id: int) -> np.ndarray:
+        row = sens.row.get(bus_id)  # none for the slack, whose angle is fixed
+        return np.zeros(len(cols)) if row is None else online.angles[row, cols]
+
     ranges = np.array([state.cap_range[d.id] for d in dgs]).reshape(-1, 2)
     transformers = [
         TransformerAngleRows(
@@ -325,8 +332,8 @@ def _view(state: SimulationState, community: int) -> CommunityView:
             theta_p0=float(pf.v_ang[pf.index_of[t.primary_bus]]),
             theta_s0=float(pf.v_ang[pf.index_of[t.secondary_bus]]),
             theta_shift=t.phase_shift,
-            p_row=sens.angle_row(t.primary_bus, mode)[cols],
-            s_row=sens.angle_row(t.secondary_bus, mode)[cols],
+            p_row=angle_row(t.primary_bus),
+            s_row=angle_row(t.secondary_bus),
         )
         for t in state.net.transformers
         if community in (community_of.get(t.primary_bus), community_of.get(t.secondary_bus))
@@ -340,7 +347,7 @@ def _view(state: SimulationState, community: int) -> CommunityView:
         now=np.array([setpoint(d, mode) for d in dgs]),
         lo=ranges[:, 0],
         hi=ranges[:, 1],
-        v_sens=sens.voltage_block(mode)[np.ix_(rows, cols)],
+        v_sens=online.matrix[np.ix_([sens.row[b] for b in nodes], cols)],
         transformers=transformers,
     )
 
@@ -376,6 +383,7 @@ def _resolve(state: SimulationState, why: str) -> None:
     if not pf.converged:
         raise SimulationDiverged(f"power flow diverged after {why} at tick {state.tick}", state)
     state.sens = compute_sensitivity_matrix(state.net, pf)
+    state.cols = dg_columns(state.sens, state.net, state.mode, online_only=True)
 
 
 def _apply_events(state: SimulationState, events: Sequence[Event]) -> tuple[bool, set[int]]:

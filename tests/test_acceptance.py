@@ -18,7 +18,7 @@ from gridcomm.cli import main
 from gridcomm.network_io import load_network, save_network
 from gridcomm.partition import Partition, WeightedGraph, greedy_partition, modularity
 from gridcomm.powerflow import solve_power_flow
-from gridcomm.sensitivity import compute_sensitivity_matrix
+from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
 from gridcomm.simplex import LPStatus, solve_inequality_lp
 from gridcomm.simulation import Event, EventKind, Scenario, initialize, run_scenario, step
 
@@ -79,6 +79,8 @@ def _linearization_error(net, h: float, rng: np.random.Generator, n_dirs: int = 
     sens = compute_sensitivity_matrix(net, base)
     ids = sens.bus_ids
     k = len(ids)
+    by_p = sens.columns(SensitivityMode.VP, ids)
+    by_q = sens.columns(SensitivityMode.VQ, ids)
     pos = [base.bus_ids.index(b) for b in ids]
     v0 = base.v_mag[pos]
     t0 = base.v_ang[pos]
@@ -87,8 +89,8 @@ def _linearization_error(net, h: float, rng: np.random.Generator, n_dirs: int = 
         d = rng.uniform(-1.0, 1.0, size=2 * k)
         d /= np.max(np.abs(d))
         dp, dq = d[:k] * h, d[k:] * h
-        pred_v = v0 + sens.a_vp @ dp + sens.a_vq @ dq
-        pred_t = t0 + sens.a_theta_p @ dp + sens.a_theta_q @ dq
+        pred_v = v0 + by_p[k:] @ dp + by_q[k:] @ dq
+        pred_t = t0 + by_p[:k] @ dp + by_q[:k] @ dq
         pert = copy.deepcopy(net)
         for i, b in enumerate(ids):
             bus = pert.bus_by_id(b)
@@ -257,11 +259,12 @@ def test_criterion_6_overvoltage_cleared_in_one_round():
 
     # linear prediction of every controlled move versus the nonlinear outcome
     row = {b: i for i, b in enumerate(ids)}
+    a_vq = sens.voltage_block(SensitivityMode.VQ)
     pred = before.v_mag.copy()
     for d in net.dgs:
         dx = state.net.dg_by_id(d.id).q_out - q0[d.id]
         if dx != 0.0:
-            col = sens.a_vq[:, row[d.bus]]
+            col = a_vq[:, row[d.bus]]
             for b in ids:
                 pred[pos[b]] += col[row[b]] * dx
     model_err = max(abs(pred[pos[b]] - after.v_mag[pos[b]]) for b in ids)

@@ -11,6 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from gridcomm import cli, simulation
 from gridcomm.cli import main
 from gridcomm.network_io import save_network
-from gridcomm.powerflow import solve_power_flow
+from gridcomm.powerflow import PowerFlowSolution, solve_power_flow
 from gridcomm.simulation import EventKind
 
 from conftest import FIXTURES, trip_restore30, two_bus, write_scenario
@@ -390,6 +391,17 @@ def test_sensitivity_nonconvergent_network_exits_3(tmp_path, capsys):
     assert code == 3
     assert stderr.startswith("error:")
     assert "converge" in stderr
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "partition"])
+def test_singular_jacobian_exits_3(tmp_path, capsys, monkeypatch, command):
+    # The flow converges; the sensitivity solve then meets a singular Jacobian.
+    monkeypatch.setattr(PowerFlowSolution, "jacobian", lambda self: np.zeros((2 * len(self.non_slack_pos),) * 2))
+    code, stdout, stderr = run_cli(capsys, command, "--network", str(NET6), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert stdout == ""
+    assert stderr.startswith("error:")
+    assert "Jacobian is singular" in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -339,9 +339,8 @@ def test_prediction_close_to_resolved_flow():
     net = transformer_net(q_out=0.8)
     sol = solve_power_flow(net, tolerance=PF)
     sens = compute_sensitivity_matrix(net, sol)
-    col = sens.row_of(2)
     x = -0.25
-    predicted = sol.v_of(2) + sens.a_vq[col, col] * x
+    predicted = sol.v_of(2) + sens.voltage_block(SensitivityMode.VQ)[sens.row_of(2), sens.row_of(2)] * x
     after, _ = apply_and_resolve(net, x)
     assert predicted == pytest.approx(after.v_of(2), abs=5e-3)
 
@@ -351,7 +350,9 @@ def test_end_to_end_overvoltage_clears():
     sol = solve_power_flow(net, tolerance=PF)
     assert sol.v_of(2) > 1.05
     sens = compute_sensitivity_matrix(net, sol)
-    col = sens.row_of(2)
+    # responses of the non-slack buses to Q at bus 2, where DG 1 sits
+    by_q = sens.columns(SensitivityMode.VQ, [2])
+    angle, volt = by_q[: len(sens.bus_ids)], by_q[len(sens.bus_ids) :]
     tr = net.transformers[0]
     lo, hi = capability_range(net.dgs[0], SensitivityMode.VQ)
     problem = ControlProblem(
@@ -360,7 +361,7 @@ def test_end_to_end_overvoltage_clears():
         dg_ids=[1],
         node_ids=[2],
         v0=np.array([sol.v_of(2)]),
-        v_sens=np.array([[sens.a_vq[col, col]]]),
+        v_sens=volt[[sens.row_of(2)]],
         x_lower=np.array([lo - 0.8]),
         x_upper=np.array([hi - 0.8]),
         transformers=[
@@ -369,8 +370,8 @@ def test_end_to_end_overvoltage_clears():
                 theta_p0=float(sol.v_ang[1]),
                 theta_s0=float(sol.v_ang[2]),
                 theta_shift=tr.phase_shift,
-                p_row=sens.angle_row(1, SensitivityMode.VQ)[[col]],
-                s_row=sens.angle_row(2, SensitivityMode.VQ)[[col]],
+                p_row=angle[sens.row_of(1)],
+                s_row=angle[sens.row_of(2)],
             )
         ],
     )

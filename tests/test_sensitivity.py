@@ -2,10 +2,12 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridcomm.network import DG
 from gridcomm.network_io import load_network
-from gridcomm.powerflow import _jacobian, build_ybus, solve_power_flow
+from gridcomm.powerflow import PowerFlowSolution, SingularJacobianError, _jacobian, build_ybus, solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
@@ -13,6 +15,7 @@ from conftest import FIXTURES, count_ybus_builds, synth30, two_bus
 
 
 TOLERANCE = 1e-12
+MODES = list(SensitivityMode)
 
 
 def solved(net):
@@ -25,10 +28,11 @@ def test_two_bus_shapes_and_positive_vq_diagonal():
     net = two_bus(q=0.1)
     sens = compute_sensitivity_matrix(net, solved(net))
     assert sens.bus_ids == [1]
-    for block in (sens.a_theta_p, sens.a_theta_q, sens.a_vp, sens.a_vq):
-        assert block.shape == (1, 1)
+    for mode in MODES:
+        assert sens.columns(mode, [1]).shape == (2, 1)
+        assert sens.voltage_block(mode).shape == (1, 1)
     # More reactive injection must raise the local voltage.
-    assert sens.a_vq[0, 0] > 0
+    assert sens.voltage_block(SensitivityMode.VQ)[0, 0] > 0
 
 
 def test_blocks_shape_on_synthetic():
@@ -37,8 +41,10 @@ def test_blocks_shape_on_synthetic():
     n1 = len(net.buses) - 1
     assert len(sens.bus_ids) == n1
     assert sens.bus_ids == sorted(sens.bus_ids)
-    for block in (sens.a_theta_p, sens.a_theta_q, sens.a_vp, sens.a_vq):
-        assert block.shape == (n1, n1)
+    for mode in MODES:
+        assert sens.columns(mode, sens.bus_ids).shape == (2 * n1, n1)
+        assert sens.columns(mode, sens.bus_ids[:3]).shape == (2 * n1, 3)
+        assert sens.voltage_block(mode).shape == (n1, n1)
 
 
 def test_vq_column_matches_finite_difference():
@@ -52,9 +58,9 @@ def test_vq_column_matches_finite_difference():
     bumped.bus_by_id(bus).q_load -= h
     after = solved(bumped)
 
-    col = sens.row_of(bus)
+    col = sens.columns(SensitivityMode.VQ, [bus])[len(sens.bus_ids) :, 0]
     for i, bid in enumerate(sens.bus_ids):
-        predicted = base.v_of(bid) + h * sens.a_vq[i, col]
+        predicted = base.v_of(bid) + h * col[i]
         assert predicted == pytest.approx(after.v_of(bid), abs=1e-5)
 
 
@@ -69,28 +75,29 @@ def test_vp_column_matches_finite_difference():
     bumped.bus_by_id(bus).p_load -= h
     after = solved(bumped)
 
-    col = sens.row_of(bus)
+    col = sens.columns(SensitivityMode.VP, [bus])[len(sens.bus_ids) :, 0]
     for i, bid in enumerate(sens.bus_ids):
-        predicted = base.v_of(bid) + h * sens.a_vp[i, col]
+        predicted = base.v_of(bid) + h * col[i]
         assert predicted == pytest.approx(after.v_of(bid), abs=1e-5)
 
 
-def test_angle_row_zero_for_slack():
+def test_mode_selects_block():
+    # The mode picks the injection: unit P (VP) or unit Q (VQ) at the bus.
+    net = two_bus(p=0.2, q=0.1)
+    sol = solved(net)
+    sens = compute_sensitivity_matrix(net, sol)
+    inv = np.linalg.inv(sol.jacobian())
+    np.testing.assert_allclose(sens.columns(SensitivityMode.VP, [1]), inv[:, [0]], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sens.columns(SensitivityMode.VQ, [1]), inv[:, [1]], rtol=1e-12, atol=0)
+    for mode in MODES:
+        np.testing.assert_array_equal(sens.voltage_block(mode), sens.columns(mode, [1])[1:])
+
+
+def test_slack_has_no_column():
     net = two_bus(q=0.1)
     sens = compute_sensitivity_matrix(net, solved(net))
-    row = sens.angle_row(0, SensitivityMode.VQ)
-    assert row.shape == (1,)
-    assert np.all(row == 0.0)
-    assert sens.angle_row(1, SensitivityMode.VQ)[0] == sens.a_theta_q[0, 0]
-
-
-def test_mode_selects_block():
-    net = two_bus(p=0.2, q=0.1)
-    sens = compute_sensitivity_matrix(net, solved(net))
-    assert sens.voltage_block(SensitivityMode.VQ) is sens.a_vq
-    assert sens.voltage_block(SensitivityMode.VP) is sens.a_vp
-    assert sens.angle_block(SensitivityMode.VQ) is sens.a_theta_q
-    assert sens.angle_block(SensitivityMode.VP) is sens.a_theta_p
+    with pytest.raises(ValueError, match="unknown bus id 0"):
+        sens.columns(SensitivityMode.VQ, [0])
 
 
 def test_unconverged_solution_rejected():
@@ -108,8 +115,10 @@ def test_dg_columns_slice_and_order():
     dgs = net.dgs_sorted()
     assert cols.dg_ids == [d.id for d in dgs]
     assert cols.matrix.shape == (len(sens.bus_ids), len(dgs))
-    for j, d in enumerate(dgs):
-        np.testing.assert_array_equal(cols.matrix[:, j], sens.a_vq[:, sens.row_of(d.bus)])
+    by_q = sens.columns(SensitivityMode.VQ, [d.bus for d in dgs])
+    n1 = len(sens.bus_ids)
+    np.testing.assert_array_equal(cols.matrix, by_q[n1:])
+    np.testing.assert_array_equal(cols.angles, by_q[:n1])
 
 
 def test_dg_columns_online_filter():
@@ -136,24 +145,52 @@ def test_no_dgs_gives_empty_matrix():
     sens = compute_sensitivity_matrix(net, solved(net))
     cols = dg_columns(sens, net)
     assert cols.matrix.shape == (1, 0)
+    assert cols.angles.shape == (1, 0)
     assert cols.dg_ids == []
 
 
 @pytest.mark.parametrize("make", [lambda: load_network(FIXTURES / "net6.json"), synth30], ids=["net6", "synth30"])
 def test_blocks_are_the_inverse_of_a_freshly_built_jacobian(make):
-    # The Jacobian taken from a fresh Y-bus of the network, as sensitivities
-    # were once computed, inverts to the same bits as the solution's own.
+    # The VP and VQ columns of every bus, side by side, are the inverse of
+    # the Jacobian taken from a fresh Y-bus of the network, within rounding.
     net = make()
-    sol = solved(net)
+    assert_columns_invert_a_fresh_jacobian(net, solved(net))
+
+
+def assert_columns_invert_a_fresh_jacobian(net, sol):
     sens = compute_sensitivity_matrix(net, sol)
     ns = np.array([sol.index_of[b] for b in sens.bus_ids], dtype=int)
-    ybus = build_ybus(net, sol.index_of)
-    inv = np.linalg.inv(_jacobian(ybus, sol.v_mag, sol.v_ang, ns))
-    n1 = len(ns)
-    np.testing.assert_array_equal(sens.a_theta_p, inv[:n1, :n1])
-    np.testing.assert_array_equal(sens.a_theta_q, inv[:n1, n1:])
-    np.testing.assert_array_equal(sens.a_vp, inv[n1:, :n1])
-    np.testing.assert_array_equal(sens.a_vq, inv[n1:, n1:])
+    oracle = np.linalg.inv(_jacobian(build_ybus(net, sol.index_of), sol.v_mag, sol.v_ang, ns))
+    columns = np.hstack([sens.columns(mode, sens.bus_ids) for mode in (SensitivityMode.VP, SensitivityMode.VQ)])
+    bound = 1e-12 * np.max(np.abs(oracle))
+    assert np.max(np.abs(columns - oracle)) <= bound
+    return sens, bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(scale=st.floats(0.0, 3.0), mode=st.sampled_from(MODES))
+def test_columns_match_the_inverse_at_any_load(scale, mode):
+    net = synth30()
+    for b in net.buses:
+        b.p_load *= scale
+        b.q_load *= scale
+    sol = solve_power_flow(net, tolerance=TOLERANCE)
+    assume(sol.converged)
+    sens, bound = assert_columns_invert_a_fresh_jacobian(net, sol)
+    cols = dg_columns(sens, net, mode)
+    rows = [sens.row_of(net.dg_by_id(g).bus) for g in cols.dg_ids]
+    assert np.max(np.abs(cols.matrix - sens.voltage_block(mode)[:, rows])) <= bound
+
+
+def test_singular_jacobian_raises(monkeypatch):
+    net = synth30()
+    sens = compute_sensitivity_matrix(net, solved(net))
+    monkeypatch.setattr(PowerFlowSolution, "jacobian", lambda self: np.zeros((2 * len(sens.bus_ids),) * 2))
+    for mode in MODES:
+        with pytest.raises(SingularJacobianError):
+            sens.columns(mode, sens.bus_ids[:2])
+        with pytest.raises(SingularJacobianError):
+            dg_columns(sens, net, mode)
 
 
 def test_solve_and_linearize_build_the_ybus_once(monkeypatch):

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcomm import simulation
-from gridcomm.network import DG
-from gridcomm.sensitivity import SensitivityMode
+from gridcomm.network import DG, Branch, Bus, BusKind, NetworkModel, Transformer
+from gridcomm.partition import Partition
+from gridcomm.powerflow import solve_power_flow
+from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 from gridcomm.simulation import (
     AgentKind,
     Event,
@@ -195,6 +197,45 @@ def test_initialize_rejects_stale_sensitivities(net6):
     net6.buses[3].p_load += 0.05
     with pytest.raises(ValueError, match="does not solve"):
         initialize(net6, part, sens)
+
+
+def test_state_keeps_the_online_dg_columns_of_each_operating_point():
+    net = synth30()
+    part, sens = prepared(net)
+    state = initialize(net, part, sens, mode=SensitivityMode.VP)
+    expected = dg_columns(sens, net, SensitivityMode.VP, online_only=True)
+    np.testing.assert_array_equal(state.cols.matrix, expected.matrix)
+    np.testing.assert_array_equal(state.cols.angles, expected.angles)
+
+    step(state, [Event(0, EventKind.DG_TRIP, 21)])
+    assert state.cols.dg_ids == [d.id for d in net.dgs_sorted() if d.id != 21]
+    assert state.cols.matrix.shape == state.cols.angles.shape == (len(state.sens.bus_ids), len(net.dgs) - 1)
+    expected = dg_columns(state.sens, state.net, SensitivityMode.VP, online_only=True)
+    np.testing.assert_array_equal(state.cols.matrix, expected.matrix)
+
+
+def test_view_gives_a_slack_transformer_end_a_zero_angle_row():
+    # slack 0 -> transformer -> bus 1 (DG 1) -> feeder -> bus 2
+    net = NetworkModel(
+        s_base=10.0,
+        buses=[
+            Bus(0, BusKind.SLACK, 13.8),
+            Bus(1, BusKind.PQ, 0.48),
+            Bus(2, BusKind.PQ, 0.48, p_load=0.02, q_load=0.01),
+        ],
+        branches=[Branch(1, 2, 0.01, 0.04)],
+        transformers=[Transformer(0, 1, 0.01, 0.06)],
+        dgs=[DG(id=1, bus=1, p_out=0.01, q_out=0.01, p_surplus=0.05, q_surplus=0.05)],
+    )
+    sens = compute_sensitivity_matrix(net, solve_power_flow(net))
+    state = initialize(net, Partition({0: 0, 1: 0, 2: 0}, 1, 0.0), sens)
+    view = simulation._view(state, 0)
+    by_q = sens.columns(SensitivityMode.VQ, [1])
+    (t,) = view.transformers
+    assert t.label == "0->1"
+    np.testing.assert_array_equal(t.p_row, [0.0])
+    np.testing.assert_array_equal(t.s_row, by_q[sens.row_of(1)])
+    np.testing.assert_array_equal(view.v_sens, by_q[2:])
 
 
 # ------------------------------------------------------------ stepping
