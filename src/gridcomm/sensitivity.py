@@ -10,7 +10,9 @@ maps per-unit injection changes at non-slack buses to angle and voltage
 changes. ``SensitivityMatrix.columns`` solves for just the columns a caller
 reads; the inverse is never formed. Rows and columns follow the non-slack
 buses in network order, not their ids: ``bus_ids`` lists them and ``row``
-maps ids to them. ``pf`` is the flow whose ``jacobian()`` is solved.
+maps ids to them. ``pf`` is the flow whose Jacobian is solved, through the
+block LU it keeps (``pf.factor``), so every caller at one operating point
+shares one factorization.
 """
 
 from __future__ import annotations
@@ -44,13 +46,14 @@ class SensitivityMatrix:
     def columns(self, mode: SensitivityMode, bus_ids: list[int]) -> np.ndarray:
         """Responses to a unit injection of the mode's kind (P or Q) at each
         bus, one column per bus: angle rows, then voltage rows. Raises
-        SingularJacobianError if the Jacobian is singular."""
+        SingularJacobianError if the Jacobian, or a diagonal block of its
+        factor, is singular."""
         n1 = len(self.bus_ids)
         unit = np.zeros((2 * n1, len(bus_ids)))
         offset = n1 if mode is SensitivityMode.VQ else 0
         unit[[offset + self.row_of(b) for b in bus_ids], np.arange(len(bus_ids))] = 1.0
         try:
-            return np.linalg.solve(self.pf.jacobian(), unit)
+            return self.pf.factor.solve(unit)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(f"the power-flow Jacobian is singular at the solved point ({exc})") from exc
 

@@ -80,6 +80,14 @@ def synth30() -> NetworkModel:
     )
 
 
+def synth153() -> NetworkModel:
+    """153-bus meshed network whose Jacobian the power flow splits into
+    three blocks (84, 134 and 86 rows)."""
+    return generate_synthetic_network(
+        SynthSpec(n_feeders=2, n_transformers=8, grid_rows=12, grid_cols=12, n_loads=60, n_dgs=20, seed=0)
+    )
+
+
 def overvoltage30() -> NetworkModel:
     """synth30 with three DGs injecting enough reactive power to push their
     corner of the grid above 1.06 pu, violation confined to one region."""

@@ -8,6 +8,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from conftest import FIXTURES, trip_restore30, two_bus, write_scenario
 
 NET6 = FIXTURES / "net6.json"
 SYNTH30 = "feeders=2,transformers=4,rows=5,cols=5,loads=14,dgs=6"
+SYNTH153 = "feeders=2,transformers=8,rows=12,cols=12,loads=60,dgs=20"  # conftest.synth153
 
 
 def run_cli(capsys, *argv: str):
@@ -395,13 +399,15 @@ def test_sensitivity_nonconvergent_network_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["sensitivity", "partition"])
 def test_singular_jacobian_exits_3(tmp_path, capsys, monkeypatch, command):
-    # The flow converges; the sensitivity solve then meets a singular Jacobian.
+    # The flow converges; the sensitivity solve then meets a singular Jacobian,
+    # factored as one block (net6) or as three (SYNTH153).
     monkeypatch.setattr(PowerFlowSolution, "jacobian", lambda self: np.zeros((2 * len(self.non_slack_pos),) * 2))
-    code, stdout, stderr = run_cli(capsys, command, "--network", str(NET6), "--out", str(tmp_path / "o"))
-    assert code == 3
-    assert stdout == ""
-    assert stderr.startswith("error:")
-    assert "Jacobian is singular" in stderr
+    for source in (["--network", str(NET6)], ["--synth", SYNTH153]):
+        code, stdout, stderr = run_cli(capsys, command, *source, "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert "Jacobian is singular" in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +469,41 @@ def test_simulate_solves_initial_flow_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert stdout.startswith("violations:0 ")
     assert len(calls) == 1
+
+
+def test_simulate_factors_the_initial_jacobian_once(tmp_path, capsys, monkeypatch):
+    # Partitioning and the simulation's DG columns read the same operating
+    # point, so they share one factorization of its Jacobian. Every
+    # factorization at a solved point builds that Jacobian through
+    # PowerFlowSolution.jacobian, so its calls count them.
+    calls = []
+    real = PowerFlowSolution.jacobian
+    monkeypatch.setattr(PowerFlowSolution, "jacobian", lambda self: calls.append(self) or real(self))
+    scenario = write_scenario(tmp_path / "empty.json", [], duration=2)
+    code, stdout, _ = run_cli(
+        capsys, "simulate", "--synth", SYNTH30, "--scenario", str(scenario), "--out", str(tmp_path / "run")
+    )
+    assert code == 0
+    assert stdout.startswith("violations:0 ")
+    assert len(calls) == 1
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test extra, not a runtime dependency: partition and simulate
+    # on net6, in a fresh interpreter, must import no scipy module.
+    scenario = write_scenario(tmp_path / "one.json", [{"at_tick": 1, "kind": "dg_trip", "target": 1}], duration=3)
+    script = f"""
+import sys
+from gridcomm.cli import main
+assert main(["partition", "--network", {str(NET6)!r}, "--out", {str(tmp_path / "p")!r}]) == 0
+assert main(["simulate", "--network", {str(NET6)!r}, "--scenario", {str(scenario)!r}, "--out", {str(tmp_path / "s")!r}]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_simulate_unknown_dg_exits_2(tmp_path, capsys):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcomm import powerflow
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
-from gridcomm.powerflow import _jacobian, build_ybus, solve_power_flow
+from gridcomm.powerflow import SingularJacobianError, _jacobian, _pattern, build_ybus, solve_power_flow
 from gridcomm.sensitivity import compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
-from conftest import synth30, two_bus
+from conftest import synth153, synth30, two_bus
 
 
 def analytic_two_bus(p, q, x):
@@ -150,6 +151,45 @@ def test_solution_accessors():
         sens.row_of(0)  # the slack has no sensitivity row
 
 
+def zero_first_block_from(monkeypatch, first_call: int):
+    """From the given _jacobian call on (0 = the flat start), Newton sees
+    synth153's Jacobian with its first diagonal block zeroed."""
+    net = synth153()
+    block = solve_power_flow(net).blocks[0]
+    real, calls = powerflow._jacobian, []
+
+    def jacobian(*args):
+        jac = real(*args)
+        if len(calls) >= first_call:
+            jac[np.ix_(block, block)] = 0.0
+        calls.append(1)
+        return jac
+
+    monkeypatch.setattr(powerflow, "_jacobian", jacobian)
+    return net
+
+
+def test_singular_block_at_the_start_raises(monkeypatch):
+    net = zero_first_block_from(monkeypatch, 0)
+    with pytest.raises(SingularJacobianError):
+        solve_power_flow(net)
+
+
+def test_singular_block_mid_run_ends_unconverged(monkeypatch):
+    net = zero_first_block_from(monkeypatch, 1)
+    sol = solve_power_flow(net)
+    assert not sol.converged
+    assert sol.iterations == 1
+
+
+def test_bus_the_slack_does_not_reach_makes_the_jacobian_singular():
+    # An isolated bus has a zero Jacobian row; it must land in a block and
+    # raise, not be left out of the factor.
+    net = synth153()
+    net.buses.append(Bus(999, BusKind.PQ, 0.48))
+    with pytest.raises(SingularJacobianError):
+        solve_power_flow(net)
+
 
 # ---------------------------------------------------------------------------
 # the Jacobian against the textbook polar form
@@ -199,7 +239,7 @@ def test_jacobian_matches_trig_form_off_the_solution(v, th, taps, shifts):
         t.tap, t.phase_shift = float(tap), float(shift)
     ybus = build_ybus(net, index_map(net))
     ns = np.array([i for i, b in enumerate(net.buses) if b.kind is not BusKind.SLACK])
-    new, oracle = _jacobian(ybus, v, th, ns), trig_jacobian(ybus, v, th, ns)
+    new, oracle = _jacobian(ybus, v, th, ns, _pattern(ybus != 0, ns)), trig_jacobian(ybus, v, th, ns)
     assert new.shape == oracle.shape == (2 * (N - 1), 2 * (N - 1))
     assert np.max(np.abs(new - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 

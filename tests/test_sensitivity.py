@@ -7,11 +7,21 @@ from hypothesis import strategies as st
 
 from gridcomm.network import DG
 from gridcomm.network_io import load_network
-from gridcomm.powerflow import PowerFlowSolution, SingularJacobianError, _jacobian, build_ybus, solve_power_flow
+from gridcomm.powerflow import (
+    BlockLU,
+    PowerFlowSolution,
+    SingularJacobianError,
+    _injections,
+    _jacobian,
+    _mismatch,
+    _pattern,
+    build_ybus,
+    solve_power_flow,
+)
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
-from conftest import FIXTURES, count_ybus_builds, synth30, two_bus
+from conftest import FIXTURES, count_ybus_builds, synth30, synth153, two_bus
 
 
 TOLERANCE = 1e-12
@@ -160,7 +170,8 @@ def test_blocks_are_the_inverse_of_a_freshly_built_jacobian(make):
 def assert_columns_invert_a_fresh_jacobian(net, sol):
     sens = compute_sensitivity_matrix(net, sol)
     ns = np.array([sol.index_of[b] for b in sens.bus_ids], dtype=int)
-    oracle = np.linalg.inv(_jacobian(build_ybus(net, sol.index_of), sol.v_mag, sol.v_ang, ns))
+    ybus = build_ybus(net, sol.index_of)
+    oracle = np.linalg.inv(_jacobian(ybus, sol.v_mag, sol.v_ang, ns, _pattern(ybus != 0, ns)))
     columns = np.hstack([sens.columns(mode, sens.bus_ids) for mode in (SensitivityMode.VP, SensitivityMode.VQ)])
     bound = 1e-12 * np.max(np.abs(oracle))
     assert np.max(np.abs(columns - oracle)) <= bound
@@ -183,14 +194,71 @@ def test_columns_match_the_inverse_at_any_load(scale, mode):
 
 
 def test_singular_jacobian_raises(monkeypatch):
-    net = synth30()
-    sens = compute_sensitivity_matrix(net, solved(net))
-    monkeypatch.setattr(PowerFlowSolution, "jacobian", lambda self: np.zeros((2 * len(sens.bus_ids),) * 2))
-    for mode in MODES:
-        with pytest.raises(SingularJacobianError):
-            sens.columns(mode, sens.bus_ids[:2])
-        with pytest.raises(SingularJacobianError):
-            dg_columns(sens, net, mode)
+    # One block (synth30) and three (synth153): a zero Jacobian raises, it
+    # never yields NaN columns.
+    cases = [(net, compute_sensitivity_matrix(net, solved(net))) for net in (synth30(), synth153())]
+    assert [len(sens.pf.blocks) for _, sens in cases] == [1, 3]
+    monkeypatch.setattr(PowerFlowSolution, "jacobian", lambda self: np.zeros((2 * len(self.non_slack_pos),) * 2))
+    for net, sens in cases:
+        for mode in MODES:
+            with pytest.raises(SingularJacobianError):
+                sens.columns(mode, sens.bus_ids[:2])
+            with pytest.raises(SingularJacobianError):
+                dg_columns(sens, net, mode)
+
+
+# ---------------------------------------------------------------------------
+# the block LU against the dense solve, on a network of several blocks
+
+
+SYNTH153 = synth153()
+
+
+def flat_start(net, sol):
+    """The first Newton step's Jacobian and mismatch, at sol's flat start."""
+    v, th = np.ones(len(sol.bus_ids)), np.zeros(len(sol.bus_ids))
+    v[sol.slack_index], th[sol.slack_index] = net.slack_bus.v_mag, net.slack_bus.v_ang
+    ns, s_spec = sol.non_slack_pos, _injections(net, sol.index_of)
+    return _jacobian(sol.ybus, v, th, ns, sol.pattern), _mismatch(sol.ybus, s_spec, v, th, ns)
+
+
+def within(x, oracle):
+    return np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@settings(max_examples=25, deadline=None)
+@given(scale=st.floats(0.0, 2.5), mode=st.sampled_from(MODES), picks=st.lists(st.integers(0, 151), max_size=8))
+def test_block_lu_matches_the_dense_solve_on_several_blocks(scale, mode, picks):
+    net = copy.deepcopy(SYNTH153)
+    for b in net.buses:
+        b.p_load *= scale
+        b.q_load *= scale
+    sol = solve_power_flow(net, tolerance=TOLERANCE)
+    assume(sol.converged)
+    jac = sol.jacobian()
+    n_rows = len(jac)
+    assert len(sol.blocks) >= 2
+
+    # The blocks partition the rows, and the Jacobian lies within their band.
+    rows = np.concatenate(sol.blocks)
+    assert np.array_equal(np.sort(rows), np.arange(n_rows))
+    block_of = np.empty(n_rows, dtype=int)
+    for k, b in enumerate(sol.blocks):
+        block_of[b] = k
+    outside = np.abs(block_of[:, None] - block_of[None, :]) > 1
+    assert np.all(jac[outside] == 0.0)
+
+    # Sensitivity columns against the dense solve of the same Jacobian.
+    sens = compute_sensitivity_matrix(net, sol)
+    buses = [sens.bus_ids[i] for i in picks] or sens.bus_ids
+    unit = np.zeros((n_rows, len(buses)))
+    offset = n_rows // 2 if mode is SensitivityMode.VQ else 0
+    unit[[offset + sens.row_of(b) for b in buses], np.arange(len(buses))] = 1.0
+    assert within(sens.columns(mode, buses), np.linalg.solve(jac, unit))
+
+    # The first Newton step against the dense solve.
+    jac0, mis0 = flat_start(net, sol)
+    assert within(BlockLU(jac0, sol.blocks).solve(mis0), np.linalg.solve(jac0, mis0))
 
 
 def test_solve_and_linearize_build_the_ybus_once(monkeypatch):
