@@ -33,9 +33,27 @@ Matrix Computations, 4.5) is
 with every G_k taken by a solve, never an explicit inverse; a solve is a
 forward sweep with the G_k and a back sweep of solves with the D'_k. A
 network of fewer than BLOCK_ROWS non-slack buses is one block in natural
-order, where this is plain ``np.linalg.solve``. The solution keeps its blocks and, from
-its first use, the factor at the solved point, so every sensitivity taken
-at that point shares one factorization.
+order, where this is plain ``np.linalg.solve``.
+
+The Jacobian values are written straight into the blocks: one flat buffer
+holds, block row after block row, L_k, D_k and U_k, each in C order, and
+the buffer position of every value is computed once per Y-bus. No dense
+Jacobian is formed on the solve path; ``jacobian()`` fills one from the
+same values, for the tests.
+
+The Jacobian depends on the Y-bus and the voltages only: the injections
+enter the mismatch, never its derivatives. At the flat start (1.0 pu, 0
+rad; the slack at its own v_mag/v_ang) the voltages depend on the slack
+alone, so the flat-start Jacobian and its factor belong to the grid, not
+to the operating point. ``GridStructure`` holds what depends on the grid
+only: bus order, Y-bus, pattern, blocks, buffer layout and, from its first
+use, the flat-start factor. Each flow keeps its structure, and a re-solve
+given an earlier flow reuses that flow's structure when the freshly built
+Y-bus, the bus ids and the slack's position and voltage are all unchanged
+(a load step, a DG trip); otherwise it builds a new one. The result is the
+same bit for bit either way. The solution also keeps, from its first use,
+the factor at the solved point, so every sensitivity taken at that point
+shares one factorization.
 """
 
 from __future__ import annotations
@@ -45,7 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import BusKind, NetworkModel
+from .network import NetworkModel
 
 
 class SingularJacobianError(RuntimeError):
@@ -73,48 +91,127 @@ def lookup(index: dict[int, int], bus_id: int) -> int:
         raise ValueError(f"unknown bus id {bus_id}") from None
 
 
-@dataclass
-class PowerFlowSolution:
-    """Bus voltages at a solved (or abandoned) operating point, with the
-    tolerance and the Y-bus it was solved with.
+@dataclass(frozen=True, eq=False)
+class GridStructure:
+    """What a solve takes from the grid and not from its injections (module
+    docstring). Immutable, so flows and their deep copies share one.
 
-    v_mag/v_ang are indexed by position in NetworkModel.buses; bus_ids maps
-    positions back to ids and index_of ids to positions. non_slack_pos
-    holds the non-slack positions, the row and column order of
-    ``jacobian()``; pattern the nonzeros of the Y-bus among them and blocks
-    the Jacobian rows of each diagonal block, in elimination order.
+    index_of maps bus ids to positions in bus_ids. non_slack_pos holds the
+    non-slack positions, the row and column order of the Jacobian; pattern
+    the nonzeros of the Y-bus among them and blocks the Jacobian rows of
+    each diagonal block, in elimination order. position is where each of
+    ``_jacobian_values`` lands in the block buffer, and spans the (start,
+    rows, columns) there of every L_k, every D_k and every U_k.
     """
 
     bus_ids: list[int]
     index_of: dict[int, int]
+    slack_index: int
+    slack_v: tuple[float, float]  # the slack's v_mag and v_ang
+    ybus: np.ndarray
+    non_slack_pos: np.ndarray
+    pattern: tuple[np.ndarray, np.ndarray]
+    blocks: list[np.ndarray]
+    position: np.ndarray
+    spans: tuple[list, list, list]
+    size: int  # of the block buffer
+
+    @classmethod
+    def build(
+        cls,
+        bus_ids: list[int],
+        index_of: dict[int, int],
+        slack_index: int,
+        slack_v: tuple[float, float],
+        ybus: np.ndarray,
+    ) -> GridStructure:
+        """The structure of these buses, slack and Y-bus; the arrays it keeps
+        (ybus among them) are made read-only."""
+        ns = np.array([i for i in range(len(bus_ids)) if i != slack_index], dtype=int)
+        linked = ybus != 0
+        pattern = _pattern(linked, ns)
+        blocks = _blocks(linked, slack_index, ns)
+        position, spans, size = _layout(blocks, pattern, len(ns))
+        for a in (ybus, ns, *pattern, *blocks, position):
+            a.flags.writeable = False
+        return cls(bus_ids, index_of, slack_index, slack_v, ybus, ns, pattern, blocks, position, spans, size)
+
+    def __deepcopy__(self, memo) -> GridStructure:
+        return self
+
+    def fits(self, bus_ids: list[int], slack_index: int, slack_v: tuple[float, float], ybus: np.ndarray) -> bool:
+        """Whether a network with these buses, slack and Y-bus has this structure."""
+        same = (self.bus_ids, self.slack_index, self.slack_v) == (bus_ids, slack_index, slack_v)
+        return same and np.array_equal(self.ybus, ybus)
+
+    def flat_start(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh v_mag, v_ang arrays at the flat start."""
+        v = np.ones(len(self.bus_ids))
+        th = np.zeros(len(self.bus_ids))
+        v[self.slack_index], th[self.slack_index] = self.slack_v
+        return v, th
+
+    def factor(self, v: np.ndarray, th: np.ndarray) -> BlockLU:
+        """The block LU of the Jacobian at v, th; LinAlgError if a diagonal
+        block is singular."""
+        buf = np.zeros(self.size)
+        buf[self.position] = _jacobian_values(self.ybus, v, th, self.non_slack_pos, self.pattern)
+        l, d, u = ([buf[s : s + r * c].reshape(r, c) for s, r, c in side] for side in self.spans)
+        return BlockLU(self.blocks, d, l, u)
+
+    @cached_property
+    def flat_factor(self) -> BlockLU:
+        """``factor`` at the flat start, computed on first use and kept."""
+        return self.factor(*self.flat_start())
+
+
+@dataclass
+class PowerFlowSolution:
+    """Bus voltages at a solved (or abandoned) operating point, with the
+    tolerance and the grid structure it was solved with.
+
+    v_mag/v_ang are indexed by position in NetworkModel.buses; bus_ids maps
+    positions back to ids and index_of ids to positions.
+    """
+
+    grid: GridStructure
     v_mag: np.ndarray
     v_ang: np.ndarray
     converged: bool
     iterations: int
     max_mismatch: float
     tolerance: float
-    ybus: np.ndarray
-    slack_index: int
-    non_slack_pos: np.ndarray
-    pattern: tuple[np.ndarray, np.ndarray]
-    blocks: list[np.ndarray]
+
+    @property
+    def bus_ids(self) -> list[int]:
+        return self.grid.bus_ids
+
+    @property
+    def index_of(self) -> dict[int, int]:
+        return self.grid.index_of
+
+    @property
+    def slack_index(self) -> int:
+        return self.grid.slack_index
 
     @property
     def non_slack(self) -> list[int]:
-        return [self.bus_ids[i] for i in self.non_slack_pos]
+        return [self.bus_ids[i] for i in self.grid.non_slack_pos]
 
     def v_of(self, bus_id: int) -> float:
         return float(self.v_mag[lookup(self.index_of, bus_id)])
 
     def jacobian(self) -> np.ndarray:
-        """The Newton Jacobian at these voltages, built as the solve builds it."""
-        return _jacobian(self.ybus, self.v_mag, self.v_ang, self.non_slack_pos, self.pattern)
+        """The dense Newton Jacobian at these voltages, from the values the
+        solve scatters into its blocks."""
+        g = self.grid
+        return _jacobian(g.ybus, self.v_mag, self.v_ang, g.non_slack_pos, g.pattern)
 
     @cached_property
     def factor(self) -> BlockLU:
-        """The block LU of ``jacobian()``, computed on first use and kept;
-        LinAlgError if a diagonal block is singular."""
-        return BlockLU(self.jacobian(), self.blocks)
+        """The block LU of the Jacobian at these voltages, computed on first
+        use and kept; LinAlgError if a diagonal block is singular."""
+        return self.grid.factor(self.v_mag, self.v_ang)
 
     def solves(self, net: NetworkModel) -> bool:
         """Whether these voltages solve net's current injections within the
@@ -122,7 +219,7 @@ class PowerFlowSolution:
         if self.bus_ids != [b.id for b in net.buses]:
             return False
         ybus = build_ybus(net, self.index_of)
-        mis = _mismatch(ybus, _injections(net, self.index_of), self.v_mag, self.v_ang, self.non_slack_pos)
+        mis = _mismatch(ybus, _injections(net, self.index_of), self.v_mag, self.v_ang, self.grid.non_slack_pos)
         return bool(np.max(np.abs(mis)) <= self.tolerance)
 
 
@@ -181,10 +278,11 @@ def _pattern(linked: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.nonzero(nz)
 
 
-def _jacobian(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray, pattern: tuple) -> np.ndarray:
-    """The polar Jacobian on the non-slack rows and columns, from the complex
-    derivatives dS/dtheta and dS/d|V| (module docstring), evaluated only at
-    pattern, with the expressions of the dense matrix form term by term."""
+def _jacobian_values(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray, pattern: tuple) -> np.ndarray:
+    """The polar Jacobian's values at pattern on the non-slack rows and
+    columns, from the complex derivatives dS/dtheta and dS/d|V| (module
+    docstring) with the expressions of the dense matrix form term by term:
+    dP/dtheta, dP/d|V|, dQ/dtheta, then dQ/d|V|, each in pattern order."""
     vc = v * np.exp(1j * th)
     i = (ybus @ vc)[ns]
     vs, unit = vc[ns], np.exp(1j * th[ns])  # V and V/|V| on the non-slack buses
@@ -193,10 +291,21 @@ def _jacobian(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray, p
     on_diag = r == c
     dth = 1j * vs[r] * np.conj(np.where(on_diag, i[r], 0) - y * vs[c])
     dv = vs[r] * np.conj(y * unit[c]) + np.where(on_diag, (np.conj(i) * unit)[r], 0)
+    return np.concatenate([dth.real, dv.real, dth.imag, dv.imag])
+
+
+def _entries(pattern: tuple, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian rows and columns of the ``_jacobian_values`` entries."""
+    r, c = pattern
+    return np.concatenate([r, r, r + n1, r + n1]), np.concatenate([c, c + n1, c, c + n1])
+
+
+def _jacobian(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray, pattern: tuple) -> np.ndarray:
+    """The dense polar Jacobian on the non-slack rows and columns: zero but
+    for ``_jacobian_values`` at pattern."""
     n1 = len(ns)
     jac = np.zeros((2 * n1, 2 * n1))
-    jac[r, c], jac[r, c + n1] = dth.real, dv.real
-    jac[r + n1, c], jac[r + n1, c + n1] = dth.imag, dv.imag
+    jac[_entries(pattern, n1)] = _jacobian_values(ybus, v, th, ns, pattern)
     return jac
 
 
@@ -226,23 +335,49 @@ def _blocks(linked: np.ndarray, slack_idx: int, ns: np.ndarray) -> list[np.ndarr
     return [np.concatenate([g, g + len(ns)]) for g in map(np.sort, groups)]
 
 
+def _layout(blocks: list[np.ndarray], pattern: tuple, n1: int) -> tuple[np.ndarray, tuple, int]:
+    """The block buffer's layout: block row k holds L_k (if k > 0), D_k and
+    U_k (if k < last), each C-ordered, one after the other. Returns the
+    buffer position of every ``_jacobian_values`` entry, the (start, rows,
+    columns) of the L_k, of the D_k and of the U_k, and the buffer size."""
+    sizes = [len(b) for b in blocks]
+    block_of = np.empty(2 * n1, dtype=int)
+    local = np.empty(2 * n1, dtype=int)  # row within its block
+    for k, rows in enumerate(blocks):
+        block_of[rows] = k
+        local[rows] = np.arange(len(rows))
+    start = np.zeros((len(blocks), 3), dtype=int)  # of L_k, D_k, U_k
+    spans: tuple[list, list, list] = ([], [], [])
+    size = 0
+    for k, n in enumerate(sizes):
+        for side in (0, 1, 2):
+            if 0 <= k + side - 1 < len(blocks):
+                cols = sizes[k + side - 1]
+                start[k, side] = size
+                spans[side].append((size, n, cols))
+                size += n * cols
+    r, c = _entries(pattern, n1)
+    kr, kc = block_of[r], block_of[c]
+    position = start[kr, kc - kr + 1] + local[r] * np.take(sizes, kc) + local[c]
+    return position, spans, size
+
+
 class BlockLU:
-    """Block LU of a block-tridiagonal matrix over given diagonal blocks
-    (module docstring); holds numpy arrays only. Raises LinAlgError when a
-    diagonal block D'_k it solves with is singular."""
+    """Block LU of a block-tridiagonal matrix (module docstring), from its
+    diagonal blocks d (D_k), the blocks below them l (L_k, k >= 2) and the
+    blocks above them u (U_k, k < last), blocks the matrix rows of each.
+    Holds compact numpy arrays only, never views of the blocks given.
+    Raises LinAlgError when a diagonal block D'_k it solves with is
+    singular."""
 
-    def __init__(self, jac: np.ndarray, blocks: list[np.ndarray]):
-        def block(rows, cols):  # two takes copy faster than np.ix_ indexing
-            return jac.take(rows, axis=0).take(cols, axis=1)
-
+    def __init__(self, blocks: list[np.ndarray], d: list, l: list, u: list):
         self.blocks = blocks
-        self.d = [block(blocks[0], blocks[0])]  # D'_k
+        self.d = [d[0].copy()]  # D'_k
         self.g: list[np.ndarray] = []  # G_k, k >= 2
-        self.u: list[np.ndarray] = []  # U_k, k < last
-        for prev, rows in zip(blocks, blocks[1:]):
-            self.u.append(block(prev, rows))
-            self.g.append(np.linalg.solve(self.d[-1].T, block(rows, prev).T).T)
-            self.d.append(block(rows, rows) - self.g[-1] @ self.u[-1])
+        self.u = [uk.copy() for uk in u]  # U_k, k < last
+        for dk, lk, uk in zip(d[1:], l, self.u):
+            self.g.append(np.linalg.solve(self.d[-1].T, lk.T).T)
+            self.d.append(dk - self.g[-1] @ uk)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with matrix @ x = b, for a vector or a matrix of columns b."""
@@ -258,10 +393,16 @@ class BlockLU:
         return x
 
 
-def solve_power_flow(net: NetworkModel, tolerance: float = 1e-8) -> PowerFlowSolution:
+def solve_power_flow(
+    net: NetworkModel, tolerance: float = 1e-8, previous: PowerFlowSolution | None = None
+) -> PowerFlowSolution:
     """Newton-Raphson solve from a flat start (1.0 pu, 0 rad; the slack at
     its own v_mag/v_ang) until the largest mismatch is within tolerance;
     deterministic for a fixed network and tolerance.
+
+    previous, a flow of an earlier state of net, lends its grid structure
+    (and so its flat-start factor) when net's Y-bus, bus ids and slack are
+    unchanged (module docstring); the result is the same without it.
 
     Non-convergence within MAX_ITER (or a diverging iterate) returns a
     solution flagged converged=False. A singular Jacobian, or a singular
@@ -271,21 +412,17 @@ def solve_power_flow(net: NetworkModel, tolerance: float = 1e-8) -> PowerFlowSol
     """
     bus_ids = [b.id for b in net.buses]
     index_of = {bid: i for i, bid in enumerate(bus_ids)}
-    slack_idx = index_of[net.slack_bus.id]
-    ns = np.array([i for i in range(len(bus_ids)) if i != slack_idx], dtype=int)
-
     ybus = build_ybus(net, index_of)
-    s_spec = _injections(net, index_of)
-    linked = ybus != 0
-    pattern = _pattern(linked, ns)
-    blocks = _blocks(linked, slack_idx, ns)
+    slack_index, slack_v = index_of[net.slack_bus.id], (net.slack_bus.v_mag, net.slack_bus.v_ang)
+    if previous is not None and previous.grid.fits(bus_ids, slack_index, slack_v, ybus):
+        grid = previous.grid
+    else:
+        grid = GridStructure.build(bus_ids, index_of, slack_index, slack_v, ybus)
+    ns = grid.non_slack_pos
+    s_spec = _injections(net, grid.index_of)
 
-    v = np.ones(len(bus_ids))
-    th = np.zeros(len(bus_ids))
-    v[slack_idx] = net.slack_bus.v_mag
-    th[slack_idx] = net.slack_bus.v_ang
-
-    mis = _mismatch(ybus, s_spec, v, th, ns)
+    v, th = grid.flat_start()
+    mis = _mismatch(grid.ybus, s_spec, v, th, ns)
     it = 0
     diverged = False
     while it < MAX_ITER:
@@ -294,9 +431,8 @@ def solve_power_flow(net: NetworkModel, tolerance: float = 1e-8) -> PowerFlowSol
             break
         if np.max(np.abs(mis)) <= tolerance:
             break
-        jac = _jacobian(ybus, v, th, ns, pattern)
         try:
-            dx = BlockLU(jac, blocks).solve(mis)
+            dx = (grid.flat_factor if it == 0 else grid.factor(v, th)).solve(mis)
         except np.linalg.LinAlgError as exc:
             if it == 0:
                 raise SingularJacobianError(str(exc)) from exc
@@ -309,22 +445,16 @@ def solve_power_flow(net: NetworkModel, tolerance: float = 1e-8) -> PowerFlowSol
         if np.any(v[ns] <= 1e-6) or not np.all(np.isfinite(v[ns])):
             diverged = True
             break
-        mis = _mismatch(ybus, s_spec, v, th, ns)
+        mis = _mismatch(grid.ybus, s_spec, v, th, ns)
 
     max_mis = float(np.max(np.abs(mis))) if np.all(np.isfinite(mis)) else float("inf")
     converged = (not diverged) and max_mis <= tolerance
     return PowerFlowSolution(
-        bus_ids=bus_ids,
-        index_of=index_of,
+        grid=grid,
         v_mag=v,
         v_ang=th,
         converged=converged,
         iterations=it,
         max_mismatch=max_mis,
         tolerance=tolerance,
-        ybus=ybus,
-        slack_index=slack_idx,
-        non_slack_pos=ns,
-        pattern=pattern,
-        blocks=blocks,
     )

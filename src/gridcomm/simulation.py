@@ -379,7 +379,9 @@ def self_organize(state: SimulationState, community: int) -> None:
 
 
 def _resolve(state: SimulationState, why: str) -> None:
-    pf = solve_power_flow(state.net, state.pf.tolerance)
+    """Re-solve the flow of state.net, from the current flow's grid structure
+    where the grid is unchanged, and take the sensitivities there."""
+    pf = solve_power_flow(state.net, state.pf.tolerance, previous=state.pf)
     if not pf.converged:
         raise SimulationDiverged(f"power flow diverged after {why} at tick {state.tick}", state)
     state.sens = compute_sensitivity_matrix(state.net, pf)

@@ -18,7 +18,7 @@ from gridcomm import powerflow
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel
 from gridcomm.network_io import load_network
 from gridcomm.partition import Partition, WeightedGraph, modularity, partition_network
-from gridcomm.powerflow import solve_power_flow
+from gridcomm.powerflow import BlockLU, GridStructure, PowerFlowSolution, solve_power_flow
 from gridcomm.sensitivity import compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
@@ -40,6 +40,50 @@ def count_ybus_builds(monkeypatch) -> list:
             monkeypatch.setattr(module, "build_ybus", counted)
     return calls
 
+
+
+def sliced_block_lu(jac: np.ndarray, blocks: list[np.ndarray]) -> BlockLU:
+    """The block LU of a dense matrix over the given diagonal blocks, its
+    D_k, L_k and U_k sliced out of it: the oracle of the scattered blocks."""
+    pairs = list(zip(blocks, blocks[1:]))
+    return BlockLU(
+        blocks,
+        [jac[np.ix_(b, b)] for b in blocks],
+        [jac[np.ix_(b, a)] for a, b in pairs],
+        [jac[np.ix_(a, b)] for a, b in pairs],
+    )
+
+
+def singular_kept_factors(monkeypatch) -> None:
+    """Every flow's kept factor (PowerFlowSolution.factor) becomes the block
+    LU of a zero Jacobian over the flow's own blocks; Newton is untouched."""
+
+    def zero(self):
+        n = 2 * len(self.grid.non_slack_pos)
+        return sliced_block_lu(np.zeros((n, n)), self.grid.blocks)
+
+    monkeypatch.setattr(PowerFlowSolution, "factor", property(zero))
+
+
+def record_factorizations(monkeypatch) -> list[bytes]:
+    """Record the operating point (v_mag and v_ang bytes) of every
+    GridStructure.factor call: every Jacobian factorization, in Newton,
+    at the flat start and at a solved point."""
+    real = GridStructure.factor
+    points: list[bytes] = []
+
+    def recorded(self, v, th):
+        points.append(v.tobytes() + th.tobytes())
+        return real(self, v, th)
+
+    monkeypatch.setattr(GridStructure, "factor", recorded)
+    return points
+
+
+def flat_start_point(grid: GridStructure) -> bytes:
+    """The flat start of grid, as record_factorizations records it."""
+    v, th = grid.flat_start()
+    return v.tobytes() + th.tobytes()
 
 def prepared(net: NetworkModel, tolerance: float = 1e-10):
     """Solve, differentiate and partition a network for simulation entry."""
@@ -85,6 +129,20 @@ def synth153() -> NetworkModel:
     three blocks (84, 134 and 86 rows)."""
     return generate_synthetic_network(
         SynthSpec(n_feeders=2, n_transformers=8, grid_rows=12, grid_cols=12, n_loads=60, n_dgs=20, seed=0)
+    )
+
+
+def ladder238() -> NetworkModel:
+    """The benchmark's 238-bus ladder at generator seed 0, loads as generated."""
+    return generate_synthetic_network(
+        SynthSpec(n_feeders=2, n_transformers=12, grid_rows=15, grid_cols=15, n_loads=120, n_dgs=40, seed=0)
+    )
+
+
+def ladder417() -> NetworkModel:
+    """The benchmark's 417-bus ladder at generator seed 0."""
+    return generate_synthetic_network(
+        SynthSpec(n_feeders=2, n_transformers=16, grid_rows=20, grid_cols=20, n_loads=200, n_dgs=60, seed=0)
     )
 
 

@@ -14,7 +14,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,10 +21,18 @@ from hypothesis import strategies as st
 from gridcomm import cli, simulation
 from gridcomm.cli import main
 from gridcomm.network_io import save_network
-from gridcomm.powerflow import PowerFlowSolution, solve_power_flow
+from gridcomm.powerflow import solve_power_flow
 from gridcomm.simulation import EventKind
 
-from conftest import FIXTURES, trip_restore30, two_bus, write_scenario
+from conftest import (
+    FIXTURES,
+    flat_start_point,
+    record_factorizations,
+    singular_kept_factors,
+    trip_restore30,
+    two_bus,
+    write_scenario,
+)
 
 NET6 = FIXTURES / "net6.json"
 SYNTH30 = "feeders=2,transformers=4,rows=5,cols=5,loads=14,dgs=6"
@@ -401,7 +408,7 @@ def test_sensitivity_nonconvergent_network_exits_3(tmp_path, capsys):
 def test_singular_jacobian_exits_3(tmp_path, capsys, monkeypatch, command):
     # The flow converges; the sensitivity solve then meets a singular Jacobian,
     # factored as one block (net6) or as three (SYNTH153).
-    monkeypatch.setattr(PowerFlowSolution, "jacobian", lambda self: np.zeros((2 * len(self.non_slack_pos),) * 2))
+    singular_kept_factors(monkeypatch)
     for source in (["--network", str(NET6)], ["--synth", SYNTH153]):
         code, stdout, stderr = run_cli(capsys, command, *source, "--out", str(tmp_path / "o"))
         assert code == 3
@@ -474,18 +481,58 @@ def test_simulate_solves_initial_flow_once(tmp_path, capsys, monkeypatch):
 def test_simulate_factors_the_initial_jacobian_once(tmp_path, capsys, monkeypatch):
     # Partitioning and the simulation's DG columns read the same operating
     # point, so they share one factorization of its Jacobian. Every
-    # factorization at a solved point builds that Jacobian through
-    # PowerFlowSolution.jacobian, so its calls count them.
-    calls = []
-    real = PowerFlowSolution.jacobian
-    monkeypatch.setattr(PowerFlowSolution, "jacobian", lambda self: calls.append(self) or real(self))
+    # factorization goes through GridStructure.factor, so its calls at the
+    # solved point count them.
+    points = record_factorizations(monkeypatch)
+    flows = []
+    real = cli.solve_power_flow
+    monkeypatch.setattr(cli, "solve_power_flow", lambda *a, **k: flows.append(real(*a, **k)) or flows[-1])
     scenario = write_scenario(tmp_path / "empty.json", [], duration=2)
     code, stdout, _ = run_cli(
         capsys, "simulate", "--synth", SYNTH30, "--scenario", str(scenario), "--out", str(tmp_path / "run")
     )
     assert code == 0
     assert stdout.startswith("violations:0 ")
-    assert len(calls) == 1
+    assert len(flows) == 1
+    assert points.count(flows[0].v_mag.tobytes() + flows[0].v_ang.tobytes()) == 1
+    assert points.count(flat_start_point(flows[0].grid)) == 1
+
+
+def test_simulate_reuses_the_grid_structure(tmp_path, capsys, monkeypatch):
+    # Trips, restores and load steps leave the Y-bus as it is, so every
+    # re-solve reuses the grid structure of the flow before it and the
+    # run factors the flat-start Jacobian once; with the reuse forced off
+    # each re-solve factors it again, and the report is the same bytes.
+    events = [
+        {"at_tick": 1, "kind": "dg_trip", "target": 16},
+        {"at_tick": 2, "kind": "load_change", "target": 20, "magnitude": 0.6},
+        {"at_tick": 3, "kind": "load_change", "target": 34, "magnitude": 0.6},
+        {"at_tick": 4, "kind": "dg_restore", "target": 16},
+    ]
+    scenario = write_scenario(tmp_path / "storm.json", events, duration=6)
+    real = simulation.solve_power_flow
+    runs = {}
+    for reuse in (True, False):
+        out = tmp_path / f"reuse{int(reuse)}"
+        with monkeypatch.context() as m:
+            points = record_factorizations(m)
+            resolves = []
+
+            def solve(net, tolerance, previous=None):
+                resolves.append(previous.grid)
+                return real(net, tolerance, previous=previous if reuse else None)
+
+            m.setattr(simulation, "solve_power_flow", solve)
+            argv = ["simulate", "--synth", SYNTH153, "--scenario", str(scenario), "--out", str(out)]
+            code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "actions:2" in stdout
+        assert len(resolves) >= 5  # four events, and a re-solve after each control action
+        flat = flat_start_point(resolves[0])
+        assert points.count(flat) == (1 if reuse else 1 + len(resolves))
+        runs[reuse] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert runs[True] == runs[False]
+    assert "voltages.csv" in runs[True]
 
 
 def test_runtime_imports_no_scipy(tmp_path):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from gridcomm import powerflow
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
 from gridcomm.powerflow import SingularJacobianError, _jacobian, _pattern, build_ybus, solve_power_flow
-from gridcomm.sensitivity import compute_sensitivity_matrix
+from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
-from conftest import synth153, synth30, two_bus
+from conftest import ladder238, ladder417, sliced_block_lu, synth153, synth30, two_bus
 
 
 def analytic_two_bus(p, q, x):
@@ -152,20 +152,24 @@ def test_solution_accessors():
 
 
 def zero_first_block_from(monkeypatch, first_call: int):
-    """From the given _jacobian call on (0 = the flat start), Newton sees
-    synth153's Jacobian with its first diagonal block zeroed."""
+    """From the given _jacobian_values call on (0 = the flat start), Newton
+    sees synth153's Jacobian with its first diagonal block zeroed."""
     net = synth153()
-    block = solve_power_flow(net).blocks[0]
-    real, calls = powerflow._jacobian, []
+    grid = solve_power_flow(net).grid
+    first = np.zeros(len(grid.non_slack_pos), dtype=bool)
+    first[grid.blocks[0] % len(first)] = True  # the buses of its P and Q rows
+    r, c = grid.pattern
+    in_block = np.tile(first[r] & first[c], 4)  # in each of the four quadrants
+    real, calls = powerflow._jacobian_values, []
 
-    def jacobian(*args):
-        jac = real(*args)
+    def values(*args):
+        vals = real(*args)
         if len(calls) >= first_call:
-            jac[np.ix_(block, block)] = 0.0
+            vals[in_block] = 0.0
         calls.append(1)
-        return jac
+        return vals
 
-    monkeypatch.setattr(powerflow, "_jacobian", jacobian)
+    monkeypatch.setattr(powerflow, "_jacobian_values", values)
     return net
 
 
@@ -243,3 +247,140 @@ def test_jacobian_matches_trig_form_off_the_solution(v, th, taps, shifts):
     assert new.shape == oracle.shape == (2 * (N - 1), 2 * (N - 1))
     assert np.max(np.abs(new - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
+
+
+# ---------------------------------------------------------------------------
+# the scattered blocks against slices of the dense Jacobian
+
+
+def same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit, shape included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def solved_with_columns(net):
+    sol = solve_power_flow(net, tolerance=1e-10)
+    assert sol.converged
+    sens = compute_sensitivity_matrix(net, sol)
+    cols = [sens.columns(mode, sens.bus_ids) for mode in SensitivityMode]
+    return sol, cols
+
+
+LADDERS = [synth153, ladder238, ladder417]
+
+
+@pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
+def test_scattered_blocks_are_slices_of_the_dense_jacobian(make, monkeypatch):
+    net = make()
+    sol = solve_power_flow(net, tolerance=1e-10)
+    grid = sol.grid
+    assert len(grid.blocks) >= 3
+    scattered = []
+    monkeypatch.setattr(powerflow, "BlockLU", lambda blocks, d, l, u: scattered.append((d, l, u)))
+    v0, th0 = grid.flat_start()
+    flat = _jacobian(grid.ybus, v0, th0, grid.non_slack_pos, grid.pattern)
+    for v, th, jac in ((v0, th0, flat), (sol.v_mag, sol.v_ang, sol.jacobian())):
+        grid.factor(v, th)
+        d, l, u = scattered.pop()
+        pairs = list(zip(grid.blocks, grid.blocks[1:]))
+        assert len(d) == len(grid.blocks) and len(l) == len(u) == len(pairs)
+        for dk, b in zip(d, grid.blocks):
+            assert same(dk, jac[np.ix_(b, b)])
+        for lk, uk, (a, b) in zip(l, u, pairs):
+            assert same(lk, jac[np.ix_(b, a)])
+            assert same(uk, jac[np.ix_(a, b)])
+
+
+@pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
+def test_newton_and_columns_match_blocks_sliced_from_the_dense_jacobian(make, monkeypatch):
+    # Every factor, in Newton and at the solved point, from blocks sliced
+    # out of the dense Jacobian: the same iterations, voltages and
+    # sensitivity columns, bit for bit. The factor holds compact arrays,
+    # none a view into a larger buffer.
+    net = make()
+    sol, cols = solved_with_columns(net)
+    factor = sol.factor
+    for a in factor.d + factor.g + factor.u:
+        assert (a if a.base is None else a.base).nbytes == a.nbytes
+
+    def oracle(grid, v, th):
+        return sliced_block_lu(_jacobian(grid.ybus, v, th, grid.non_slack_pos, grid.pattern), grid.blocks)
+
+    monkeypatch.setattr(powerflow.GridStructure, "factor", oracle)
+    ref, ref_cols = solved_with_columns(net)
+    assert ref.iterations == sol.iterations
+    assert same(ref.v_mag, sol.v_mag) and same(ref.v_ang, sol.v_ang)
+    for c, r in zip(cols, ref_cols):
+        assert same(c, r)
+
+
+# ---------------------------------------------------------------------------
+# re-solves that reuse the grid structure
+
+
+SYNTH153 = synth153()
+N153 = len(SYNTH153.buses)
+
+
+def rename_last_bus(net):
+    old = net.buses[-1].id
+    new = max(b.id for b in net.buses) + 1
+    net.buses[-1].id = new
+    for br in net.branches:
+        br.from_bus, br.to_bus = (new if x == old else x for x in (br.from_bus, br.to_bus))
+    for tr in net.transformers:
+        tr.primary_bus, tr.secondary_bus = (new if x == old else x for x in (tr.primary_bus, tr.secondary_bus))
+    for d in net.dgs:
+        d.bus = new if d.bus == old else d.bus
+
+
+def add_bus(net):
+    new = max(b.id for b in net.buses) + 1
+    net.buses.append(Bus(new, BusKind.PQ, net.buses[-1].base_kv, p_load=0.01, q_load=0.005))
+    net.branches.append(Branch(net.buses[-2].id, new, 0.01, 0.02))
+
+
+GRID_CHANGES = {
+    "branch_r": lambda net: setattr(net.branches[3], "r", net.branches[3].r * 1.1),
+    "branch_x": lambda net: setattr(net.branches[3], "x", net.branches[3].x * 0.9),
+    "tap": lambda net: setattr(net.transformers[1], "tap", 1.025),
+    "phase_shift": lambda net: setattr(net.transformers[1], "phase_shift", 0.01),
+    "bus_added": add_bus,
+    "bus_renamed": rename_last_bus,
+    "slack_v_mag": lambda net: setattr(net.slack_bus, "v_mag", net.slack_bus.v_mag + 0.01),
+    "slack_v_ang": lambda net: setattr(net.slack_bus, "v_ang", 0.02),
+}
+
+
+def outcome(sol):
+    """Everything a flow reports, as bytes where it is an array."""
+    factor = sol.factor.solve(np.eye(2 * len(sol.grid.non_slack_pos))[:, :7]) if sol.converged else None
+    return (
+        sol.iterations,
+        sol.converged,
+        sol.max_mismatch,
+        sol.bus_ids,
+        sol.v_mag.tobytes(),
+        sol.v_ang.tobytes(),
+        None if factor is None else factor.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("change", [None, *GRID_CHANGES])
+@settings(max_examples=6, deadline=None)
+@given(
+    loads=st.lists(st.tuples(st.integers(0, N153 - 1), st.floats(-0.05, 0.2)), max_size=6),
+    trips=st.lists(st.integers(0, len(SYNTH153.dgs) - 1), max_size=4),
+)
+def test_resolve_reusing_the_structure_equals_a_fresh_solve(change, loads, trips):
+    net = copy.deepcopy(SYNTH153)
+    before = solve_power_flow(net)
+    for i, dp in loads:
+        net.buses[i].p_load += dp
+    for i in trips:
+        net.dgs[i].online = False
+    if change is not None:
+        GRID_CHANGES[change](net)
+    again = solve_power_flow(net, previous=before)
+    assert (again.grid is before.grid) == (change is None)
+    assert outcome(again) == outcome(solve_power_flow(net))

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from gridcomm.network import DG
 from gridcomm.network_io import load_network
 from gridcomm.powerflow import (
-    BlockLU,
-    PowerFlowSolution,
     SingularJacobianError,
     _injections,
     _jacobian,
@@ -21,7 +19,7 @@ from gridcomm.powerflow import (
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
-from conftest import FIXTURES, count_ybus_builds, synth30, synth153, two_bus
+from conftest import FIXTURES, count_ybus_builds, singular_kept_factors, sliced_block_lu, synth30, synth153, two_bus
 
 
 TOLERANCE = 1e-12
@@ -197,8 +195,8 @@ def test_singular_jacobian_raises(monkeypatch):
     # One block (synth30) and three (synth153): a zero Jacobian raises, it
     # never yields NaN columns.
     cases = [(net, compute_sensitivity_matrix(net, solved(net))) for net in (synth30(), synth153())]
-    assert [len(sens.pf.blocks) for _, sens in cases] == [1, 3]
-    monkeypatch.setattr(PowerFlowSolution, "jacobian", lambda self: np.zeros((2 * len(self.non_slack_pos),) * 2))
+    assert [len(sens.pf.grid.blocks) for _, sens in cases] == [1, 3]
+    singular_kept_factors(monkeypatch)
     for net, sens in cases:
         for mode in MODES:
             with pytest.raises(SingularJacobianError):
@@ -218,8 +216,9 @@ def flat_start(net, sol):
     """The first Newton step's Jacobian and mismatch, at sol's flat start."""
     v, th = np.ones(len(sol.bus_ids)), np.zeros(len(sol.bus_ids))
     v[sol.slack_index], th[sol.slack_index] = net.slack_bus.v_mag, net.slack_bus.v_ang
-    ns, s_spec = sol.non_slack_pos, _injections(net, sol.index_of)
-    return _jacobian(sol.ybus, v, th, ns, sol.pattern), _mismatch(sol.ybus, s_spec, v, th, ns)
+    grid, s_spec = sol.grid, _injections(net, sol.index_of)
+    ns = grid.non_slack_pos
+    return _jacobian(grid.ybus, v, th, ns, grid.pattern), _mismatch(grid.ybus, s_spec, v, th, ns)
 
 
 def within(x, oracle):
@@ -237,13 +236,14 @@ def test_block_lu_matches_the_dense_solve_on_several_blocks(scale, mode, picks):
     assume(sol.converged)
     jac = sol.jacobian()
     n_rows = len(jac)
-    assert len(sol.blocks) >= 2
+    blocks = sol.grid.blocks
+    assert len(blocks) >= 2
 
     # The blocks partition the rows, and the Jacobian lies within their band.
-    rows = np.concatenate(sol.blocks)
+    rows = np.concatenate(blocks)
     assert np.array_equal(np.sort(rows), np.arange(n_rows))
     block_of = np.empty(n_rows, dtype=int)
-    for k, b in enumerate(sol.blocks):
+    for k, b in enumerate(blocks):
         block_of[b] = k
     outside = np.abs(block_of[:, None] - block_of[None, :]) > 1
     assert np.all(jac[outside] == 0.0)
@@ -258,7 +258,7 @@ def test_block_lu_matches_the_dense_solve_on_several_blocks(scale, mode, picks):
 
     # The first Newton step against the dense solve.
     jac0, mis0 = flat_start(net, sol)
-    assert within(BlockLU(jac0, sol.blocks).solve(mis0), np.linalg.solve(jac0, mis0))
+    assert within(sliced_block_lu(jac0, blocks).solve(mis0), np.linalg.solve(jac0, mis0))
 
 
 def test_solve_and_linearize_build_the_ybus_once(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import json
 from unittest import mock
 
@@ -28,7 +29,16 @@ from gridcomm.simulation import (
     write_report,
 )
 
-from conftest import count_ybus_builds, null_trip30, overvoltage30, prepared, synth30, trip_restore30, write_scenario
+from conftest import (
+    count_ybus_builds,
+    null_trip30,
+    overvoltage30,
+    prepared,
+    synth153,
+    synth30,
+    trip_restore30,
+    write_scenario,
+)
 
 
 def community_of_agent(state, agent):
@@ -340,10 +350,37 @@ def test_in_band_trip_solves_once(monkeypatch):
     state = initialize(net, part, sens)
     calls = []
     real = simulation.solve_power_flow
-    monkeypatch.setattr(simulation, "solve_power_flow", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(simulation, "solve_power_flow", lambda *a, **k: calls.append(a) or real(*a, **k))
     step(state, [Event(0, EventKind.DG_TRIP, 21)])
     assert state.violations_seen == 0
     assert len(calls) == 1
+
+
+def test_deep_copied_state_shares_the_grid_structure():
+    # The grid structure is immutable, so a deep copy of a state shares it,
+    # flat-start factor and all; stepping the copy leaves the original's
+    # next step as it is on a state with a structure of its own.
+    net = synth153()
+    state = initialize(net, *prepared(net))
+    reference = initialize(net, *prepared(net))
+    grid = state.pf.grid
+    assert reference.pf.grid is not grid
+    with pytest.raises(ValueError):
+        grid.ybus[0, 0] = 0.0
+    twin = copy.deepcopy(state)
+    assert twin.pf.grid is grid
+    step(twin, [Event(0, EventKind.LOAD_CHANGE, 34, 0.6), Event(0, EventKind.DG_TRIP, 16)])
+    assert twin.pf.grid is grid  # the re-solve reused it
+
+    events = [Event(0, EventKind.LOAD_CHANGE, 20, 0.6)]
+    step(state, events)
+    step(reference, events)
+    assert state.pf.grid is grid
+    assert state.pf.v_mag.tobytes() == reference.pf.v_mag.tobytes()
+    assert state.cols.matrix.tobytes() == reference.cols.matrix.tobytes()
+    assert state.controls == reference.controls and state.controls
+    for rows in ("voltage_rows", "subset_rows", "messages"):
+        assert getattr(state, rows) == getattr(reference, rows)
 
 
 def test_load_change_builds_the_ybus_once(monkeypatch):
