@@ -19,21 +19,27 @@ dSbus_dV (Zimmerman, Murillo-Sanchez & Thomas, IEEE TPWRS 2011):
 taken on the non-slack rows and columns only, and only at the nonzeros of
 the non-slack Y-bus (plus its diagonal): the Jacobian has no other nonzero.
 
-Each Newton step solves the Jacobian by block LU over breadth-first levels
-from the slack, the level ordering of sparse power-flow factorization
-(Tinney & Hart, Proc. IEEE 1967). A branch or transformer joins two buses
-of the same or of adjacent levels, so with the non-slack buses grouped by
-consecutive levels (blocks of at least BLOCK_ROWS Jacobian rows, each bus
-with its P and Q rows) the Jacobian is block tridiagonal: diagonal blocks
-D_k, below them L_k, above them U_k. Its block LU (Golub & Van Loan,
-Matrix Computations, 4.5) is
+Each Newton step solves the Jacobian by block elimination over breadth-
+first levels from the slack, the level ordering of sparse power-flow
+factorization (Tinney & Hart, Proc. IEEE 1967). A branch or transformer
+joins two buses of the same or of adjacent levels, so with the non-slack
+buses grouped by consecutive levels (blocks of at least BLOCK_ROWS Jacobian
+rows, each bus with its P and Q rows) the Jacobian is block tridiagonal:
+diagonal blocks D_k, below them L_k, above them U_k. It is eliminated in
+block-Thomas form (Golub & Van Loan, Matrix Computations, 4.5):
 
-    D'_1 = D_1,   G_k = L_k D'_(k-1)^-1,   D'_k = D_k - G_k U_(k-1),
+    D'_1 = D_1,   X_k = D'_k^-1 U_k,   D'_(k+1) = D_(k+1) - L_(k+1) X_k,
 
-with every G_k taken by a solve, never an explicit inverse; a solve is a
-forward sweep with the G_k and a back sweep of solves with the D'_k. A
-network of fewer than BLOCK_ROWS non-slack buses is one block in natural
-order, where this is plain ``np.linalg.solve``.
+with one ``np.linalg.solve(D'_k, [U_k | y_k])`` per block and never an
+explicit inverse. A right-hand side b is carried through as the last
+column: y_1 = b_1, z_k = D'_k^-1 y_k, y_(k+1) = b_(k+1) - L_(k+1) z_k, and
+the back sweep x_K = z_K, x_k = z_k - X_k x_(k+1) takes matrix products
+only. A Newton step carries its mismatch, so it is solved inside the one
+pass that factors its Jacobian. A factor kept for later solves (the flat
+start's, a solved point's) is the same pass with no carried column, and
+its solve takes the z_k by per-block solves with the D'_k. A network of
+fewer than BLOCK_ROWS non-slack buses is one block in natural order, where
+this is plain ``np.linalg.solve``.
 
 The Jacobian values are written straight into the blocks: one flat buffer
 holds, block row after block row, L_k, D_k and U_k, each in C order, and
@@ -48,18 +54,21 @@ alone, so the flat-start Jacobian and its factor belong to the grid, not
 to the operating point. ``GridStructure`` holds what depends on the grid
 only: bus order, Y-bus, pattern, blocks, buffer layout and, from its first
 use, the flat-start factor. Each flow keeps its structure, and a re-solve
-given an earlier flow reuses that flow's structure when the freshly built
-Y-bus, the bus ids and the slack's position and voltage are all unchanged
-(a load step, a DG trip); otherwise it builds a new one. The result is the
-same bit for bit either way. The solution also keeps, from its first use,
-the factor at the solved point, so every sensitivity taken at that point
-shares one factorization.
+given an earlier flow reuses that flow's structure when the data the
+Y-bus is built from is unchanged (a load step, a DG trip): the bus ids,
+the slack's position and voltage, every branch's endpoints, r, x and
+b_shunt, and every transformer's endpoints, r, x, tap and phase_shift.
+Otherwise it builds a new structure, and only then a Y-bus. The result is
+the same bit for bit either way. The solution also keeps, from its first
+use, the factor at the solved point, so every sensitivity taken at that
+point shares one factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -91,12 +100,22 @@ def lookup(index: dict[int, int], bus_id: int) -> int:
         raise ValueError(f"unknown bus id {bus_id}") from None
 
 
+_BRANCH_DATA = attrgetter("from_bus", "to_bus", "r", "x", "b_shunt")
+_TRANSFORMER_DATA = attrgetter("primary_bus", "secondary_bus", "r", "x", "tap", "phase_shift")
+
+
+def _line_data(net: NetworkModel) -> tuple:
+    """Everything build_ybus reads of net's branches and transformers."""
+    return tuple(map(_BRANCH_DATA, net.branches)), tuple(map(_TRANSFORMER_DATA, net.transformers))
+
+
 @dataclass(frozen=True, eq=False)
 class GridStructure:
     """What a solve takes from the grid and not from its injections (module
     docstring). Immutable, so flows and their deep copies share one.
 
-    index_of maps bus ids to positions in bus_ids. non_slack_pos holds the
+    index_of maps bus ids to positions in bus_ids. lines is the branch and
+    transformer data the Y-bus was built from. non_slack_pos holds the
     non-slack positions, the row and column order of the Jacobian; pattern
     the nonzeros of the Y-bus among them and blocks the Jacobian rows of
     each diagonal block, in elimination order. position is where each of
@@ -108,6 +127,7 @@ class GridStructure:
     index_of: dict[int, int]
     slack_index: int
     slack_v: tuple[float, float]  # the slack's v_mag and v_ang
+    lines: tuple
     ybus: np.ndarray
     non_slack_pos: np.ndarray
     pattern: tuple[np.ndarray, np.ndarray]
@@ -117,16 +137,14 @@ class GridStructure:
     size: int  # of the block buffer
 
     @classmethod
-    def build(
-        cls,
-        bus_ids: list[int],
-        index_of: dict[int, int],
-        slack_index: int,
-        slack_v: tuple[float, float],
-        ybus: np.ndarray,
-    ) -> GridStructure:
-        """The structure of these buses, slack and Y-bus; the arrays it keeps
-        (ybus among them) are made read-only."""
+    def build(cls, net: NetworkModel) -> GridStructure:
+        """The structure of net's buses, slack and Y-bus; the arrays it
+        keeps (ybus among them) are made read-only."""
+        bus_ids = [b.id for b in net.buses]
+        index_of = {bid: i for i, bid in enumerate(bus_ids)}
+        slack = net.slack_bus
+        slack_index = index_of[slack.id]
+        ybus = build_ybus(net, index_of)
         ns = np.array([i for i in range(len(bus_ids)) if i != slack_index], dtype=int)
         linked = ybus != 0
         pattern = _pattern(linked, ns)
@@ -134,15 +152,22 @@ class GridStructure:
         position, spans, size = _layout(blocks, pattern, len(ns))
         for a in (ybus, ns, *pattern, *blocks, position):
             a.flags.writeable = False
-        return cls(bus_ids, index_of, slack_index, slack_v, ybus, ns, pattern, blocks, position, spans, size)
+        slack_v, lines = (slack.v_mag, slack.v_ang), _line_data(net)
+        return cls(bus_ids, index_of, slack_index, slack_v, lines, ybus, ns, pattern, blocks, position, spans, size)
 
     def __deepcopy__(self, memo) -> GridStructure:
         return self
 
-    def fits(self, bus_ids: list[int], slack_index: int, slack_v: tuple[float, float], ybus: np.ndarray) -> bool:
-        """Whether a network with these buses, slack and Y-bus has this structure."""
-        same = (self.bus_ids, self.slack_index, self.slack_v) == (bus_ids, slack_index, slack_v)
-        return same and np.array_equal(self.ybus, ybus)
+    def fits(self, net: NetworkModel) -> bool:
+        """Whether net has this structure: the same bus ids, slack position
+        and voltage, and branch and transformer data, so the same Y-bus."""
+        slack = net.slack_bus
+        return (
+            self.bus_ids == [b.id for b in net.buses]
+            and self.index_of[slack.id] == self.slack_index
+            and self.slack_v == (slack.v_mag, slack.v_ang)
+            and self.lines == _line_data(net)
+        )
 
     def flat_start(self) -> tuple[np.ndarray, np.ndarray]:
         """Fresh v_mag, v_ang arrays at the flat start."""
@@ -151,13 +176,24 @@ class GridStructure:
         v[self.slack_index], th[self.slack_index] = self.slack_v
         return v, th
 
-    def factor(self, v: np.ndarray, th: np.ndarray) -> BlockLU:
-        """The block LU of the Jacobian at v, th; LinAlgError if a diagonal
-        block is singular."""
+    def jacobian_blocks(self, v: np.ndarray, th: np.ndarray) -> tuple[list, list, list]:
+        """The Jacobian at v, th as its blocks D_k, L_k and U_k, views into
+        one freshly filled buffer."""
         buf = np.zeros(self.size)
         buf[self.position] = _jacobian_values(self.ybus, v, th, self.non_slack_pos, self.pattern)
         l, d, u = ([buf[s : s + r * c].reshape(r, c) for s, r, c in side] for side in self.spans)
-        return BlockLU(self.blocks, d, l, u)
+        return d, l, u
+
+    def factor(self, v: np.ndarray, th: np.ndarray) -> BlockLU:
+        """The block factor of the Jacobian at v, th; LinAlgError if a
+        diagonal block is singular."""
+        return BlockLU(self.blocks, *self.jacobian_blocks(v, th))
+
+    def newton_step(self, v: np.ndarray, th: np.ndarray, mis: np.ndarray) -> np.ndarray:
+        """The Jacobian at v, th solved for mis, carried through its
+        elimination; LinAlgError if a diagonal block is singular."""
+        _, x, z = _eliminate(self.blocks, *self.jacobian_blocks(v, th), mis)
+        return _back_sweep(self.blocks, x, z, mis.shape)
 
     @cached_property
     def flat_factor(self) -> BlockLU:
@@ -218,7 +254,7 @@ class PowerFlowSolution:
         solution's own tolerance (the test Newton stops on)."""
         if self.bus_ids != [b.id for b in net.buses]:
             return False
-        ybus = build_ybus(net, self.index_of)
+        ybus = self.grid.ybus if self.grid.fits(net) else build_ybus(net, self.index_of)
         mis = _mismatch(ybus, _injections(net, self.index_of), self.v_mag, self.v_ang, self.grid.non_slack_pos)
         return bool(np.max(np.abs(mis)) <= self.tolerance)
 
@@ -362,35 +398,57 @@ def _layout(blocks: list[np.ndarray], pattern: tuple, n1: int) -> tuple[np.ndarr
     return position, spans, size
 
 
+def _eliminate(blocks: list[np.ndarray], d: list, l: list, u: list, b: np.ndarray | None = None) -> tuple:
+    """The block-Thomas pass (module docstring) over diagonal blocks d (D_k),
+    the blocks below them l (L_k, k >= 2) and above them u (U_k, k < last),
+    blocks the matrix rows of each: the D'_k and the X_k and, when a vector
+    b is given, its z_k, carried as the last column of each block's one
+    solve. LinAlgError if a D'_k is singular."""
+    dp, x, z = [d[0]], [], []
+    y = None if b is None else b[blocks[0]]
+    for rows, dk, lk, uk in zip(blocks[1:], d[1:], l, u):
+        s = np.linalg.solve(dp[-1], uk if y is None else np.column_stack([uk, y]))
+        x.append(s if y is None else s[:, :-1])
+        dp.append(dk - lk @ x[-1])
+        if y is not None:
+            z.append(s[:, -1])
+            y = b[rows] - lk @ z[-1]
+    if y is not None:
+        z.append(np.linalg.solve(dp[-1], y))
+    return dp, x, z
+
+
+def _back_sweep(blocks: list[np.ndarray], xs: list, zs: list, shape: tuple) -> np.ndarray:
+    """The solution from the X_k and z_k: x_K = z_K, x_k = z_k - X_k x_(k+1),
+    each x_k written to its block's rows."""
+    out = np.empty(shape)
+    xk = zs[-1]
+    out[blocks[-1]] = xk
+    for rows, big_xk, zk in zip(blocks[-2::-1], xs[::-1], zs[-2::-1]):
+        xk = zk - big_xk @ xk
+        out[rows] = xk
+    return out
+
+
 class BlockLU:
-    """Block LU of a block-tridiagonal matrix (module docstring), from its
-    diagonal blocks d (D_k), the blocks below them l (L_k, k >= 2) and the
-    blocks above them u (U_k, k < last), blocks the matrix rows of each.
+    """Block-Thomas factor of a block-tridiagonal matrix (``_eliminate``),
+    kept for solves: the D'_k, the L_k (k >= 2) and the X_k (k < last).
     Holds compact numpy arrays only, never views of the blocks given.
     Raises LinAlgError when a diagonal block D'_k it solves with is
     singular."""
 
     def __init__(self, blocks: list[np.ndarray], d: list, l: list, u: list):
         self.blocks = blocks
-        self.d = [d[0].copy()]  # D'_k
-        self.g: list[np.ndarray] = []  # G_k, k >= 2
-        self.u = [uk.copy() for uk in u]  # U_k, k < last
-        for dk, lk, uk in zip(d[1:], l, self.u):
-            self.g.append(np.linalg.solve(self.d[-1].T, lk.T).T)
-            self.d.append(dk - self.g[-1] @ uk)
+        dp, self.x, _ = _eliminate(blocks, d, l, u)
+        self.d = [dp[0].copy(), *dp[1:]]  # D'_1 is D_1 itself
+        self.l = [lk.copy() for lk in l]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with matrix @ x = b, for a vector or a matrix of columns b."""
-        y = [b[self.blocks[0]]]
-        for rows, g in zip(self.blocks[1:], self.g):
-            y.append(b[rows] - g @ y[-1])
-        x = np.empty(b.shape)
-        xk = np.linalg.solve(self.d[-1], y[-1])
-        x[self.blocks[-1]] = xk
-        for k in range(len(self.blocks) - 2, -1, -1):
-            xk = np.linalg.solve(self.d[k], y[k] - self.u[k] @ xk)
-            x[self.blocks[k]] = xk
-        return x
+        z = [np.linalg.solve(self.d[0], b[self.blocks[0]])]
+        for rows, dk, lk in zip(self.blocks[1:], self.d[1:], self.l):
+            z.append(np.linalg.solve(dk, b[rows] - lk @ z[-1]))
+        return _back_sweep(self.blocks, self.x, z, b.shape)
 
 
 def solve_power_flow(
@@ -401,8 +459,9 @@ def solve_power_flow(
     deterministic for a fixed network and tolerance.
 
     previous, a flow of an earlier state of net, lends its grid structure
-    (and so its flat-start factor) when net's Y-bus, bus ids and slack are
-    unchanged (module docstring); the result is the same without it.
+    (and so its Y-bus and flat-start factor) when net's bus ids, slack and
+    branch and transformer data are unchanged (module docstring); the
+    result is the same without it.
 
     Non-convergence within MAX_ITER (or a diverging iterate) returns a
     solution flagged converged=False. A singular Jacobian, or a singular
@@ -410,14 +469,10 @@ def solve_power_flow(
     SingularJacobianError; one appearing mid-run after wild steps is treated
     as divergence.
     """
-    bus_ids = [b.id for b in net.buses]
-    index_of = {bid: i for i, bid in enumerate(bus_ids)}
-    ybus = build_ybus(net, index_of)
-    slack_index, slack_v = index_of[net.slack_bus.id], (net.slack_bus.v_mag, net.slack_bus.v_ang)
-    if previous is not None and previous.grid.fits(bus_ids, slack_index, slack_v, ybus):
+    if previous is not None and previous.grid.fits(net):
         grid = previous.grid
     else:
-        grid = GridStructure.build(bus_ids, index_of, slack_index, slack_v, ybus)
+        grid = GridStructure.build(net)
     ns = grid.non_slack_pos
     s_spec = _injections(net, grid.index_of)
 
@@ -432,7 +487,7 @@ def solve_power_flow(
         if np.max(np.abs(mis)) <= tolerance:
             break
         try:
-            dx = (grid.flat_factor if it == 0 else grid.factor(v, th)).solve(mis)
+            dx = grid.flat_factor.solve(mis) if it == 0 else grid.newton_step(v, th, mis)
         except np.linalg.LinAlgError as exc:
             if it == 0:
                 raise SingularJacobianError(str(exc)) from exc

@@ -42,16 +42,20 @@ def count_ybus_builds(monkeypatch) -> list:
 
 
 
-def sliced_block_lu(jac: np.ndarray, blocks: list[np.ndarray]) -> BlockLU:
-    """The block LU of a dense matrix over the given diagonal blocks, its
-    D_k, L_k and U_k sliced out of it: the oracle of the scattered blocks."""
+def sliced_blocks(jac: np.ndarray, blocks: list[np.ndarray]) -> tuple[list, list, list]:
+    """The D_k, L_k and U_k of a dense matrix over the given diagonal
+    blocks, sliced out of it: the oracle of the scattered blocks."""
     pairs = list(zip(blocks, blocks[1:]))
-    return BlockLU(
-        blocks,
+    return (
         [jac[np.ix_(b, b)] for b in blocks],
         [jac[np.ix_(b, a)] for a, b in pairs],
         [jac[np.ix_(a, b)] for a, b in pairs],
     )
+
+
+def sliced_block_lu(jac: np.ndarray, blocks: list[np.ndarray]) -> BlockLU:
+    """The block factor of a dense matrix over the given diagonal blocks."""
+    return BlockLU(blocks, *sliced_blocks(jac, blocks))
 
 
 def singular_kept_factors(monkeypatch) -> None:
@@ -67,16 +71,16 @@ def singular_kept_factors(monkeypatch) -> None:
 
 def record_factorizations(monkeypatch) -> list[bytes]:
     """Record the operating point (v_mag and v_ang bytes) of every
-    GridStructure.factor call: every Jacobian factorization, in Newton,
-    at the flat start and at a solved point."""
-    real = GridStructure.factor
+    GridStructure.jacobian_blocks call: every Jacobian factorization, in
+    Newton, at the flat start and at a solved point."""
+    real = GridStructure.jacobian_blocks
     points: list[bytes] = []
 
     def recorded(self, v, th):
         points.append(v.tobytes() + th.tobytes())
         return real(self, v, th)
 
-    monkeypatch.setattr(GridStructure, "factor", recorded)
+    monkeypatch.setattr(GridStructure, "jacobian_blocks", recorded)
     return points
 
 

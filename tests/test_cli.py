@@ -481,8 +481,8 @@ def test_simulate_solves_initial_flow_once(tmp_path, capsys, monkeypatch):
 def test_simulate_factors_the_initial_jacobian_once(tmp_path, capsys, monkeypatch):
     # Partitioning and the simulation's DG columns read the same operating
     # point, so they share one factorization of its Jacobian. Every
-    # factorization goes through GridStructure.factor, so its calls at the
-    # solved point count them.
+    # factorization starts from GridStructure.jacobian_blocks, so its calls
+    # at the solved point count them.
     points = record_factorizations(monkeypatch)
     flows = []
     real = cli.solve_power_flow

@@ -12,7 +12,7 @@ from gridcomm.powerflow import SingularJacobianError, _jacobian, _pattern, build
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
-from conftest import ladder238, ladder417, sliced_block_lu, synth153, synth30, two_bus
+from conftest import ladder238, ladder417, sliced_blocks, synth153, synth30, two_bus
 
 
 def analytic_two_bus(p, q, x):
@@ -270,18 +270,15 @@ LADDERS = [synth153, ladder238, ladder417]
 
 
 @pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
-def test_scattered_blocks_are_slices_of_the_dense_jacobian(make, monkeypatch):
+def test_scattered_blocks_are_slices_of_the_dense_jacobian(make):
     net = make()
     sol = solve_power_flow(net, tolerance=1e-10)
     grid = sol.grid
     assert len(grid.blocks) >= 3
-    scattered = []
-    monkeypatch.setattr(powerflow, "BlockLU", lambda blocks, d, l, u: scattered.append((d, l, u)))
     v0, th0 = grid.flat_start()
     flat = _jacobian(grid.ybus, v0, th0, grid.non_slack_pos, grid.pattern)
     for v, th, jac in ((v0, th0, flat), (sol.v_mag, sol.v_ang, sol.jacobian())):
-        grid.factor(v, th)
-        d, l, u = scattered.pop()
+        d, l, u = grid.jacobian_blocks(v, th)
         pairs = list(zip(grid.blocks, grid.blocks[1:]))
         assert len(d) == len(grid.blocks) and len(l) == len(u) == len(pairs)
         for dk, b in zip(d, grid.blocks):
@@ -291,22 +288,34 @@ def test_scattered_blocks_are_slices_of_the_dense_jacobian(make, monkeypatch):
             assert same(uk, jac[np.ix_(a, b)])
 
 
+def test_one_block_is_the_dense_solve_bit_for_bit():
+    # Fewer than BLOCK_ROWS non-slack buses: one block, where a Newton step
+    # and a kept factor's solve are np.linalg.solve of the Jacobian itself.
+    sol = solve_power_flow(synth30(), tolerance=1e-10)
+    grid = sol.grid
+    assert len(grid.blocks) == 1
+    b = np.linspace(-1.0, 1.0, 2 * len(grid.non_slack_pos))
+    dense = np.linalg.solve(sol.jacobian(), b)
+    assert same(grid.newton_step(sol.v_mag, sol.v_ang, b), dense)
+    assert same(sol.factor.solve(b), dense)
+
+
 @pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
 def test_newton_and_columns_match_blocks_sliced_from_the_dense_jacobian(make, monkeypatch):
-    # Every factor, in Newton and at the solved point, from blocks sliced
+    # Every Jacobian, in Newton and at the solved point, as blocks sliced
     # out of the dense Jacobian: the same iterations, voltages and
     # sensitivity columns, bit for bit. The factor holds compact arrays,
     # none a view into a larger buffer.
     net = make()
     sol, cols = solved_with_columns(net)
     factor = sol.factor
-    for a in factor.d + factor.g + factor.u:
+    for a in factor.d + factor.l + factor.x:
         assert (a if a.base is None else a.base).nbytes == a.nbytes
 
-    def oracle(grid, v, th):
-        return sliced_block_lu(_jacobian(grid.ybus, v, th, grid.non_slack_pos, grid.pattern), grid.blocks)
+    def sliced(grid, v, th):
+        return sliced_blocks(_jacobian(grid.ybus, v, th, grid.non_slack_pos, grid.pattern), grid.blocks)
 
-    monkeypatch.setattr(powerflow.GridStructure, "factor", oracle)
+    monkeypatch.setattr(powerflow.GridStructure, "jacobian_blocks", sliced)
     ref, ref_cols = solved_with_columns(net)
     assert ref.iterations == sol.iterations
     assert same(ref.v_mag, sol.v_mag) and same(ref.v_ang, sol.v_ang)
@@ -340,6 +349,20 @@ def add_bus(net):
     net.branches.append(Branch(net.buses[-2].id, new, 0.01, 0.02))
 
 
+def move_branch_end(net):
+    # The mesh branch 151-152 becomes 151-140; 152 keeps its branch to 140.
+    assert (net.branches[-1].from_bus, net.branches[-1].to_bus) == (151, 152)
+    net.branches[-1].to_bus = 140
+
+
+def move_slack(net):
+    # The slack role passes to the next bus, whose v_mag and v_ang equal the
+    # old slack's: only the slack's position changes.
+    old, new = net.buses[0], net.buses[1]
+    assert old.kind is BusKind.SLACK and (old.v_mag, old.v_ang) == (new.v_mag, new.v_ang)
+    old.kind, new.kind = BusKind.PQ, BusKind.SLACK
+
+
 GRID_CHANGES = {
     "branch_r": lambda net: setattr(net.branches[3], "r", net.branches[3].r * 1.1),
     "branch_x": lambda net: setattr(net.branches[3], "x", net.branches[3].x * 0.9),
@@ -349,6 +372,14 @@ GRID_CHANGES = {
     "bus_renamed": rename_last_bus,
     "slack_v_mag": lambda net: setattr(net.slack_bus, "v_mag", net.slack_bus.v_mag + 0.01),
     "slack_v_ang": lambda net: setattr(net.slack_bus, "v_ang", 0.02),
+    "branch_b_shunt": lambda net: setattr(net.branches[3], "b_shunt", net.branches[3].b_shunt + 0.01),
+    "branch_endpoint": move_branch_end,
+    "transformer_r": lambda net: setattr(net.transformers[1], "r", net.transformers[1].r * 1.1),
+    "transformer_x": lambda net: setattr(net.transformers[1], "x", net.transformers[1].x * 0.9),
+    "branch_removed": lambda net: net.branches.pop(),
+    "transformer_endpoint": lambda net: setattr(net.transformers[1], "secondary_bus", 30),
+    "slack_moved": move_slack,
+    "buses_reordered": lambda net: net.buses.insert(5, net.buses.pop(6)),
 }
 
 

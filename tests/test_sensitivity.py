@@ -19,7 +19,17 @@ from gridcomm.powerflow import (
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
-from conftest import FIXTURES, count_ybus_builds, singular_kept_factors, sliced_block_lu, synth30, synth153, two_bus
+from conftest import (
+    FIXTURES,
+    count_ybus_builds,
+    ladder238,
+    ladder417,
+    singular_kept_factors,
+    sliced_block_lu,
+    synth30,
+    synth153,
+    two_bus,
+)
 
 
 TOLERANCE = 1e-12
@@ -206,10 +216,10 @@ def test_singular_jacobian_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the block LU against the dense solve, on a network of several blocks
+# the block elimination against the dense solve, on networks of several blocks
 
 
-SYNTH153 = synth153()
+SEVERAL_BLOCKS = {"synth153": synth153(), "ladder238": ladder238(), "ladder417": ladder417()}
 
 
 def flat_start(net, sol):
@@ -225,10 +235,11 @@ def within(x, oracle):
     return np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
+@pytest.mark.parametrize("name", SEVERAL_BLOCKS)
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(0.0, 2.5), mode=st.sampled_from(MODES), picks=st.lists(st.integers(0, 151), max_size=8))
-def test_block_lu_matches_the_dense_solve_on_several_blocks(scale, mode, picks):
-    net = copy.deepcopy(SYNTH153)
+def test_block_lu_matches_the_dense_solve_on_several_blocks(name, scale, mode, picks):
+    net = copy.deepcopy(SEVERAL_BLOCKS[name])
     for b in net.buses:
         b.p_load *= scale
         b.q_load *= scale
@@ -259,6 +270,12 @@ def test_block_lu_matches_the_dense_solve_on_several_blocks(scale, mode, picks):
     # The first Newton step against the dense solve.
     jac0, mis0 = flat_start(net, sol)
     assert within(sliced_block_lu(jac0, blocks).solve(mis0), np.linalg.solve(jac0, mis0))
+
+    # A right-hand side carried through the elimination, as Newton's later
+    # steps carry their mismatch, against the kept factor and the dense solve.
+    carried = sol.grid.newton_step(sol.v_mag, sol.v_ang, mis0)
+    assert within(carried, sol.factor.solve(mis0))
+    assert within(carried, np.linalg.solve(jac, mis0))
 
 
 def test_solve_and_linearize_build_the_ybus_once(monkeypatch):
