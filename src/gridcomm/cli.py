@@ -13,6 +13,7 @@ included), 3 power flow failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -186,8 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: a process that runs many
+    commands builds it once. Parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NetworkFormatError, NetworkValidationError, ScenarioError, SynthesisError) as exc:

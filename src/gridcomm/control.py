@@ -172,60 +172,44 @@ def formulate_lp(problem: ControlProblem) -> LinearProgram:
     """
     k = len(problem.dg_ids)
     n = len(problem.node_ids)
+    t = len(problem.transformers)
     over = problem.direction is ControlDirection.OVERVOLTAGE
+    sign = -1.0 if over else 1.0  # the x_j side of the coupling rows
+    dgs = np.arange(k)
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    labels: list[tuple] = []
+    # Every block is filled into zeros, so an entry no row sets is +0.0.
+    a = np.zeros((2 * n + 3 * k + t + 1, k + 1))
+    a[:n, :k] = problem.v_sens
+    np.negative(problem.v_sens, out=a[n : 2 * n, :k])
+    r = 2 * n
+    a[r + dgs, dgs] = 1.0
+    a[r + k + dgs, dgs] = -1.0
+    r += 2 * k
+    for i, tr in enumerate(problem.transformers):
+        a[r + i, :k] = tr.s_row - tr.p_row
+    r += t
+    a[r + dgs, dgs] = sign  # over: y <= x_j; under: x_j <= y
+    a[r : r + k, k] = -sign
+    a[-1, k] = -sign  # the objective variable capped at zero
 
-    for i, node in enumerate(problem.node_ids):
-        rows.append(np.append(problem.v_sens[i], 0.0))
-        rhs.append(problem.v_max - problem.v0[i])
-        labels.append(("v_upper", node))
-    for i, node in enumerate(problem.node_ids):
-        rows.append(np.append(-problem.v_sens[i], 0.0))
-        rhs.append(problem.v0[i] - problem.v_min)
-        labels.append(("v_lower", node))
-    for j, dg in enumerate(problem.dg_ids):
-        e = np.zeros(k + 1)
-        e[j] = 1.0
-        rows.append(e)
-        rhs.append(problem.x_upper[j])
-        labels.append(("surplus_upper", dg))
-    for j, dg in enumerate(problem.dg_ids):
-        e = np.zeros(k + 1)
-        e[j] = -1.0
-        rows.append(e)
-        rhs.append(-problem.x_lower[j])
-        labels.append(("surplus_lower", dg))
-    for t in problem.transformers:
-        rows.append(np.append(t.s_row - t.p_row, 0.0))
-        rhs.append(t.theta_p0 - t.theta_s0 - t.theta_shift)
-        labels.append(("reverse_flow", t.label))
-    for j, dg in enumerate(problem.dg_ids):
-        e = np.zeros(k + 1)
-        if over:
-            e[j], e[k] = -1.0, 1.0  # y <= x_j
-        else:
-            e[j], e[k] = 1.0, -1.0  # x_j <= y
-        rows.append(e)
-        rhs.append(0.0)
-        labels.append(("maxmin", dg))
-    cap = np.zeros(k + 1)
-    cap[k] = 1.0 if over else -1.0
-    rows.append(cap)
-    rhs.append(0.0)
+    b = np.zeros(len(a))
+    b[:n] = problem.v_max - problem.v0
+    b[n : 2 * n] = problem.v0 - problem.v_min
+    b[2 * n : 2 * n + k] = problem.x_upper
+    b[2 * n + k : 2 * n + 2 * k] = -problem.x_lower
+    b[2 * n + 2 * k : r] = [tr.theta_p0 - tr.theta_s0 - tr.theta_shift for tr in problem.transformers]
+
+    labels: list[tuple] = [("v_upper", node) for node in problem.node_ids]
+    labels += [("v_lower", node) for node in problem.node_ids]
+    labels += [("surplus_upper", dg) for dg in problem.dg_ids]
+    labels += [("surplus_lower", dg) for dg in problem.dg_ids]
+    labels += [("reverse_flow", tr.label) for tr in problem.transformers]
+    labels += [("maxmin", dg) for dg in problem.dg_ids]
     labels.append(("objective_cap",))
 
     c = np.zeros(k + 1)
     c[k] = -1.0 if over else 1.0
-    return LinearProgram(
-        c=c,
-        a_ub=np.vstack(rows),
-        b_ub=np.array(rhs),
-        row_labels=labels,
-        dg_ids=list(problem.dg_ids),
-    )
+    return LinearProgram(c=c, a_ub=a, b_ub=b, row_labels=labels, dg_ids=list(problem.dg_ids))
 
 
 def solve_lp(lp: LinearProgram) -> ControlSolution:

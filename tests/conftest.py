@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from gridcomm import powerflow
+from gridcomm.control import ControlDirection, ControlProblem, LinearProgram
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel
 from gridcomm.network_io import load_network
 from gridcomm.partition import Partition, WeightedGraph, modularity, partition_network
 from gridcomm.powerflow import BlockLU, GridStructure, PowerFlowSolution, solve_power_flow
 from gridcomm.sensitivity import compute_sensitivity_matrix
+from gridcomm.simplex import TOL as SIMPLEX_TOL, LPResult, LPStatus
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -299,3 +301,172 @@ def lp_vertex_oracle(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float
             if best is None or val < best[0] - 1e-15:
                 best = (val, z)
     return best
+
+
+def reference_inequality_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LPResult:
+    """The simplex as a scalar scan: the loop-based Bland pivots that
+    `simplex.solve_inequality_lp` must reproduce bit for bit. Every pivot
+    scans the costs and the pivot column one entry at a time and updates
+    whole tableau rows."""
+    c = np.asarray(c, dtype=float)
+    a = np.atleast_2d(np.asarray(a_ub, dtype=float))
+    b = np.asarray(b_ub, dtype=float)
+    m, n = a.shape
+
+    a2 = np.hstack([a, -a, np.eye(m)])
+    b2 = b.copy()
+    c2 = np.concatenate([c, -c, np.zeros(m)])
+
+    neg = b2 < 0
+    a2[neg] *= -1.0
+    b2[neg] *= -1.0
+    art_rows = np.flatnonzero(neg)
+    n_art = len(art_rows)
+    n_cols = 2 * n + m + n_art
+
+    tableau = np.zeros((m, n_cols + 1))
+    tableau[:, : 2 * n + m] = a2
+    for k, i in enumerate(art_rows):
+        tableau[i, 2 * n + m + k] = 1.0
+    tableau[:, -1] = b2
+
+    basis = np.array(
+        [2 * n + m + list(art_rows).index(i) if neg[i] else 2 * n + i for i in range(m)],
+        dtype=int,
+    )
+
+    cost2 = np.concatenate([c2, np.zeros(n_art + 1)])
+
+    if n_art:
+        cost1 = np.zeros(n_cols + 1)
+        cost1[2 * n + m :] = 1.0
+        cost1[-1] = 0.0
+        for i in art_rows:
+            cost1 -= tableau[i]
+        status = _reference_iterate(tableau, cost1, basis, extra=cost2)
+        if status is not LPStatus.OPTIMAL or -cost1[-1] > 1e-7:
+            return LPResult(LPStatus.INFEASIBLE, None, None)
+        _reference_expel_artificials(tableau, cost2, basis, first_art=2 * n + m)
+        tableau[:, 2 * n + m : 2 * n + m + n_art] = 0.0
+        cost2[2 * n + m : 2 * n + m + n_art] = 0.0
+
+    for i in range(m):
+        bi = basis[i]
+        if cost2[bi] != 0.0:
+            cost2 -= cost2[bi] * tableau[i]
+    status = _reference_iterate(tableau, cost2, basis)
+    if status is not LPStatus.OPTIMAL:
+        return LPResult(status, None, None)
+
+    full = np.zeros(n_cols)
+    for i in range(m):
+        full[basis[i]] = tableau[i, -1]
+    z = full[:n] - full[n : 2 * n]
+    return LPResult(LPStatus.OPTIMAL, z, float(c @ z))
+
+
+def _reference_iterate(tableau, cost, basis, extra=None) -> LPStatus:
+    m = tableau.shape[0]
+    limit = 2000 * (tableau.shape[1] + m)
+    for _ in range(limit):
+        entering = -1
+        for j in range(tableau.shape[1] - 1):
+            if cost[j] < -SIMPLEX_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return LPStatus.OPTIMAL
+
+        leaving = -1
+        best_ratio = np.inf
+        for i in range(m):
+            aij = tableau[i, entering]
+            if aij > SIMPLEX_TOL:
+                ratio = tableau[i, -1] / aij
+                if ratio < best_ratio - SIMPLEX_TOL or (
+                    abs(ratio - best_ratio) <= SIMPLEX_TOL and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            return LPStatus.UNBOUNDED
+
+        _reference_pivot(tableau, cost, basis, leaving, entering, extra)
+    raise RuntimeError("simplex failed to terminate within its pivot budget")
+
+
+def _reference_pivot(tableau, cost, basis, row, col, extra=None) -> None:
+    tableau[row] /= tableau[row, col]
+    # Only rows with a nonzero entry in the pivot column change: subtracting
+    # 0.0 * pivot row elsewhere would flip -0.0 entries to +0.0.
+    f = tableau[:, col].copy()
+    f[row] = 0.0
+    idx = np.flatnonzero(f)
+    tableau[idx] -= np.outer(f[idx], tableau[row])
+    cost -= cost[col] * tableau[row]
+    if extra is not None:
+        extra -= extra[col] * tableau[row]
+    basis[row] = col
+
+
+def _reference_expel_artificials(tableau, cost2, basis, first_art: int) -> None:
+    for i in range(tableau.shape[0]):
+        if basis[i] >= first_art:
+            for j in range(first_art):
+                if abs(tableau[i, j]) > SIMPLEX_TOL:
+                    _reference_pivot(tableau, cost2, basis, i, j)
+                    break
+
+
+def formulate_lp_by_rows(problem: ControlProblem) -> LinearProgram:
+    """The control LP built one row at a time, each row its own array:
+    the oracle of `control.formulate_lp`, which fills blocks."""
+    k = len(problem.dg_ids)
+    over = problem.direction is ControlDirection.OVERVOLTAGE
+
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    labels: list[tuple] = []
+
+    for i, node in enumerate(problem.node_ids):
+        rows.append(np.append(problem.v_sens[i], 0.0))
+        rhs.append(problem.v_max - problem.v0[i])
+        labels.append(("v_upper", node))
+    for i, node in enumerate(problem.node_ids):
+        rows.append(np.append(-problem.v_sens[i], 0.0))
+        rhs.append(problem.v0[i] - problem.v_min)
+        labels.append(("v_lower", node))
+    for j, dg in enumerate(problem.dg_ids):
+        e = np.zeros(k + 1)
+        e[j] = 1.0
+        rows.append(e)
+        rhs.append(problem.x_upper[j])
+        labels.append(("surplus_upper", dg))
+    for j, dg in enumerate(problem.dg_ids):
+        e = np.zeros(k + 1)
+        e[j] = -1.0
+        rows.append(e)
+        rhs.append(-problem.x_lower[j])
+        labels.append(("surplus_lower", dg))
+    for t in problem.transformers:
+        rows.append(np.append(t.s_row - t.p_row, 0.0))
+        rhs.append(t.theta_p0 - t.theta_s0 - t.theta_shift)
+        labels.append(("reverse_flow", t.label))
+    for j, dg in enumerate(problem.dg_ids):
+        e = np.zeros(k + 1)
+        if over:
+            e[j], e[k] = -1.0, 1.0
+        else:
+            e[j], e[k] = 1.0, -1.0
+        rows.append(e)
+        rhs.append(0.0)
+        labels.append(("maxmin", dg))
+    cap = np.zeros(k + 1)
+    cap[k] = 1.0 if over else -1.0
+    rows.append(cap)
+    rhs.append(0.0)
+    labels.append(("objective_cap",))
+
+    c = np.zeros(k + 1)
+    c[k] = -1.0 if over else 1.0
+    return LinearProgram(c=c, a_ub=np.vstack(rows), b_ub=np.array(rhs), row_labels=labels, dg_ids=list(problem.dg_ids))

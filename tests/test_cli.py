@@ -535,6 +535,48 @@ def test_simulate_reuses_the_grid_structure(tmp_path, capsys, monkeypatch):
     assert "voltages.csv" in runs[True]
 
 
+def test_one_process_runs_commands_as_fresh_calls(tmp_path, capsys, monkeypatch):
+    """main() builds its parser once per process; partition, simulate and
+    a bad-argument call through it give what fresh calls give."""
+    scenario = write_scenario(tmp_path / "one.json", [{"at_tick": 1, "kind": "dg_trip", "target": 1}], duration=3)
+
+    def commands(out: Path):
+        return [
+            ["partition", "--network", str(NET6), "--out", str(out / "p")],
+            ["simulate", "--network", str(NET6), "--scenario", str(scenario), "--out", str(out / "s")],
+            ["simulate", "--network", str(NET6), "--out", str(out / "bad")],
+            ["partition", "--network", str(NET6), "--mode", "vp", "--out", str(out / "p-vp")],
+        ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def files(out: Path):
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    shared = [run(argv) for argv in commands(tmp_path / "shared")]
+    assert len(builds) == 1
+    fresh = []
+    for argv in commands(tmp_path / "fresh"):
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert len(builds) == 1 + len(fresh)
+
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert "the following arguments are required: --scenario" in shared[2][2]
+    assert shared == fresh
+    assert files(tmp_path / "shared") == files(tmp_path / "fresh")
+
+
 def test_runtime_imports_no_scipy(tmp_path):
     # scipy is a test extra, not a runtime dependency: partition and simulate
     # on net6, in a fresh interpreter, must import no scipy module.

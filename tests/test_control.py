@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gridcomm.control import (
     ControlDirection,
@@ -19,7 +19,7 @@ from gridcomm.partition import build_dg_adjacency
 from gridcomm.powerflow import solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
 
-from conftest import lp_vertex_oracle
+from conftest import formulate_lp_by_rows, lp_vertex_oracle
 
 
 PF = 1e-12  # power-flow tolerance
@@ -180,6 +180,62 @@ def test_lp_transformer_row_present():
     r = lp.row_labels.index(("reverse_flow", "t0"))
     np.testing.assert_allclose(lp.a_ub[r], [0.2, 0.0])
     assert lp.b_ub[r] == pytest.approx(0.008, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(1, 40),
+    n_dgs=st.integers(1, 8),
+    n_transformers=st.integers(0, 3),
+    kind=st.sampled_from(
+        [
+            (ControlDirection.OVERVOLTAGE, SensitivityMode.VQ),
+            (ControlDirection.UNDERVOLTAGE, SensitivityMode.VQ),
+            (ControlDirection.OVERVOLTAGE, SensitivityMode.VP),
+        ]
+    ),
+)
+def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_transformers, kind):
+    """The block-filled LP is the row-by-row one to the byte: every padding
+    zero is +0.0, and signed zeros in the sensitivities carry through."""
+    rng = np.random.default_rng(seed)
+
+    def floats(*shape):
+        x = rng.normal(scale=0.05, size=shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.1] = -0.0
+        return x
+
+    direction, mode = kind
+    problem = ControlProblem(
+        direction=direction,
+        mode=mode,
+        dg_ids=sorted(rng.choice(100, n_dgs, replace=False).tolist()),
+        node_ids=sorted(rng.choice(300, n_nodes, replace=False).tolist()),
+        v0=1.0 + floats(n_nodes),
+        v_sens=floats(n_nodes, n_dgs),
+        x_lower=-np.abs(floats(n_dgs)),
+        x_upper=np.abs(floats(n_dgs)),
+        transformers=[
+            TransformerAngleRows(
+                label=f"{i}->{i + 1}",
+                theta_p0=float(rng.normal(scale=0.1)),
+                theta_s0=float(rng.normal(scale=0.1)),
+                theta_shift=float(rng.choice([0.0, 0.5236])),
+                p_row=floats(n_dgs),
+                s_row=floats(n_dgs),
+            )
+            for i in range(n_transformers)
+        ],
+    )
+    got, want = formulate_lp(problem), formulate_lp_by_rows(problem)
+    assert got.a_ub.dtype == want.a_ub.dtype and got.a_ub.shape == want.a_ub.shape
+    assert got.a_ub.tobytes() == want.a_ub.tobytes()
+    assert got.b_ub.tobytes() == want.b_ub.tobytes()
+    assert got.c.tobytes() == want.c.tobytes()
+    assert got.row_labels == want.row_labels
+    assert got.dg_ids == want.dg_ids
 
 
 def test_active_undervoltage_rejected():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcomm.simplex import LPStatus, solve_inequality_lp
 
-from conftest import lp_vertex_oracle
+from conftest import lp_vertex_oracle, reference_inequality_lp
 
 
 def test_simple_box_minimum():
@@ -129,3 +130,69 @@ def test_residual_feasibility_at_optimum():
         res = solve_inequality_lp(c, a, b)
         assert res.status is LPStatus.OPTIMAL
         assert np.max(a @ res.x - b) <= 1e-9
+
+
+def control_shaped_lp(seed: int, m: int, n: int, quantized: bool, boxed: bool):
+    """An LP shaped like the control LPs: dense sensitivity rows beside unit
+    and coupling rows, built around a feasible point z0 with zero entries,
+    so some right-hand sides are negative and some exactly zero (a
+    degenerate vertex). Duplicate rows and rows that are exact multiples of
+    others make exact ratio ties; quantized entries make ties in the costs
+    too. About one in five instances gets a contradictory pair of rows."""
+    rng = np.random.default_rng(seed)
+
+    def values(size):
+        if quantized:
+            return rng.integers(-4, 5, size=size) / 4.0
+        return rng.normal(size=size)
+
+    a = values((m, n))
+    a[rng.random((m, n)) < 0.3] = 0.0
+    for i in np.flatnonzero(rng.random(m) < 0.4):
+        j = int(rng.integers(n))
+        a[i] = 0.0
+        if rng.random() < 0.5:
+            a[i, j] = rng.choice([-1.0, 1.0])
+        else:
+            a[i, j], a[i, -1] = (-1.0, 1.0) if rng.random() < 0.5 else (1.0, -1.0)
+    if boxed:
+        a[-2 * n :] = np.vstack([np.eye(n), -np.eye(n)])
+    z0 = values(n)
+    z0[rng.random(n) < 0.4] = 0.0
+    slack = np.abs(values(m))
+    slack[rng.random(m) < 0.3] = 0.0
+    b = a @ z0 + slack
+    if boxed:
+        b[-2 * n :] = 3.0 + np.abs(np.concatenate([z0, z0]))
+    for i in range(1, m - 2 * n):
+        roll = rng.random()
+        if roll < 0.1:
+            a[i], b[i] = a[i - 1], b[i - 1]
+        elif roll < 0.2:
+            a[i], b[i] = 2.0 * a[i - 1], 2.0 * b[i - 1]
+    if rng.random() < 0.2:
+        i = int(rng.integers(m - 1))
+        a[i + 1], b[i + 1] = -a[i], -b[i] - 1.0
+    return values(n), a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(20, 130),
+    n=st.integers(1, 8),
+    quantized=st.booleans(),
+    boxed=st.booleans(),
+)
+def test_pivots_match_scalar_scan_bit_for_bit(seed, m, n, quantized, boxed):
+    """The vectorized pivots are Bland's pivots of a scalar scan: the same
+    status, and x and objective equal to the last bit, signed zeros
+    included."""
+    c, a, b = control_shaped_lp(seed, m, n, quantized, boxed)
+    got, want = solve_inequality_lp(c, a, b), reference_inequality_lp(c, a, b)
+    assert got.status is want.status
+    if want.x is None:
+        assert got.x is None and got.objective is None
+    else:
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
