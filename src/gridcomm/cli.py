@@ -69,7 +69,8 @@ def _linearized(args) -> tuple[NetworkModel, SensitivityMatrix]:
     sol = solve_power_flow(net)
     if not sol.converged:
         raise PowerFlowError(
-            f"power flow did not converge ({sol.iterations} iterations, max mismatch {sol.max_mismatch:.3e})"
+            f"power flow did not converge: {sol.stopped.value} ({sol.iterations} steps, "
+            f"{sol.factorizations} factorizations, max mismatch {sol.max_mismatch:.3e})"
         )
     return net, compute_sensitivity_matrix(net, sol)
 

@@ -1,4 +1,5 @@
-"""Newton-Raphson AC power flow on meshed per-unit networks.
+"""AC power flow on meshed per-unit networks, by Newton steps on a kept
+Jacobian factor.
 
 The solver works in polar coordinates with the full (unscaled) Jacobian,
 
@@ -19,27 +20,41 @@ dSbus_dV (Zimmerman, Murillo-Sanchez & Thomas, IEEE TPWRS 2011):
 taken on the non-slack rows and columns only, and only at the nonzeros of
 the non-slack Y-bus (plus its diagonal): the Jacobian has no other nonzero.
 
-Each Newton step solves the Jacobian by block elimination over breadth-
-first levels from the slack, the level ordering of sparse power-flow
-factorization (Tinney & Hart, Proc. IEEE 1967). A branch or transformer
-joins two buses of the same or of adjacent levels, so with the non-slack
-buses grouped by consecutive levels (blocks of at least BLOCK_ROWS Jacobian
-rows, each bus with its P and Q rows) the Jacobian is block tridiagonal:
-diagonal blocks D_k, below them L_k, above them U_k. It is eliminated in
-block-Thomas form (Golub & Van Loan, Matrix Computations, 4.5):
+The Jacobian is factored by block elimination over breadth-first levels
+from the slack, the level ordering of sparse power-flow factorization
+(Tinney & Hart, Proc. IEEE 1967). A branch or transformer joins two buses
+of the same or of adjacent levels, so with the non-slack buses grouped by
+consecutive levels (blocks of at least BLOCK_ROWS Jacobian rows, each bus
+with its P and Q rows) the Jacobian is block tridiagonal: diagonal blocks
+D_k, below them L_k, above them U_k. It is eliminated in block-Thomas form
+(Golub & Van Loan, Matrix Computations, 4.5):
 
-    D'_1 = D_1,   X_k = D'_k^-1 U_k,   D'_(k+1) = D_(k+1) - L_(k+1) X_k,
+    D'_1 = D_1,   X_k = D'_k^-1 U_k,   D'_(k+1) = D_(k+1) - L_(k+1) X_k.
 
-with one ``np.linalg.solve(D'_k, [U_k | y_k])`` per block and never an
-explicit inverse. A right-hand side b is carried through as the last
-column: y_1 = b_1, z_k = D'_k^-1 y_k, y_(k+1) = b_(k+1) - L_(k+1) z_k, and
-the back sweep x_K = z_K, x_k = z_k - X_k x_(k+1) takes matrix products
-only. A Newton step carries its mismatch, so it is solved inside the one
-pass that factors its Jacobian. A factor kept for later solves (the flat
-start's, a solved point's) is the same pass with no carried column, and
-its solve takes the z_k by per-block solves with the D'_k. A network of
-fewer than BLOCK_ROWS non-slack buses is one block in natural order, where
-this is plain ``np.linalg.solve``.
+The factor (``BlockLU``) keeps each D'_k^-1, from one ``np.linalg.inv`` per
+block, with the L_k and the X_k. A right-hand side b is then solved by
+matrix products only: z_1 = D'_1^-1 b_1, z_(k+1) = D'_(k+1)^-1 (b_(k+1) -
+L_(k+1) z_k), and the back sweep x_K = z_K, x_k = z_k - X_k x_(k+1). The
+inverses cost more to form than per-block LU factors (2.6 against 1.7 ms
+at 238 buses, one BLAS thread), and a solve against them far less (one
+vector 0.05 against 0.49 ms, 24 columns 0.23 against 0.88 ms), so they
+pay wherever a factor is solved more than once.
+
+Newton's method with a frozen Jacobian, the chord or Shamanskii method
+(Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003; for
+load flow, Stott, Proc. IEEE 62(7), 1974), is how a solve uses that:
+its first step solves the flat-start factor, its second factors the
+Jacobian at iterate 1 and keeps that factor. Each later step solves the
+kept factor again (a chord step) while the step before cut the largest
+mismatch to at most CHORD_RATIO of what it was, and factors the Jacobian
+at the current iterate otherwise. A solve stops at the same test either
+way: the largest mismatch within tolerance. A network of fewer than
+BLOCK_ROWS non-slack buses is one block in natural order, factored at
+every step: its factor is the Jacobian itself, solved by plain
+``np.linalg.solve``, which repeats the LU on every call, so a chord step
+saves no time there (on 30-bus networks it took as many steps and as long
+per solve) and would only change the bits. Such a solve is a full Newton
+solve, bit for bit.
 
 The Jacobian values are written straight into the blocks: one flat buffer
 holds, block row after block row, L_k, D_k and U_k, each in C order, and
@@ -63,10 +78,10 @@ the same bit for bit either way. The solution also keeps, from its first
 use, the factor at the solved point, so every sensitivity taken at that
 point shares one factorization.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 
@@ -83,7 +98,22 @@ class PowerFlowError(RuntimeError):
     """A power flow needed by a downstream step failed to converge."""
 
 
-MAX_ITER = 50  # Newton iterations before a solve is declared unconverged
+class StopReason(str, Enum):
+    """Why a power flow stopped stepping."""
+
+    CONVERGED = "converged"
+    VOLTAGE_COLLAPSE = "voltage collapse"  # an iterate put a bus at or below 1e-6 pu
+    NON_FINITE = "non-finite mismatch"
+    SINGULAR = "singular Jacobian block"
+    MAX_ITER = "iteration limit"
+
+
+MAX_ITER = 50  # steps, chord or full, before a solve is declared unconverged
+# A chord step follows a step that cut the largest mismatch to at most this
+# share of what it was; any other step factors the Jacobian anew. Counted on
+# three storm-238 rounds at seed 0: 0.5 and 0.25 make the same factorizations
+# and steps, 0.1 makes more factorizations (see CHANGES.md).
+CHORD_RATIO = 0.25
 # Fewest Jacobian rows per block. Measured per factor and solve, one BLAS
 # thread: below it the per-block numpy calls outweigh the flops saved (8-row
 # blocks cost 3.5x one dense solve of 58 rows; 16 to 64 rows are within 21%
@@ -190,10 +220,9 @@ class GridStructure:
         return BlockLU(self.blocks, *self.jacobian_blocks(v, th))
 
     def newton_step(self, v: np.ndarray, th: np.ndarray, mis: np.ndarray) -> np.ndarray:
-        """The Jacobian at v, th solved for mis, carried through its
-        elimination; LinAlgError if a diagonal block is singular."""
-        _, x, z = _eliminate(self.blocks, *self.jacobian_blocks(v, th), mis)
-        return _back_sweep(self.blocks, x, z, mis.shape)
+        """The full Newton step for mis at v, th: the Jacobian there factored
+        and solved; LinAlgError if a diagonal block is singular."""
+        return self.factor(v, th).solve(mis)
 
     @cached_property
     def flat_factor(self) -> BlockLU:
@@ -207,7 +236,9 @@ class PowerFlowSolution:
     tolerance and the grid structure it was solved with.
 
     v_mag/v_ang are indexed by position in NetworkModel.buses; bus_ids maps
-    positions back to ids and index_of ids to positions.
+    positions back to ids and index_of ids to positions. iterations counts
+    the steps taken, chord and full; factorizations the Jacobians factored
+    at the solve's own iterates (the flat-start factor is the grid's).
     """
 
     grid: GridStructure
@@ -217,6 +248,8 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     tolerance: float
+    stopped: StopReason
+    factorizations: int
 
     @property
     def bus_ids(self) -> list[int]:
@@ -245,7 +278,7 @@ class PowerFlowSolution:
 
     @cached_property
     def factor(self) -> BlockLU:
-        """The block LU of the Jacobian at these voltages, computed on first
+        """The block factor of the Jacobian at these voltages, computed on first
         use and kept; LinAlgError if a diagonal block is singular."""
         return self.grid.factor(self.v_mag, self.v_ang)
 
@@ -398,26 +431,6 @@ def _layout(blocks: list[np.ndarray], pattern: tuple, n1: int) -> tuple[np.ndarr
     return position, spans, size
 
 
-def _eliminate(blocks: list[np.ndarray], d: list, l: list, u: list, b: np.ndarray | None = None) -> tuple:
-    """The block-Thomas pass (module docstring) over diagonal blocks d (D_k),
-    the blocks below them l (L_k, k >= 2) and above them u (U_k, k < last),
-    blocks the matrix rows of each: the D'_k and the X_k and, when a vector
-    b is given, its z_k, carried as the last column of each block's one
-    solve. LinAlgError if a D'_k is singular."""
-    dp, x, z = [d[0]], [], []
-    y = None if b is None else b[blocks[0]]
-    for rows, dk, lk, uk in zip(blocks[1:], d[1:], l, u):
-        s = np.linalg.solve(dp[-1], uk if y is None else np.column_stack([uk, y]))
-        x.append(s if y is None else s[:, :-1])
-        dp.append(dk - lk @ x[-1])
-        if y is not None:
-            z.append(s[:, -1])
-            y = b[rows] - lk @ z[-1]
-    if y is not None:
-        z.append(np.linalg.solve(dp[-1], y))
-    return dp, x, z
-
-
 def _back_sweep(blocks: list[np.ndarray], xs: list, zs: list, shape: tuple) -> np.ndarray:
     """The solution from the X_k and z_k: x_K = z_K, x_k = z_k - X_k x_(k+1),
     each x_k written to its block's rows."""
@@ -431,79 +444,105 @@ def _back_sweep(blocks: list[np.ndarray], xs: list, zs: list, shape: tuple) -> n
 
 
 class BlockLU:
-    """Block-Thomas factor of a block-tridiagonal matrix (``_eliminate``),
-    kept for solves: the D'_k, the L_k (k >= 2) and the X_k (k < last).
-    Holds compact numpy arrays only, never views of the blocks given.
-    Raises LinAlgError when a diagonal block D'_k it solves with is
-    singular."""
+    """Block-Thomas factor of a block-tridiagonal matrix (module docstring)
+    over diagonal blocks d (D_k), the blocks below them l (L_k, k >= 2) and
+    above them u (U_k, k < last), blocks the matrix rows of each. It keeps
+    the inverses D'_k^-1 (inv), the L_k (l) and the X_k (x), compact numpy
+    arrays, never views of the blocks given, so a solve is matrix products
+    only; LinAlgError here if a D'_k is singular. One block keeps the
+    matrix itself (dense) and solves it by np.linalg.solve, which raises
+    LinAlgError at the solve if it is singular.
+    """
 
     def __init__(self, blocks: list[np.ndarray], d: list, l: list, u: list):
         self.blocks = blocks
-        dp, self.x, _ = _eliminate(blocks, d, l, u)
-        self.d = [dp[0].copy(), *dp[1:]]  # D'_1 is D_1 itself
         self.l = [lk.copy() for lk in l]
+        self.dense, self.inv, self.x = None, [], []
+        if len(blocks) == 1:
+            self.dense = d[0].copy()
+            return
+        self.inv.append(np.linalg.inv(d[0]))
+        for dk, lk, uk in zip(d[1:], l, u):
+            self.x.append(self.inv[-1] @ uk)
+            self.inv.append(np.linalg.inv(dk - lk @ self.x[-1]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with matrix @ x = b, for a vector or a matrix of columns b."""
-        z = [np.linalg.solve(self.d[0], b[self.blocks[0]])]
-        for rows, dk, lk in zip(self.blocks[1:], self.d[1:], self.l):
-            z.append(np.linalg.solve(dk, b[rows] - lk @ z[-1]))
+        if self.dense is not None:
+            return np.linalg.solve(self.dense, b)
+        z = [self.inv[0] @ b[self.blocks[0]]]
+        for rows, inv_k, lk in zip(self.blocks[1:], self.inv[1:], self.l):
+            z.append(inv_k @ (b[rows] - lk @ z[-1]))
         return _back_sweep(self.blocks, self.x, z, b.shape)
 
 
 def solve_power_flow(
     net: NetworkModel, tolerance: float = 1e-8, previous: PowerFlowSolution | None = None
 ) -> PowerFlowSolution:
-    """Newton-Raphson solve from a flat start (1.0 pu, 0 rad; the slack at
-    its own v_mag/v_ang) until the largest mismatch is within tolerance;
-    deterministic for a fixed network and tolerance.
+    """Solve from a flat start (1.0 pu, 0 rad; the slack at its own
+    v_mag/v_ang) by Newton steps, chord steps on a kept factor among them
+    on a network of several blocks (module docstring), until the largest
+    mismatch is within tolerance; deterministic for a fixed network and
+    tolerance. iterations counts the steps of both kinds.
 
     previous, a flow of an earlier state of net, lends its grid structure
     (and so its Y-bus and flat-start factor) when net's bus ids, slack and
     branch and transformer data are unchanged (module docstring); the
     result is the same without it.
 
-    Non-convergence within MAX_ITER (or a diverging iterate) returns a
-    solution flagged converged=False. A singular Jacobian, or a singular
-    diagonal block of its factor, at the starting point raises
-    SingularJacobianError; one appearing mid-run after wild steps is treated
-    as divergence.
+    Non-convergence within MAX_ITER steps (or a collapsing or non-finite
+    iterate) returns a solution flagged converged=False, with the reason
+    in stopped. A singular Jacobian, or a singular diagonal block of its
+    factor, at the starting point raises SingularJacobianError; one
+    appearing mid-run after wild steps stops the solve unconverged.
     """
     if previous is not None and previous.grid.fits(net):
         grid = previous.grid
     else:
         grid = GridStructure.build(net)
-    ns = grid.non_slack_pos
+    ns, nn = grid.non_slack_pos, len(grid.non_slack_pos)
     s_spec = _injections(net, grid.index_of)
+    full_steps_only = len(grid.blocks) == 1  # where a kept factor saves nothing
 
     v, th = grid.flat_start()
     mis = _mismatch(grid.ybus, s_spec, v, th, ns)
-    it = 0
-    diverged = False
+    it = factorizations = 0
+    stopped = None
     while it < MAX_ITER:
         if not np.all(np.isfinite(mis)):
-            diverged = True
+            stopped = StopReason.NON_FINITE
             break
-        if np.max(np.abs(mis)) <= tolerance:
+        peak = np.max(np.abs(mis))
+        if peak <= tolerance:
             break
         try:
-            dx = grid.flat_factor.solve(mis) if it == 0 else grid.newton_step(v, th, mis)
+            if it == 0:
+                factor = grid.flat_factor
+            elif full_steps_only or it == 1 or peak > CHORD_RATIO * last_peak:
+                factor = grid.factor(v, th)
+                factorizations += 1
+            dx = factor.solve(mis)
         except np.linalg.LinAlgError as exc:
             if it == 0:
                 raise SingularJacobianError(str(exc)) from exc
-            diverged = True
+            stopped = StopReason.SINGULAR
             break
-        nn = len(ns)
+        last_peak = peak
         th[ns] += dx[:nn]
         v[ns] += dx[nn:]
         it += 1
-        if np.any(v[ns] <= 1e-6) or not np.all(np.isfinite(v[ns])):
-            diverged = True
+        if not np.all(np.isfinite(v[ns])):
+            stopped = StopReason.NON_FINITE
+            break
+        if np.any(v[ns] <= 1e-6):
+            stopped = StopReason.VOLTAGE_COLLAPSE
             break
         mis = _mismatch(grid.ybus, s_spec, v, th, ns)
 
     max_mis = float(np.max(np.abs(mis))) if np.all(np.isfinite(mis)) else float("inf")
-    converged = (not diverged) and max_mis <= tolerance
+    converged = stopped is None and max_mis <= tolerance
+    if stopped is None:
+        stopped = StopReason.CONVERGED if converged else StopReason.MAX_ITER
     return PowerFlowSolution(
         grid=grid,
         v_mag=v,
@@ -512,4 +551,6 @@ def solve_power_flow(
         iterations=it,
         max_mismatch=max_mis,
         tolerance=tolerance,
+        stopped=stopped,
+        factorizations=factorizations,
     )

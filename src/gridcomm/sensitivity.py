@@ -8,10 +8,10 @@ At a converged operating point the linearization
 
 maps per-unit injection changes at non-slack buses to angle and voltage
 changes. ``SensitivityMatrix.columns`` solves for just the columns a caller
-reads; the inverse is never formed. Rows and columns follow the non-slack
+reads; the full inverse is never formed. Rows and columns follow the non-slack
 buses in network order, not their ids: ``bus_ids`` lists them and ``row``
 maps ids to them. ``pf`` is the flow whose Jacobian is solved, through the
-block LU it keeps (``pf.factor``), so every caller at one operating point
+block factor it keeps (``pf.factor``), so every caller at one operating point
 shares one factorization.
 """
 
@@ -103,7 +103,12 @@ def dg_columns(
 ) -> DGColumns:
     """The mode's columns at DG buses, from one solve; ValueError for a DG
     on the slack."""
-    dgs = net.dgs_sorted(online_only=online_only)
+    return dg_columns_at(sens, net.dgs_sorted(online_only=online_only), mode)
+
+
+def dg_columns_at(sens: SensitivityMatrix, dgs: list[DG], mode: SensitivityMode) -> DGColumns:
+    """The mode's columns at the buses of dgs (id ascending), from one
+    solve; ValueError for a DG on the slack."""
     cols = sens.columns(mode, dg_buses(sens, dgs))
     n1 = len(sens.bus_ids)
     return DGColumns(matrix=cols[n1:], dg_ids=[d.id for d in dgs], angles=cols[:n1])

@@ -39,6 +39,7 @@ import copy
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -57,11 +58,11 @@ from .control import (
     setpoint,
     solve_lp,
 )
-from .network import NetworkModel
+from .network import DG, NetworkModel
 from .network_io import joined, load_json, read_element, read_value, write_table
 from .partition import Partition, build_dg_adjacency
 from .powerflow import PowerFlowSolution, solve_power_flow
-from .sensitivity import DGColumns, SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix, dg_columns
+from .sensitivity import DGColumns, SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix, dg_columns_at
 
 HEADROOM_TOL = 1e-9
 # Linearization guard: the LP targets a band tightened by this much on the
@@ -219,7 +220,7 @@ class SimulationState:
     partition: Partition
     sens: SensitivityMatrix  # and, as sens.pf, the flow it was taken at
     mode: SensitivityMode
-    cols: DGColumns  # the mode's columns at the online DGs, at sens.pf
+    online_dgs: list[DG]  # online when sens.pf was solved, id ascending: the columns of cols
     v_limits: tuple[float, float]
     nodes_of: dict[int, list[int]]  # community -> non-slack bus ids, community id ascending
     subsets: dict[int, CommunitySubsets]
@@ -244,6 +245,13 @@ class SimulationState:
     @property
     def pf(self) -> PowerFlowSolution:
         return self.sens.pf
+
+    @cached_property
+    def cols(self) -> DGColumns:
+        """The mode's columns at the online DGs, at sens.pf: solved on first
+        read, so a tick that reads none factors no Jacobian at its solved
+        point. ``_resolve`` drops them with the flow they were taken at."""
+        return dg_columns_at(self.sens, self.online_dgs, self.mode)
 
     def send(self, sender: AgentId, receiver: AgentId, kind: MessageKind, payload: dict) -> None:
         self.messages.append(
@@ -294,7 +302,7 @@ def initialize(
         partition=partition,
         sens=sens,
         mode=mode,
-        cols=dg_columns(sens, net, mode, online_only=True),
+        online_dgs=net.dgs_sorted(online_only=True),
         v_limits=v_limits,
         nodes_of=nodes_of,
         subsets={},
@@ -380,12 +388,18 @@ def self_organize(state: SimulationState, community: int) -> None:
 
 def _resolve(state: SimulationState, why: str) -> None:
     """Re-solve the flow of state.net, from the current flow's grid structure
-    where the grid is unchanged, and take the sensitivities there."""
+    where the grid is unchanged, and take the sensitivities there, their DG
+    columns fixed to the DGs online now and solved on first read."""
     pf = solve_power_flow(state.net, state.pf.tolerance, previous=state.pf)
     if not pf.converged:
-        raise SimulationDiverged(f"power flow diverged after {why} at tick {state.tick}", state)
+        raise SimulationDiverged(
+            f"power flow did not converge after {why} at tick {state.tick}: {pf.stopped.value} "
+            f"({pf.iterations} steps, {pf.factorizations} factorizations, max mismatch {pf.max_mismatch:.3e})",
+            state,
+        )
     state.sens = compute_sensitivity_matrix(state.net, pf)
-    state.cols = dg_columns(state.sens, state.net, state.mode, online_only=True)
+    state.online_dgs = state.net.dgs_sorted(online_only=True)
+    state.__dict__.pop("cols", None)
 
 
 def _apply_events(state: SimulationState, events: Sequence[Event]) -> tuple[bool, set[int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,6 +91,58 @@ def flat_start_point(grid: GridStructure) -> bytes:
     """The flat start of grid, as record_factorizations records it."""
     v, th = grid.flat_start()
     return v.tobytes() + th.tobytes()
+
+
+def carried_newton_step(grid: GridStructure, v: np.ndarray, th: np.ndarray, mis: np.ndarray) -> np.ndarray:
+    """The Jacobian at v, th solved for mis by the block-Thomas pass with one
+    np.linalg.solve(D'_k, [U_k | y_k]) per block, mis carried as the last
+    column, and no inverse; LinAlgError if a D'_k is singular."""
+    d, l, u = grid.jacobian_blocks(v, th)
+    blocks = grid.blocks
+    dp, y, x, z = d[0], mis[blocks[0]], [], []
+    for rows, dk, lk, uk in zip(blocks[1:], d[1:], l, u):
+        s = np.linalg.solve(dp, np.column_stack([uk, y]))
+        x.append(s[:, :-1])
+        z.append(s[:, -1])
+        dp = dk - lk @ x[-1]
+        y = mis[rows] - lk @ z[-1]
+    z.append(np.linalg.solve(dp, y))
+    return powerflow._back_sweep(blocks, x, z, mis.shape)
+
+
+def reference_newton(net: NetworkModel, tolerance: float = 1e-8) -> SimpleNamespace:
+    """Pure Newton from the flat start, every step a fresh carried
+    elimination (``carried_newton_step``), with the solver's stopping tests:
+    the oracle of solve_power_flow's chord steps. Returns converged,
+    iterations, v_mag, v_ang and max_mismatch."""
+    grid = GridStructure.build(net)
+    ns, nn = grid.non_slack_pos, len(grid.non_slack_pos)
+    s_spec = powerflow._injections(net, grid.index_of)
+    v, th = grid.flat_start()
+    mis = powerflow._mismatch(grid.ybus, s_spec, v, th, ns)
+    it, diverged = 0, False
+    while it < powerflow.MAX_ITER:
+        if not np.all(np.isfinite(mis)):
+            diverged = True
+            break
+        if np.max(np.abs(mis)) <= tolerance:
+            break
+        try:
+            dx = carried_newton_step(grid, v, th, mis)
+        except np.linalg.LinAlgError:
+            diverged = True
+            break
+        th[ns] += dx[:nn]
+        v[ns] += dx[nn:]
+        it += 1
+        if np.any(v[ns] <= 1e-6) or not np.all(np.isfinite(v[ns])):
+            diverged = True
+            break
+        mis = powerflow._mismatch(grid.ybus, s_spec, v, th, ns)
+    max_mis = float(np.max(np.abs(mis))) if np.all(np.isfinite(mis)) else float("inf")
+    converged = not diverged and max_mis <= tolerance
+    return SimpleNamespace(converged=converged, iterations=it, v_mag=v, v_ang=th, max_mismatch=max_mis)
+
 
 def prepared(net: NetworkModel, tolerance: float = 1e-10):
     """Solve, differentiate and partition a network for simulation entry."""

@@ -404,6 +404,21 @@ def test_sensitivity_nonconvergent_network_exits_3(tmp_path, capsys):
     assert "converge" in stderr
 
 
+def test_nonconvergent_flow_says_why_it_stopped(tmp_path, capsys):
+    # The initial flow and a re-solve mid-run both name the stop reason.
+    net_file = tmp_path / "heavy.json"
+    save_network(two_bus(p=100.0, q=50.0), net_file)
+    code, _, stderr = run_cli(capsys, "partition", "--network", str(net_file), "--out", str(tmp_path / "p"))
+    assert code == 3
+    assert "did not converge: voltage collapse (1 steps, 0 factorizations, max mismatch" in stderr
+    events = [{"at_tick": 1, "kind": "load_change", "target": 17, "magnitude": 80.0}]
+    scenario = write_scenario(tmp_path / "collapse.json", events, duration=3)
+    argv = ["simulate", "--synth", SYNTH30, "--scenario", str(scenario), "--out", str(tmp_path / "r")]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 3
+    assert "did not converge after scenario events at tick 1: voltage collapse" in stderr
+
+
 @pytest.mark.parametrize("command", ["sensitivity", "partition"])
 def test_singular_jacobian_exits_3(tmp_path, capsys, monkeypatch, command):
     # The flow converges; the sensitivity solve then meets a singular Jacobian,

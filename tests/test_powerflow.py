@@ -3,16 +3,33 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcomm import powerflow
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
-from gridcomm.powerflow import SingularJacobianError, _jacobian, _pattern, build_ybus, solve_power_flow
+from gridcomm.powerflow import (
+    SingularJacobianError,
+    StopReason,
+    _injections,
+    _jacobian,
+    _pattern,
+    build_ybus,
+    solve_power_flow,
+)
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
-from conftest import ladder238, ladder417, sliced_blocks, synth153, synth30, two_bus
+from conftest import (
+    ladder238,
+    ladder417,
+    reference_newton,
+    sliced_block_lu,
+    sliced_blocks,
+    synth153,
+    synth30,
+    two_bus,
+)
 
 
 def analytic_two_bus(p, q, x):
@@ -184,6 +201,32 @@ def test_singular_block_mid_run_ends_unconverged(monkeypatch):
     sol = solve_power_flow(net)
     assert not sol.converged
     assert sol.iterations == 1
+    assert sol.stopped is StopReason.SINGULAR
+
+
+def nan_load(net):
+    net.buses[1].p_load = float("nan")
+    return net
+
+
+@pytest.mark.parametrize(
+    "make, reason, limit",
+    [
+        (synth153, StopReason.CONVERGED, None),
+        (lambda: two_bus(p=100.0, q=50.0), StopReason.VOLTAGE_COLLAPSE, None),
+        (lambda: nan_load(synth30()), StopReason.NON_FINITE, None),
+        (synth153, StopReason.MAX_ITER, 2),
+    ],
+    ids=["converged", "collapse", "nan", "limit"],
+)
+def test_solution_says_why_it_stopped(make, reason, limit, monkeypatch):
+    if limit is not None:
+        monkeypatch.setattr(powerflow, "MAX_ITER", limit)
+    sol = solve_power_flow(make())
+    assert sol.stopped is reason
+    assert sol.converged == (reason is StopReason.CONVERGED)
+    if limit is not None:
+        assert sol.iterations == limit
 
 
 def test_bus_the_slack_does_not_reach_makes_the_jacobian_singular():
@@ -301,6 +344,28 @@ def test_one_block_is_the_dense_solve_bit_for_bit():
 
 
 @pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
+def test_kept_factor_solves_like_the_dense_jacobian(make):
+    # The kept inverses against np.linalg.solve of the dense Jacobian, for a
+    # vector and for a matrix of columns.
+    sol = solve_power_flow(make(), tolerance=1e-10)
+    jac = sol.jacobian()
+    rhs = np.random.default_rng(0).standard_normal((len(jac), 24))
+    for b in (rhs[:, 0], rhs):
+        oracle = np.linalg.solve(jac, b)
+        got = sol.factor.solve(b)
+        assert got.shape == oracle.shape
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
+def test_singular_diagonal_block_raises_when_the_factor_is_built(make):
+    blocks = solve_power_flow(make()).grid.blocks
+    n = sum(len(b) for b in blocks)
+    with pytest.raises(np.linalg.LinAlgError):
+        sliced_block_lu(np.zeros((n, n)), blocks)
+
+
+@pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
 def test_newton_and_columns_match_blocks_sliced_from_the_dense_jacobian(make, monkeypatch):
     # Every Jacobian, in Newton and at the solved point, as blocks sliced
     # out of the dense Jacobian: the same iterations, voltages and
@@ -309,7 +374,7 @@ def test_newton_and_columns_match_blocks_sliced_from_the_dense_jacobian(make, mo
     net = make()
     sol, cols = solved_with_columns(net)
     factor = sol.factor
-    for a in factor.d + factor.l + factor.x:
+    for a in factor.inv + factor.l + factor.x:
         assert (a if a.base is None else a.base).nbytes == a.nbytes
 
     def sliced(grid, v, th):
@@ -415,3 +480,68 @@ def test_resolve_reusing_the_structure_equals_a_fresh_solve(change, loads, trips
     again = solve_power_flow(net, previous=before)
     assert (again.grid is before.grid) == (change is None)
     assert outcome(again) == outcome(solve_power_flow(net))
+
+
+# ---------------------------------------------------------------------------
+# chord steps against pure Newton
+
+
+CHORD_NETS = {"synth153": SYNTH153, "ladder238": ladder238()}
+
+
+def agreement_bound(net, sol, ref) -> float:
+    """How far two flows of net that both meet the tolerance test may lie
+    apart. With F the mismatch and x = (v_ang, v_mag) on the non-slack
+    buses, F(a) - F(b) = J (a - b) to first order, so |a - b| <= ||J^-1||
+    (|F(a)| + |F(b)|) in the infinity norm; each |F| is the reported max
+    mismatch plus the rounding of its evaluation, at most 16 eps of the
+    largest sum of |terms| in a bus's injection. The factor 2 covers the
+    second-order term, which |a - b| near 1e-9 makes negligible."""
+    jinv_norm = np.max(np.sum(np.abs(np.linalg.inv(sol.jacobian())), axis=1))
+    v = sol.v_mag
+    terms = np.abs(_injections(net, sol.index_of)) + v * (np.abs(sol.grid.ybus) @ v)
+    rounding = 16 * np.finfo(float).eps * np.max(terms)
+    return 2 * jinv_norm * (sol.max_mismatch + ref.max_mismatch + 2 * rounding)
+
+
+# ladder238 at 4.5 times its loads is past the nose: pure Newton runs out of
+# steps, and the chord solve stops on a collapsed voltage.
+COLLAPSING = ("ladder238", 4.5, [], [])
+# Past the nose the two solves wander on different paths: here pure Newton
+# collapses after 19 steps, the chord solve after 33 steps and 31
+# factorizations.
+WANDERING = ("synth153", 7.5, [(91, 0.75)], [])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CHORD_NETS)),
+    scale=st.floats(0.5, 10.0),
+    steps=st.lists(st.tuples(st.integers(1, N153 - 1), st.floats(0.0, 2.0)), max_size=4),
+    trips=st.lists(st.integers(0, len(SYNTH153.dgs) - 1), max_size=4),
+)
+@example(*COLLAPSING)
+@example(*WANDERING)
+def test_chord_steps_agree_with_pure_newton(name, scale, steps, trips):
+    # Loads scaled past the nose of the PV curve, load steps and DG trips,
+    # on networks of several blocks: the chord solve converges exactly when
+    # pure Newton does. When both converge, both meet the tolerance, its
+    # factorizations are no more than Newton's steps and the voltages agree
+    # within the bound.
+    net = copy.deepcopy(CHORD_NETS[name])
+    assert len(solve_power_flow(CHORD_NETS[name]).grid.blocks) > 1
+    for b in net.buses:
+        b.p_load *= scale
+        b.q_load *= scale
+    for i, dp in steps:
+        net.buses[i].p_load += dp
+    for i in trips:
+        net.dgs[i].online = False
+    sol, ref = solve_power_flow(net), reference_newton(net)
+    assert sol.converged == ref.converged
+    if sol.converged:
+        assert sol.factorizations <= ref.iterations
+        assert max(sol.max_mismatch, ref.max_mismatch) <= sol.tolerance
+        bound = agreement_bound(net, sol, ref)
+        assert np.max(np.abs(sol.v_mag - ref.v_mag)) <= bound
+        assert np.max(np.abs(sol.v_ang - ref.v_ang)) <= bound

@@ -21,6 +21,7 @@ from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
 from conftest import (
     FIXTURES,
+    carried_newton_step,
     count_ybus_builds,
     ladder238,
     ladder417,
@@ -271,9 +272,10 @@ def test_block_lu_matches_the_dense_solve_on_several_blocks(name, scale, mode, p
     jac0, mis0 = flat_start(net, sol)
     assert within(sliced_block_lu(jac0, blocks).solve(mis0), np.linalg.solve(jac0, mis0))
 
-    # A right-hand side carried through the elimination, as Newton's later
-    # steps carry their mismatch, against the kept factor and the dense solve.
-    carried = sol.grid.newton_step(sol.v_mag, sol.v_ang, mis0)
+    # A right-hand side carried through an elimination by per-block solves,
+    # as pure Newton's steps carry their mismatch, against the kept factor
+    # and the dense solve.
+    carried = carried_newton_step(sol.grid, sol.v_mag, sol.v_ang, mis0)
     assert within(carried, sol.factor.solve(mis0))
     assert within(carried, np.linalg.solve(jac, mis0))
 

@@ -238,6 +238,30 @@ def test_state_keeps_the_online_dg_columns_of_each_operating_point():
     np.testing.assert_array_equal(state.cols.matrix, expected.matrix)
 
 
+def test_dg_columns_are_solved_on_first_read():
+    # A tick with no violation and no DG event reads no DG columns, so its
+    # re-solve factors no Jacobian at the solved point. Read later, the
+    # columns are the eager ones of the DGs online at that re-solve, bit for
+    # bit, in the state and in deep copies taken before and after the tick.
+    net = synth153()
+    part, sens = prepared(net)
+    state = initialize(net, part, sens, v_limits=(0.5, 1.5))
+    early = copy.deepcopy(state)
+    tick = [Event(0, EventKind.LOAD_CHANGE, 40, 0.05)]
+    step(state, tick)
+    assert state.violations_seen == 0
+    assert "factor" not in state.pf.__dict__
+    assert "cols" not in state.__dict__
+    eager = dg_columns(state.sens, state.net, state.mode, online_only=True)
+    late = copy.deepcopy(state)
+    step(early, tick)
+    state.net.dgs[0].online = False  # no re-solve: the columns keep the re-solve's DGs
+    for s in (state, late, early):
+        assert s.cols.dg_ids == eager.dg_ids
+        assert s.cols.matrix.tobytes() == eager.matrix.tobytes()
+        assert s.cols.angles.tobytes() == eager.angles.tobytes()
+
+
 def test_view_gives_a_slack_transformer_end_a_zero_angle_row():
     # slack 0 -> transformer -> bus 1 (DG 1) -> feeder -> bus 2
     net = NetworkModel(
