@@ -105,7 +105,7 @@ def _write_partition(partition: Partition, dendro: Dendrogram, net: NetworkModel
 def cmd_partition(args) -> int:
     net, sens = _linearized(args)
     partition, dendro = partition_network(
-        net, sens, mode=SensitivityMode(args.mode), peak=_peak(args.peak)
+        net, sens, mode=SensitivityMode(args.mode), peak=PeakPolicy(args.peak)
     )
     out = Path(args.out)
     _write_partition(partition, dendro, net, out)
@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--vmin must be below --vmax, got {args.vmin} >= {args.vmax}")
     scenario = load_scenario(args.scenario)
     net, sens = _linearized(args)
-    partition, _ = partition_network(net, sens, mode=SensitivityMode(args.mode), peak=_peak(args.peak))
+    partition, _ = partition_network(net, sens, mode=SensitivityMode(args.mode), peak=PeakPolicy(args.peak))
     report = run_scenario(
         net,
         scenario,
@@ -146,10 +146,6 @@ def cmd_sensitivity(args) -> int:
     return 0
 
 
-def _peak(text: str) -> PeakPolicy:
-    return PeakPolicy.GLOBAL if text == "global" else PeakPolicy.FIRST_LOCAL
-
-
 def _add_common(p: argparse.ArgumentParser, partitions: bool = True, scenario: bool = False) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--network", help="network JSON file")
@@ -157,7 +153,7 @@ def _add_common(p: argparse.ArgumentParser, partitions: bool = True, scenario: b
     p.add_argument("--seed", type=int, help="seed for --synth (default 0); an error with --network")
     if partitions:
         p.add_argument("--mode", choices=["vq", "vp"], default="vq", help="sensitivity mode (default vq)")
-        p.add_argument("--peak", choices=["global", "first"], default="global", help="dendrogram peak policy")
+        p.add_argument("--peak", choices=[x.value for x in PeakPolicy], default="global", help="dendrogram peak policy")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     if scenario:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -199,10 +195,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NetworkFormatError, NetworkValidationError, ScenarioError, SynthesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (NetworkFormatError, NetworkValidationError, ScenarioError, SynthesisError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PowerFlowError, SingularJacobianError, SimulationDiverged) as exc:

@@ -89,12 +89,6 @@ class NetworkModel:
     transformers: list[Transformer] = field(default_factory=list)
     dgs: list[DG] = field(default_factory=list)
 
-    def bus_by_id(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(f"no bus with id {bus_id}")
-
     def dg_by_id(self, dg_id: int) -> DG:
         for d in self.dgs:
             if d.id == dg_id:

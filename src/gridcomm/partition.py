@@ -28,7 +28,7 @@ class PeakPolicy(str, Enum):
     the first state after which the next merge strictly decreases it."""
 
     GLOBAL = "global"
-    FIRST_LOCAL = "first_local"
+    FIRST = "first"
 
 
 @dataclass

@@ -59,8 +59,7 @@ solve, bit for bit.
 The Jacobian values are written straight into the blocks: one flat buffer
 holds, block row after block row, L_k, D_k and U_k, each in C order, and
 the buffer position of every value is computed once per Y-bus. No dense
-Jacobian is formed on the solve path; ``jacobian()`` fills one from the
-same values, for the tests.
+Jacobian is formed.
 
 The Jacobian depends on the Y-bus and the voltages only: the injections
 enter the mismatch, never its derivatives. At the flat start (1.0 pu, 0
@@ -120,14 +119,6 @@ CHORD_RATIO = 0.25
 # of each other on the 238- and 417-bus ladders), and a network of fewer
 # non-slack buses stays one dense solve, bit for bit np.linalg.solve.
 BLOCK_ROWS = 64
-
-
-def lookup(index: dict[int, int], bus_id: int) -> int:
-    """Position of a bus id in an id -> position map; ValueError if absent."""
-    try:
-        return index[bus_id]
-    except KeyError:
-        raise ValueError(f"unknown bus id {bus_id}") from None
 
 
 _BRANCH_DATA = attrgetter("from_bus", "to_bus", "r", "x", "b_shunt")
@@ -219,11 +210,6 @@ class GridStructure:
         diagonal block is singular."""
         return BlockLU(self.blocks, *self.jacobian_blocks(v, th))
 
-    def newton_step(self, v: np.ndarray, th: np.ndarray, mis: np.ndarray) -> np.ndarray:
-        """The full Newton step for mis at v, th: the Jacobian there factored
-        and solved; LinAlgError if a diagonal block is singular."""
-        return self.factor(v, th).solve(mis)
-
     @cached_property
     def flat_factor(self) -> BlockLU:
         """``factor`` at the flat start, computed on first use and kept."""
@@ -266,15 +252,6 @@ class PowerFlowSolution:
     @property
     def non_slack(self) -> list[int]:
         return [self.bus_ids[i] for i in self.grid.non_slack_pos]
-
-    def v_of(self, bus_id: int) -> float:
-        return float(self.v_mag[lookup(self.index_of, bus_id)])
-
-    def jacobian(self) -> np.ndarray:
-        """The dense Newton Jacobian at these voltages, from the values the
-        solve scatters into its blocks."""
-        g = self.grid
-        return _jacobian(g.ybus, self.v_mag, self.v_ang, g.non_slack_pos, g.pattern)
 
     @cached_property
     def factor(self) -> BlockLU:
@@ -367,15 +344,6 @@ def _entries(pattern: tuple, n1: int) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian rows and columns of the ``_jacobian_values`` entries."""
     r, c = pattern
     return np.concatenate([r, r, r + n1, r + n1]), np.concatenate([c, c + n1, c, c + n1])
-
-
-def _jacobian(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray, pattern: tuple) -> np.ndarray:
-    """The dense polar Jacobian on the non-slack rows and columns: zero but
-    for ``_jacobian_values`` at pattern."""
-    n1 = len(ns)
-    jac = np.zeros((2 * n1, 2 * n1))
-    jac[_entries(pattern, n1)] = _jacobian_values(ybus, v, th, ns, pattern)
-    return jac
 
 
 def _blocks(linked: np.ndarray, slack_idx: int, ns: np.ndarray) -> list[np.ndarray]:
@@ -534,10 +502,10 @@ def solve_power_flow(
         if not np.all(np.isfinite(v[ns])):
             stopped = StopReason.NON_FINITE
             break
-        if np.any(v[ns] <= 1e-6):
+        mis = _mismatch(grid.ybus, s_spec, v, th, ns)
+        if np.any(v[ns] <= 1e-6):  # the mismatch reported is the collapsed point's
             stopped = StopReason.VOLTAGE_COLLAPSE
             break
-        mis = _mismatch(grid.ybus, s_spec, v, th, ns)
 
     max_mis = float(np.max(np.abs(mis))) if np.all(np.isfinite(mis)) else float("inf")
     converged = stopped is None and max_mis <= tolerance

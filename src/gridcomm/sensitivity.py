@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .network import DG, NetworkModel
-from .powerflow import PowerFlowSolution, SingularJacobianError, lookup
+from .powerflow import PowerFlowSolution, SingularJacobianError
 from .powerflow import build_ybus  # noqa: F401  unused; bench/spans.py TARGETS looks it up here
 
 
@@ -41,7 +41,11 @@ class SensitivityMatrix:
     row: dict[int, int]  # non-slack bus id -> row and column
 
     def row_of(self, bus_id: int) -> int:
-        return lookup(self.row, bus_id)
+        """The row of a non-slack bus id; ValueError if it has none."""
+        try:
+            return self.row[bus_id]
+        except KeyError:
+            raise ValueError(f"unknown bus id {bus_id}") from None
 
     def columns(self, mode: SensitivityMode, bus_ids: list[int]) -> np.ndarray:
         """Responses to a unit injection of the mode's kind (P or Q) at each

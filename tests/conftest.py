@@ -45,6 +45,33 @@ def count_ybus_builds(monkeypatch) -> list:
 
 
 
+def dense_jacobian(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray, pattern: tuple) -> np.ndarray:
+    """The dense polar Jacobian on the non-slack rows and columns: zero but
+    for the runtime's ``_jacobian_values`` at their ``_entries``, the values
+    the solver scatters into its blocks."""
+    n1 = len(ns)
+    jac = np.zeros((2 * n1, 2 * n1))
+    jac[powerflow._entries(pattern, n1)] = powerflow._jacobian_values(ybus, v, th, ns, pattern)
+    return jac
+
+
+def jacobian_at(sol: PowerFlowSolution) -> np.ndarray:
+    """The dense Jacobian at sol's voltages, on sol's grid."""
+    g = sol.grid
+    return dense_jacobian(g.ybus, sol.v_mag, sol.v_ang, g.non_slack_pos, g.pattern)
+
+
+def v_of(sol: PowerFlowSolution, bus_id: int) -> float:
+    """The solved voltage magnitude at a bus id."""
+    return float(sol.v_mag[sol.index_of[bus_id]])
+
+
+def bus_with_id(net: NetworkModel, bus_id: int) -> Bus:
+    """The one bus of net with the given id."""
+    [bus] = [b for b in net.buses if b.id == bus_id]
+    return bus
+
+
 def sliced_blocks(jac: np.ndarray, blocks: list[np.ndarray]) -> tuple[list, list, list]:
     """The D_k, L_k and U_k of a dense matrix over the given diagonal
     blocks, sliced out of it: the oracle of the scattered blocks."""
@@ -214,7 +241,7 @@ def overvoltage30() -> NetworkModel:
         if d.id in settings:
             d.q_out = settings[d.id]
             d.q_surplus = 0.8
-    net.bus_by_id(15).q_load += 0.08
+    bus_with_id(net, 15).q_load += 0.08
     return net
 
 
@@ -224,7 +251,7 @@ def trip_restore30() -> NetworkModel:
     net = synth30()
     net.dg_by_id(21).q_out = 0.1
     net.dg_by_id(21).q_surplus = 0.3
-    net.bus_by_id(27).q_load += 0.6
+    bus_with_id(net, 27).q_load += 0.6
     return net
 
 

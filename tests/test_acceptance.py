@@ -26,6 +26,7 @@ from conftest import (
     FIXTURES,
     barbell8,
     brute_force_best_modularity,
+    bus_with_id,
     k4,
     lp_vertex_oracle,
     null_trip30,
@@ -36,6 +37,7 @@ from conftest import (
     trip_restore30,
     two_bus,
     two_triangles,
+    v_of,
     write_scenario,
 )
 
@@ -61,7 +63,7 @@ def test_criterion_1_two_bus_closed_form():
     # lossless feeder, x = 0.1, q = 0.1: the receiving voltage solves
     # v^2 = v - q*x, whose high root is (1 + sqrt(1 - 4*q*x)) / 2
     exact = (1.0 + math.sqrt(1.0 - 4.0 * 0.1 * 0.1)) / 2.0
-    err = abs(sol.v_of(1) - exact)
+    err = abs(v_of(sol, 1) - exact)
     elapsed = time.perf_counter() - t0
     assert sol.converged
     assert err <= 1e-8
@@ -93,7 +95,7 @@ def _linearization_error(net, h: float, rng: np.random.Generator, n_dirs: int = 
         pred_t = t0 + by_p[:k] @ dp + by_q[:k] @ dq
         pert = copy.deepcopy(net)
         for i, b in enumerate(ids):
-            bus = pert.bus_by_id(b)
+            bus = bus_with_id(pert, b)
             bus.p_load -= dp[i]
             bus.q_load -= dq[i]
         sol = solve_power_flow(pert, tolerance=TIGHT)

@@ -26,11 +26,13 @@ from gridcomm.simulation import EventKind
 
 from conftest import (
     FIXTURES,
+    bus_with_id,
     flat_start_point,
     record_factorizations,
     singular_kept_factors,
     trip_restore30,
     two_bus,
+    v_of,
     write_scenario,
 )
 
@@ -379,9 +381,9 @@ def test_sensitivity_dump_matches_finite_difference(tmp_path, capsys):
     h = 1e-4
     base = solve_power_flow(two_bus(), tolerance=1e-12)
     bumped_net = two_bus()
-    bumped_net.bus_by_id(1).q_load -= h
+    bus_with_id(bumped_net, 1).q_load -= h
     bumped = solve_power_flow(bumped_net, tolerance=1e-12)
-    fd = (bumped.v_of(1) - base.v_of(1)) / h
+    fd = (v_of(bumped, 1) - v_of(base, 1)) / h
     assert dumped == pytest.approx(fd, abs=1e-5)
 
 

@@ -19,7 +19,7 @@ from gridcomm.partition import build_dg_adjacency
 from gridcomm.powerflow import solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
 
-from conftest import formulate_lp_by_rows, lp_vertex_oracle
+from conftest import formulate_lp_by_rows, lp_vertex_oracle, v_of
 
 
 PF = 1e-12  # power-flow tolerance
@@ -396,15 +396,15 @@ def test_prediction_close_to_resolved_flow():
     sol = solve_power_flow(net, tolerance=PF)
     sens = compute_sensitivity_matrix(net, sol)
     x = -0.25
-    predicted = sol.v_of(2) + sens.voltage_block(SensitivityMode.VQ)[sens.row_of(2), sens.row_of(2)] * x
+    predicted = v_of(sol, 2) + sens.voltage_block(SensitivityMode.VQ)[sens.row_of(2), sens.row_of(2)] * x
     after, _ = apply_and_resolve(net, x)
-    assert predicted == pytest.approx(after.v_of(2), abs=5e-3)
+    assert predicted == pytest.approx(v_of(after, 2), abs=5e-3)
 
 
 def test_end_to_end_overvoltage_clears():
     net = transformer_net(q_out=0.8)
     sol = solve_power_flow(net, tolerance=PF)
-    assert sol.v_of(2) > 1.05
+    assert v_of(sol, 2) > 1.05
     sens = compute_sensitivity_matrix(net, sol)
     # responses of the non-slack buses to Q at bus 2, where DG 1 sits
     by_q = sens.columns(SensitivityMode.VQ, [2])
@@ -416,7 +416,7 @@ def test_end_to_end_overvoltage_clears():
         mode=SensitivityMode.VQ,
         dg_ids=[1],
         node_ids=[2],
-        v0=np.array([sol.v_of(2)]),
+        v0=np.array([v_of(sol, 2)]),
         v_sens=volt[[sens.row_of(2)]],
         x_lower=np.array([lo - 0.8]),
         x_upper=np.array([hi - 0.8]),
@@ -436,7 +436,7 @@ def test_end_to_end_overvoltage_clears():
     assert control.x[0] < 0
     after, residual = apply_and_resolve(net, float(control.x[control.dg_ids.index(1)]))
     assert residual == []
-    assert after.v_of(2) <= 1.05 + 1e-9
+    assert v_of(after, 2) <= 1.05 + 1e-9
     # No reverse active flow through the transformer at the new point.
     assert after.v_ang[1] - (after.v_ang[2] + tr.phase_shift) >= -1e-3
 

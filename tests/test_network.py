@@ -154,11 +154,8 @@ def test_duplicate_dg_id():
 
 def test_model_lookups():
     net = two_bus(with_dg=True)
-    assert net.bus_by_id(1).id == 1
     assert net.dg_by_id(1).bus == 1
     assert net.slack_bus.id == 0
-    with pytest.raises(KeyError):
-        net.bus_by_id(42)
     with pytest.raises(KeyError):
         net.dg_by_id(42)
 

@@ -357,7 +357,7 @@ def test_merged_gain_tying_an_older_best_takes_the_lower_partner():
 def test_peak_policies_agree_on_clean_split():
     g = graph(two_triangles())
     p_global, _ = greedy_partition(g, peak=PeakPolicy.GLOBAL)
-    p_local, _ = greedy_partition(g, peak=PeakPolicy.FIRST_LOCAL)
+    p_local, _ = greedy_partition(g, peak=PeakPolicy.FIRST)
     assert blocks_of(p_global) == blocks_of(p_local)
 
 

@@ -12,7 +12,7 @@ from gridcomm.powerflow import (
     SingularJacobianError,
     StopReason,
     _injections,
-    _jacobian,
+    _mismatch,
     _pattern,
     build_ybus,
     solve_power_flow,
@@ -21,6 +21,8 @@ from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
 from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
 from conftest import (
+    dense_jacobian,
+    jacobian_at,
     ladder238,
     ladder417,
     reference_newton,
@@ -29,6 +31,7 @@ from conftest import (
     synth153,
     synth30,
     two_bus,
+    v_of,
 )
 
 
@@ -47,15 +50,15 @@ def test_two_bus_reactive_load_matches_closed_form():
     sol = solve_power_flow(net, tolerance=1e-12)
     assert sol.converged
     exact = (1.0 + math.sqrt(0.96)) / 2.0
-    assert sol.v_of(1) == pytest.approx(exact, abs=1e-10)
-    assert sol.v_of(0) == 1.0
+    assert v_of(sol, 1) == pytest.approx(exact, abs=1e-10)
+    assert v_of(sol, 0) == 1.0
 
 
 def test_two_bus_general_load_matches_quartic():
     net = two_bus(p=0.3, q=0.1, r=0.0, x=0.1)
     sol = solve_power_flow(net, tolerance=1e-12)
     assert sol.converged
-    assert sol.v_of(1) == pytest.approx(analytic_two_bus(0.3, 0.1, 0.1), abs=1e-10)
+    assert v_of(sol, 1) == pytest.approx(analytic_two_bus(0.3, 0.1, 0.1), abs=1e-10)
 
 
 def test_zero_load_flat_solution_zero_iterations():
@@ -85,8 +88,8 @@ def test_dg_injection_raises_voltage():
     base = two_bus(p=0.3, q=0.1)
     boosted = two_bus(p=0.3, q=0.1, with_dg=True)
     boosted.dgs[0].q_out = 0.08
-    v_base = solve_power_flow(base).v_of(1)
-    v_boost = solve_power_flow(boosted).v_of(1)
+    v_base = v_of(solve_power_flow(base), 1)
+    v_boost = v_of(solve_power_flow(boosted), 1)
     assert v_boost > v_base
 
 
@@ -161,9 +164,8 @@ def test_solution_accessors():
     assert list(sol.non_slack) == [1]
     assert sol.bus_ids == [0, 1]
     sens = compute_sensitivity_matrix(net, sol)
-    for lookup in (sol.v_of, sens.row_of):
-        with pytest.raises(ValueError):
-            lookup(9)
+    with pytest.raises(ValueError):
+        sens.row_of(9)
     with pytest.raises(ValueError):
         sens.row_of(0)  # the slack has no sensitivity row
 
@@ -229,6 +231,17 @@ def test_solution_says_why_it_stopped(make, reason, limit, monkeypatch):
         assert sol.iterations == limit
 
 
+def test_collapse_reports_the_mismatch_of_the_returned_point():
+    # Not the mismatch of the iterate before the collapsing step (here the
+    # flat start's 100 pu).
+    net = two_bus(p=100.0, q=50.0)
+    sol = solve_power_flow(net)
+    assert sol.stopped is StopReason.VOLTAGE_COLLAPSE
+    g = sol.grid
+    mis = _mismatch(g.ybus, _injections(net, g.index_of), sol.v_mag, sol.v_ang, g.non_slack_pos)
+    assert sol.max_mismatch == float(np.max(np.abs(mis))) != 100.0
+
+
 def test_bus_the_slack_does_not_reach_makes_the_jacobian_singular():
     # An isolated bus has a zero Jacobian row; it must land in a block and
     # raise, not be left out of the factor.
@@ -286,7 +299,7 @@ def test_jacobian_matches_trig_form_off_the_solution(v, th, taps, shifts):
         t.tap, t.phase_shift = float(tap), float(shift)
     ybus = build_ybus(net, index_map(net))
     ns = np.array([i for i, b in enumerate(net.buses) if b.kind is not BusKind.SLACK])
-    new, oracle = _jacobian(ybus, v, th, ns, _pattern(ybus != 0, ns)), trig_jacobian(ybus, v, th, ns)
+    new, oracle = dense_jacobian(ybus, v, th, ns, _pattern(ybus != 0, ns)), trig_jacobian(ybus, v, th, ns)
     assert new.shape == oracle.shape == (2 * (N - 1), 2 * (N - 1))
     assert np.max(np.abs(new - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
@@ -319,8 +332,8 @@ def test_scattered_blocks_are_slices_of_the_dense_jacobian(make):
     grid = sol.grid
     assert len(grid.blocks) >= 3
     v0, th0 = grid.flat_start()
-    flat = _jacobian(grid.ybus, v0, th0, grid.non_slack_pos, grid.pattern)
-    for v, th, jac in ((v0, th0, flat), (sol.v_mag, sol.v_ang, sol.jacobian())):
+    flat = dense_jacobian(grid.ybus, v0, th0, grid.non_slack_pos, grid.pattern)
+    for v, th, jac in ((v0, th0, flat), (sol.v_mag, sol.v_ang, jacobian_at(sol))):
         d, l, u = grid.jacobian_blocks(v, th)
         pairs = list(zip(grid.blocks, grid.blocks[1:]))
         assert len(d) == len(grid.blocks) and len(l) == len(u) == len(pairs)
@@ -338,8 +351,8 @@ def test_one_block_is_the_dense_solve_bit_for_bit():
     grid = sol.grid
     assert len(grid.blocks) == 1
     b = np.linspace(-1.0, 1.0, 2 * len(grid.non_slack_pos))
-    dense = np.linalg.solve(sol.jacobian(), b)
-    assert same(grid.newton_step(sol.v_mag, sol.v_ang, b), dense)
+    dense = np.linalg.solve(jacobian_at(sol), b)
+    assert same(grid.factor(sol.v_mag, sol.v_ang).solve(b), dense)
     assert same(sol.factor.solve(b), dense)
 
 
@@ -348,7 +361,7 @@ def test_kept_factor_solves_like_the_dense_jacobian(make):
     # The kept inverses against np.linalg.solve of the dense Jacobian, for a
     # vector and for a matrix of columns.
     sol = solve_power_flow(make(), tolerance=1e-10)
-    jac = sol.jacobian()
+    jac = jacobian_at(sol)
     rhs = np.random.default_rng(0).standard_normal((len(jac), 24))
     for b in (rhs[:, 0], rhs):
         oracle = np.linalg.solve(jac, b)
@@ -378,7 +391,7 @@ def test_newton_and_columns_match_blocks_sliced_from_the_dense_jacobian(make, mo
         assert (a if a.base is None else a.base).nbytes == a.nbytes
 
     def sliced(grid, v, th):
-        return sliced_blocks(_jacobian(grid.ybus, v, th, grid.non_slack_pos, grid.pattern), grid.blocks)
+        return sliced_blocks(dense_jacobian(grid.ybus, v, th, grid.non_slack_pos, grid.pattern), grid.blocks)
 
     monkeypatch.setattr(powerflow.GridStructure, "jacobian_blocks", sliced)
     ref, ref_cols = solved_with_columns(net)
@@ -497,7 +510,7 @@ def agreement_bound(net, sol, ref) -> float:
     mismatch plus the rounding of its evaluation, at most 16 eps of the
     largest sum of |terms| in a bus's injection. The factor 2 covers the
     second-order term, which |a - b| near 1e-9 makes negligible."""
-    jinv_norm = np.max(np.sum(np.abs(np.linalg.inv(sol.jacobian())), axis=1))
+    jinv_norm = np.max(np.sum(np.abs(np.linalg.inv(jacobian_at(sol))), axis=1))
     v = sol.v_mag
     terms = np.abs(_injections(net, sol.index_of)) + v * (np.abs(sol.grid.ybus) @ v)
     rounding = 16 * np.finfo(float).eps * np.max(terms)

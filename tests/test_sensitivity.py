@@ -10,7 +10,6 @@ from gridcomm.network_io import load_network
 from gridcomm.powerflow import (
     SingularJacobianError,
     _injections,
-    _jacobian,
     _mismatch,
     _pattern,
     build_ybus,
@@ -21,8 +20,11 @@ from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
 from conftest import (
     FIXTURES,
+    bus_with_id,
     carried_newton_step,
     count_ybus_builds,
+    dense_jacobian,
+    jacobian_at,
     ladder238,
     ladder417,
     singular_kept_factors,
@@ -30,6 +32,7 @@ from conftest import (
     synth30,
     synth153,
     two_bus,
+    v_of,
 )
 
 
@@ -74,13 +77,13 @@ def test_vq_column_matches_finite_difference():
     bus = sens.bus_ids[len(sens.bus_ids) // 2]
     h = 1e-4
     bumped = copy.deepcopy(net)
-    bumped.bus_by_id(bus).q_load -= h
+    bus_with_id(bumped, bus).q_load -= h
     after = solved(bumped)
 
     col = sens.columns(SensitivityMode.VQ, [bus])[len(sens.bus_ids) :, 0]
     for i, bid in enumerate(sens.bus_ids):
-        predicted = base.v_of(bid) + h * col[i]
-        assert predicted == pytest.approx(after.v_of(bid), abs=1e-5)
+        predicted = v_of(base, bid) + h * col[i]
+        assert predicted == pytest.approx(v_of(after, bid), abs=1e-5)
 
 
 def test_vp_column_matches_finite_difference():
@@ -91,13 +94,13 @@ def test_vp_column_matches_finite_difference():
     bus = sens.bus_ids[3]
     h = 1e-4
     bumped = copy.deepcopy(net)
-    bumped.bus_by_id(bus).p_load -= h
+    bus_with_id(bumped, bus).p_load -= h
     after = solved(bumped)
 
     col = sens.columns(SensitivityMode.VP, [bus])[len(sens.bus_ids) :, 0]
     for i, bid in enumerate(sens.bus_ids):
-        predicted = base.v_of(bid) + h * col[i]
-        assert predicted == pytest.approx(after.v_of(bid), abs=1e-5)
+        predicted = v_of(base, bid) + h * col[i]
+        assert predicted == pytest.approx(v_of(after, bid), abs=1e-5)
 
 
 def test_mode_selects_block():
@@ -105,7 +108,7 @@ def test_mode_selects_block():
     net = two_bus(p=0.2, q=0.1)
     sol = solved(net)
     sens = compute_sensitivity_matrix(net, sol)
-    inv = np.linalg.inv(sol.jacobian())
+    inv = np.linalg.inv(jacobian_at(sol))
     np.testing.assert_allclose(sens.columns(SensitivityMode.VP, [1]), inv[:, [0]], rtol=1e-12, atol=0)
     np.testing.assert_allclose(sens.columns(SensitivityMode.VQ, [1]), inv[:, [1]], rtol=1e-12, atol=0)
     for mode in MODES:
@@ -180,7 +183,7 @@ def assert_columns_invert_a_fresh_jacobian(net, sol):
     sens = compute_sensitivity_matrix(net, sol)
     ns = np.array([sol.index_of[b] for b in sens.bus_ids], dtype=int)
     ybus = build_ybus(net, sol.index_of)
-    oracle = np.linalg.inv(_jacobian(ybus, sol.v_mag, sol.v_ang, ns, _pattern(ybus != 0, ns)))
+    oracle = np.linalg.inv(dense_jacobian(ybus, sol.v_mag, sol.v_ang, ns, _pattern(ybus != 0, ns)))
     columns = np.hstack([sens.columns(mode, sens.bus_ids) for mode in (SensitivityMode.VP, SensitivityMode.VQ)])
     bound = 1e-12 * np.max(np.abs(oracle))
     assert np.max(np.abs(columns - oracle)) <= bound
@@ -229,7 +232,7 @@ def flat_start(net, sol):
     v[sol.slack_index], th[sol.slack_index] = net.slack_bus.v_mag, net.slack_bus.v_ang
     grid, s_spec = sol.grid, _injections(net, sol.index_of)
     ns = grid.non_slack_pos
-    return _jacobian(grid.ybus, v, th, ns, grid.pattern), _mismatch(grid.ybus, s_spec, v, th, ns)
+    return dense_jacobian(grid.ybus, v, th, ns, grid.pattern), _mismatch(grid.ybus, s_spec, v, th, ns)
 
 
 def within(x, oracle):
@@ -246,7 +249,7 @@ def test_block_lu_matches_the_dense_solve_on_several_blocks(name, scale, mode, p
         b.q_load *= scale
     sol = solve_power_flow(net, tolerance=TOLERANCE)
     assume(sol.converged)
-    jac = sol.jacobian()
+    jac = jacobian_at(sol)
     n_rows = len(jac)
     blocks = sol.grid.blocks
     assert len(blocks) >= 2
