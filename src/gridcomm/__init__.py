@@ -1,118 +1,4 @@
 """Sensitivity-driven community partitioning and distributed voltage
 control for meshed distribution networks with distributed generators."""
 
-from .control import (
-    CommunitySubsets,
-    ControlDirection,
-    ControlProblem,
-    ControlSolution,
-    Subset,
-    derive_subsets,
-    formulate_lp,
-    scan_voltage_limits,
-    solve_lp,
-)
-from .network import DG, Branch, Bus, BusKind, NetworkModel, Transformer, validate_network
-from .network_io import NetworkFormatError, NetworkValidationError, load_network, save_network
-from .partition import (
-    Dendrogram,
-    Partition,
-    PeakPolicy,
-    WeightedGraph,
-    build_dg_adjacency,
-    combine_weights,
-    greedy_partition,
-    modularity,
-    partition_network,
-)
-from .powerflow import (
-    PowerFlowError,
-    PowerFlowSolution,
-    SingularJacobianError,
-    StopReason,
-    build_ybus,
-    solve_power_flow,
-)
-from .sensitivity import (
-    SensitivityMatrix,
-    SensitivityMode,
-    compute_sensitivity_matrix,
-    dg_columns,
-)
-from .simulation import (
-    Event,
-    EventKind,
-    RunReport,
-    Scenario,
-    ScenarioError,
-    SimulationDiverged,
-    SimulationState,
-    initialize,
-    load_scenario,
-    run_scenario,
-    self_organize,
-    step,
-    validate_scenario,
-    write_report,
-)
-from .synthetic import SynthSpec, generate_synthetic_network
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Branch",
-    "Bus",
-    "BusKind",
-    "CommunitySubsets",
-    "ControlDirection",
-    "ControlProblem",
-    "ControlSolution",
-    "DG",
-    "Dendrogram",
-    "Event",
-    "EventKind",
-    "NetworkFormatError",
-    "NetworkModel",
-    "NetworkValidationError",
-    "Partition",
-    "PeakPolicy",
-    "PowerFlowError",
-    "PowerFlowSolution",
-    "RunReport",
-    "Scenario",
-    "ScenarioError",
-    "SensitivityMatrix",
-    "SensitivityMode",
-    "SimulationDiverged",
-    "SimulationState",
-    "SingularJacobianError",
-    "StopReason",
-    "Subset",
-    "SynthSpec",
-    "Transformer",
-    "WeightedGraph",
-    "build_dg_adjacency",
-    "build_ybus",
-    "combine_weights",
-    "compute_sensitivity_matrix",
-    "derive_subsets",
-    "dg_columns",
-    "formulate_lp",
-    "generate_synthetic_network",
-    "greedy_partition",
-    "initialize",
-    "load_network",
-    "load_scenario",
-    "modularity",
-    "partition_network",
-    "run_scenario",
-    "save_network",
-    "scan_voltage_limits",
-    "self_organize",
-    "solve_lp",
-    "solve_power_flow",
-    "step",
-    "validate_network",
-    "validate_scenario",
-    "write_report",
-]

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .control import V_LIMITS
 from .network import NetworkModel
 from .network_io import NetworkFormatError, NetworkValidationError, joined, load_network, write_table
 from .partition import Dendrogram, Partition, PeakPolicy, partition_network
@@ -75,14 +76,6 @@ def _linearized(args) -> tuple[NetworkModel, SensitivityMatrix]:
     return net, compute_sensitivity_matrix(net, sol)
 
 
-def _dump_sensitivity(sens: SensitivityMatrix, out: Path) -> None:
-    n1 = len(sens.bus_ids)
-    p, q = (sens.columns(mode, sens.bus_ids) for mode in (SensitivityMode.VP, SensitivityMode.VQ))
-    for name, block in (("a_vq", q[n1:]), ("a_vp", p[n1:]), ("a_theta_p", p[:n1]), ("a_theta_q", q[:n1])):
-        rows = zip(sens.bus_ids, block.tolist())
-        write_table(out / f"{name}.csv", ["bus", *sens.bus_ids], ([bus, *row] for bus, row in rows))
-
-
 def _write_partition(partition: Partition, dendro: Dendrogram, net: NetworkModel, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     dg_comm: dict[int, list[int]] = {}
@@ -107,10 +100,7 @@ def cmd_partition(args) -> int:
     partition, dendro = partition_network(
         net, sens, mode=SensitivityMode(args.mode), peak=PeakPolicy(args.peak)
     )
-    out = Path(args.out)
-    _write_partition(partition, dendro, net, out)
-    if args.dump_sensitivity:
-        _dump_sensitivity(sens, out)
+    _write_partition(partition, dendro, net, Path(args.out))
     print(f"communities:{partition.n_communities} modularity:{repr(partition.modularity)}")
     return 0
 
@@ -141,7 +131,11 @@ def cmd_sensitivity(args) -> int:
     _, sens = _linearized(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_sensitivity(sens, out)
+    n1 = len(sens.bus_ids)
+    p, q = (sens.columns(mode, sens.bus_ids) for mode in (SensitivityMode.VP, SensitivityMode.VQ))
+    for name, block in (("a_vq", q[n1:]), ("a_vp", p[n1:]), ("a_theta_p", p[:n1]), ("a_theta_q", q[:n1])):
+        rows = zip(sens.bus_ids, block.tolist())
+        write_table(out / f"{name}.csv", ["bus", *sens.bus_ids], ([bus, *row] for bus, row in rows))
     print(f"wrote sensitivity blocks for {len(sens.bus_ids)} buses to {out}")
     return 0
 
@@ -152,13 +146,15 @@ def _add_common(p: argparse.ArgumentParser, partitions: bool = True, scenario: b
     src.add_argument("--synth", help="synthetic spec, e.g. feeders=2,transformers=4,rows=4,cols=4,loads=10,dgs=4")
     p.add_argument("--seed", type=int, help="seed for --synth (default 0); an error with --network")
     if partitions:
-        p.add_argument("--mode", choices=["vq", "vp"], default="vq", help="sensitivity mode (default vq)")
+        p.add_argument(
+            "--mode", choices=[x.value for x in SensitivityMode], default="vq", help="sensitivity mode (default vq)"
+        )
         p.add_argument("--peak", choices=[x.value for x in PeakPolicy], default="global", help="dendrogram peak policy")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     if scenario:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--vmin", type=float, default=0.95, help="lower voltage limit in pu")
-        p.add_argument("--vmax", type=float, default=1.05, help="upper voltage limit in pu")
+        p.add_argument("--vmin", type=float, default=V_LIMITS[0], help="lower voltage limit in pu")
+        p.add_argument("--vmax", type=float, default=V_LIMITS[1], help="upper voltage limit in pu")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="partition a network into DG communities")
     _add_common(p)
-    p.add_argument("--dump-sensitivity", action="store_true", help="also write the sensitivity blocks")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("simulate", help="run a scenario with distributed voltage control")

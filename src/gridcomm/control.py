@@ -27,6 +27,9 @@ from .sensitivity import SensitivityMode
 from .simplex import LPStatus, solve_inequality_lp
 
 LP_TOL = 1e-9
+# The voltage band in pu that control keeps the non-slack buses inside,
+# unless a run names its own.
+V_LIMITS = (0.95, 1.05)
 
 
 class ControlDirection(str, Enum):
@@ -128,8 +131,8 @@ class ControlProblem:
     x_lower: np.ndarray
     x_upper: np.ndarray
     transformers: list[TransformerAngleRows] = field(default_factory=list)
-    v_min: float = 0.95
-    v_max: float = 1.05
+    v_min: float = V_LIMITS[0]
+    v_max: float = V_LIMITS[1]
 
     def __post_init__(self) -> None:
         if not self.dg_ids:
@@ -243,7 +246,7 @@ class LimitViolation:
 
 
 def scan_voltage_limits(
-    sol: PowerFlowSolution, v_min: float = 0.95, v_max: float = 1.05
+    sol: PowerFlowSolution, v_min: float = V_LIMITS[0], v_max: float = V_LIMITS[1]
 ) -> list[LimitViolation]:
     """All buses outside the band, bus id ascending. The slack bus is pinned
     by definition and skipped."""

@@ -181,7 +181,6 @@ def greedy_partition(
 
     m_now = float(-(np.sum(share**2)))
     dendro = Dendrogram(initial_modularity=m_now)
-    merges: list[tuple[int, int]] = []
 
     for step in range(1, n):
         a = int(np.argmax(best_val))
@@ -192,7 +191,6 @@ def greedy_partition(
         deg[a] += deg[b]
         share[a] = deg[a] / two_m
         alive[b] = False
-        merges.append((a, b))
         dendro.steps.append(MergeStep(step=step, community_a=a, community_b=b, modularity_after=m_now))
 
         # Pair (c, a) reads w_com[c, a] and pair (a, c) reads w_com[a, c], as
@@ -227,12 +225,12 @@ def greedy_partition(
                 break
     dendro.best_step = best_step
 
-    partition = _partition_at(n, merges, best_step)
+    partition = _partition_at(n, dendro.steps, best_step)
     partition.modularity = modularity(g, partition)
     return partition, dendro
 
 
-def _partition_at(n: int, merges: list[tuple[int, int]], step: int) -> Partition:
+def _partition_at(n: int, steps: list[MergeStep], step: int) -> Partition:
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -241,8 +239,8 @@ def _partition_at(n: int, merges: list[tuple[int, int]], step: int) -> Partition
             x = parent[x]
         return x
 
-    for a, b in merges[:step]:
-        parent[find(b)] = find(a)
+    for merge in steps[:step]:
+        parent[find(merge.community_b)] = find(merge.community_a)
     roots = sorted({find(i) for i in range(n)})
     label = {r: c for c, r in enumerate(roots)}
     community_of = {i: label[find(i)] for i in range(n)}

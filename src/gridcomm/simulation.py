@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .control import (
+    V_LIMITS,
     ControlDirection,
     ControlProblem,
     CommunitySubsets,
@@ -240,7 +241,6 @@ class SimulationState:
     violations_resolved: int = 0
     control_actions: int = 0
     regenerations: int = 0
-    _seq: int = 0
 
     @property
     def pf(self) -> PowerFlowSolution:
@@ -255,9 +255,8 @@ class SimulationState:
 
     def send(self, sender: AgentId, receiver: AgentId, kind: MessageKind, payload: dict) -> None:
         self.messages.append(
-            Message(seq=self._seq, tick=self.tick, sender=sender, receiver=receiver, kind=kind, payload=payload)
+            Message(seq=len(self.messages), tick=self.tick, sender=sender, receiver=receiver, kind=kind, payload=payload)
         )
-        self._seq += 1
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ def initialize(
     partition: Partition,
     sens: SensitivityMatrix,
     mode: SensitivityMode = SensitivityMode.VQ,
-    v_limits: tuple[float, float] = (0.95, 1.05),
+    v_limits: tuple[float, float] = V_LIMITS,
 ) -> SimulationState:
     """Stand up agents, subsets and capability ranges on a private copy of
     net, starting from the flow sens was taken at (sens.pf). Raises
@@ -596,7 +595,7 @@ def run_scenario(
     partition: Partition,
     sens: SensitivityMatrix,
     mode: SensitivityMode = SensitivityMode.VQ,
-    v_limits: tuple[float, float] = (0.95, 1.05),
+    v_limits: tuple[float, float] = V_LIMITS,
 ) -> RunReport:
     """Drive the tick loop over a scenario and collect the run's records."""
     validate_scenario(scenario, net)

@@ -96,16 +96,6 @@ def test_partition_writes_assignment_and_dendrogram(tmp_path, capsys):
     assert max(scores) == pytest.approx(0.2811227075789802, abs=1e-12)
 
 
-def test_partition_dump_sensitivity_flag(tmp_path, capsys):
-    out = tmp_path / "p"
-    code, _, _ = run_cli(
-        capsys, "partition", "--network", str(NET6), "--out", str(out), "--dump-sensitivity"
-    )
-    assert code == 0
-    for name in ("a_vq.csv", "a_vp.csv", "a_theta_p.csv", "a_theta_q.csv"):
-        assert (out / name).is_file()
-
-
 def test_partition_synth_spec(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys, "partition", "--synth", SYNTH30, "--seed", "0", "--out", str(tmp_path / "p")
@@ -610,6 +600,35 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_each_module_imports_on_its_own_and_python_m_runs():
+    # The package exports nothing but __version__, so every caller imports a
+    # module first: each one, imported into an interpreter that holds no
+    # gridcomm module yet, must pull in whatever it needs without a cycle.
+    script = """
+import importlib, pkgutil, sys
+import gridcomm
+names = sorted(m.name for m in pkgutil.iter_modules(gridcomm.__path__) if m.name != "__main__")
+for name in ["gridcomm", *(f"gridcomm.{n}" for n in names)]:
+    for loaded in [k for k in sys.modules if k.partition(".")[0] == "gridcomm"]:
+        del sys.modules[loaded]
+    importlib.import_module(name)
+print(" ".join(names))
+"""
+    package = Path(cli.__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem not in ("__init__", "__main__"))
+    assert done.stdout.split() == modules
+    assert "cli" in modules and "simulation" in modules
+
+    done = subprocess.run(
+        [sys.executable, "-m", "gridcomm", "--help"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: gridcomm")
 
 
 def test_simulate_unknown_dg_exits_2(tmp_path, capsys):

@@ -102,7 +102,8 @@ def test_subsets_history_reads_back(trip_restore_report):
 @pytest.fixture(scope="module")
 def net6_partition(tmp_path_factory):
     out = tmp_path_factory.mktemp("partition")
-    assert main(["partition", "--network", str(NET6), "--out", str(out), "--dump-sensitivity"]) == 0
+    assert main(["partition", "--network", str(NET6), "--out", str(out)]) == 0
+    assert main(["sensitivity", "--network", str(NET6), "--out", str(out)]) == 0
     net = load_network(NET6)
     sens = compute_sensitivity_matrix(net, solve_power_flow(net))
     partition, dendro = partition_network(net, sens)
