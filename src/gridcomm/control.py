@@ -109,21 +109,21 @@ def derive_subsets(
 
 @dataclass
 class TransformerAngleRows:
-    """Operating-point angles and DG angle-sensitivity rows for one
-    transformer's reverse-power-flow constraint."""
+    """One transformer's reverse-power-flow constraint, row . x <= rhs: the
+    secondary-minus-primary DG angle-sensitivity row, and the primary-minus-
+    secondary operating-point angle less the phase shift."""
 
     label: str
-    theta_p0: float
-    theta_s0: float
-    theta_shift: float
-    p_row: np.ndarray
-    s_row: np.ndarray
+    row: np.ndarray
+    rhs: float
 
 
 @dataclass
 class ControlProblem:
+    """One community's adjustment LP inputs. Whether the run's mode can
+    correct this direction at all is the caller's to decide."""
+
     direction: ControlDirection
-    mode: SensitivityMode
     dg_ids: list[int]
     node_ids: list[int]
     v0: np.ndarray
@@ -142,8 +142,6 @@ class ControlProblem:
             raise ValueError(f"v_sens must be {n}x{k}, got {self.v_sens.shape}")
         if self.v0.shape != (n,) or self.x_lower.shape != (k,) or self.x_upper.shape != (k,):
             raise ValueError("v0/x_lower/x_upper shapes inconsistent with node/DG lists")
-        if self.mode is SensitivityMode.VP and self.direction is ControlDirection.UNDERVOLTAGE:
-            raise ValueError("active-power control is implemented for overvoltage curtailment only")
 
 
 @dataclass
@@ -154,13 +152,11 @@ class LinearProgram:
     a_ub: np.ndarray
     b_ub: np.ndarray
     row_labels: list[tuple]
-    dg_ids: list[int]
 
 
 @dataclass
 class ControlSolution:
-    dg_ids: list[int]
-    x: np.ndarray | None
+    x: np.ndarray | None  # one adjustment per DG of the problem, in its order
     objective: float | None
     feasible: bool
     binding: list[tuple] = field(default_factory=list)
@@ -189,7 +185,7 @@ def formulate_lp(problem: ControlProblem) -> LinearProgram:
     a[r + k + dgs, dgs] = -1.0
     r += 2 * k
     for i, tr in enumerate(problem.transformers):
-        a[r + i, :k] = tr.s_row - tr.p_row
+        a[r + i, :k] = tr.row
     r += t
     a[r + dgs, dgs] = sign  # over: y <= x_j; under: x_j <= y
     a[r : r + k, k] = -sign
@@ -200,7 +196,7 @@ def formulate_lp(problem: ControlProblem) -> LinearProgram:
     b[n : 2 * n] = problem.v0 - problem.v_min
     b[2 * n : 2 * n + k] = problem.x_upper
     b[2 * n + k : 2 * n + 2 * k] = -problem.x_lower
-    b[2 * n + 2 * k : r] = [tr.theta_p0 - tr.theta_s0 - tr.theta_shift for tr in problem.transformers]
+    b[2 * n + 2 * k : r] = [tr.rhs for tr in problem.transformers]
 
     labels: list[tuple] = [("v_upper", node) for node in problem.node_ids]
     labels += [("v_lower", node) for node in problem.node_ids]
@@ -212,7 +208,7 @@ def formulate_lp(problem: ControlProblem) -> LinearProgram:
 
     c = np.zeros(k + 1)
     c[k] = -1.0 if over else 1.0
-    return LinearProgram(c=c, a_ub=a, b_ub=b, row_labels=labels, dg_ids=list(problem.dg_ids))
+    return LinearProgram(c=c, a_ub=a, b_ub=b, row_labels=labels)
 
 
 def solve_lp(lp: LinearProgram) -> ControlSolution:
@@ -223,19 +219,13 @@ def solve_lp(lp: LinearProgram) -> ControlSolution:
     """
     result = solve_inequality_lp(lp.c, lp.a_ub, lp.b_ub)
     if result.status is LPStatus.INFEASIBLE:
-        return ControlSolution(dg_ids=lp.dg_ids, x=None, objective=None, feasible=False)
+        return ControlSolution(x=None, objective=None, feasible=False)
     if result.status is LPStatus.UNBOUNDED:
         raise UnboundedControlError("control LP unbounded; check surplus bounds")
     z = result.x
     residual = lp.a_ub @ z - lp.b_ub
     binding = [lab for lab, r in zip(lp.row_labels, residual) if abs(r) <= LP_TOL]
-    return ControlSolution(
-        dg_ids=lp.dg_ids,
-        x=z[:-1].copy(),
-        objective=float(z[-1]),
-        feasible=True,
-        binding=binding,
-    )
+    return ControlSolution(x=z[:-1].copy(), objective=float(z[-1]), feasible=True, binding=binding)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ Message and every message stays inside one community; the log is the proof
 of locality.
 
 A CA decides from its CommunityView alone: its own non-slack buses and their
-voltages, its available DGs with their setpoints and ranges, the voltage
-sensitivities between the two, and the angle rows of the transformers
+voltages, its available DGs with their adjustment bounds, the voltage
+sensitivities between the two, and the reverse-flow rows of the transformers
 touching it. Only `_view` (and `initialize`) read the network-wide flow and
 sensitivities. The view slices the online DGs' columns, solved once per
 operating point against the whole network's Jacobian, so how the rest of
@@ -25,7 +25,8 @@ Tick phases, all deterministic:
 2. BAs scan against the voltage band and report violations to their CA;
 3. CAs, community id ascending, solve the max-min LP over the union of the
    violated nodes' subset DGs, or self-organize around exhausted DGs when
-   the LP is infeasible;
+   the LP is infeasible; in vp mode, which only curtails, a CA refuses an
+   undervoltage without an LP;
 4. DAs apply the commands, each clamped to its DG's capability range;
    the flow is re-solved once if any DA moved, and voltages are logged.
 
@@ -269,9 +270,8 @@ class CommunityView:
     v0: np.ndarray  # their voltage magnitudes
     dg_ids: list[int]  # online, reachable, not excluded; id ascending
     dg_buses: list[int]
-    now: np.ndarray  # the DGs' setpoints in the run's mode
-    lo: np.ndarray  # and their capability ranges
-    hi: np.ndarray
+    x_lower: np.ndarray  # how far each DG's setpoint in the run's mode may
+    x_upper: np.ndarray  # move down and up inside its capability range
     v_sens: np.ndarray  # node_ids x dg_ids voltage sensitivities
     transformers: list[TransformerAngleRows]  # touching the community, over dg_ids
 
@@ -332,15 +332,16 @@ def _view(state: SimulationState, community: int) -> CommunityView:
         row = sens.row.get(bus_id)  # none for the slack, whose angle is fixed
         return np.zeros(len(cols)) if row is None else online.angles[row, cols]
 
+    def angle(bus_id: int) -> float:
+        return float(pf.v_ang[pf.index_of[bus_id]])
+
     ranges = np.array([state.cap_range[d.id] for d in dgs]).reshape(-1, 2)
+    now = np.array([setpoint(d, mode) for d in dgs])
     transformers = [
         TransformerAngleRows(
             label=f"{t.primary_bus}->{t.secondary_bus}",
-            theta_p0=float(pf.v_ang[pf.index_of[t.primary_bus]]),
-            theta_s0=float(pf.v_ang[pf.index_of[t.secondary_bus]]),
-            theta_shift=t.phase_shift,
-            p_row=angle_row(t.primary_bus),
-            s_row=angle_row(t.secondary_bus),
+            row=angle_row(t.secondary_bus) - angle_row(t.primary_bus),
+            rhs=angle(t.primary_bus) - angle(t.secondary_bus) - t.phase_shift,
         )
         for t in state.net.transformers
         if community in (community_of.get(t.primary_bus), community_of.get(t.secondary_bus))
@@ -351,9 +352,8 @@ def _view(state: SimulationState, community: int) -> CommunityView:
         v0=pf.v_mag[[pf.index_of[b] for b in nodes]],
         dg_ids=[d.id for d in dgs],
         dg_buses=[d.bus for d in dgs],
-        now=np.array([setpoint(d, mode) for d in dgs]),
-        lo=ranges[:, 0],
-        hi=ranges[:, 1],
+        x_lower=ranges[:, 0] - now,
+        x_upper=ranges[:, 1] - now,
         v_sens=online.matrix[np.ix_([sens.row[b] for b in nodes], cols)],
         transformers=transformers,
     )
@@ -466,38 +466,36 @@ def _control_community(state: SimulationState, view: CommunityView, violated: li
         refuse("no_available_dg", [])
         return {}
 
+    if state.mode is SensitivityMode.VP and not over:
+        # Active-power control cannot raise voltages; log and leave the
+        # episode open rather than abort the run.
+        refuse("active-power control is implemented for overvoltage curtailment only", dg_ids)
+        return {}
+
     col_of = {g: j for j, g in enumerate(view.dg_ids)}
     cols = [col_of[g] for g in dg_ids]
-    now, lo, hi = view.now[cols], view.lo[cols], view.hi[cols]
+    x_lower, x_upper = view.x_lower[cols], view.x_upper[cols]
     if over:
         v_max = v_max - LIN_GUARD
     else:
         v_min = v_min + LIN_GUARD
 
-    try:
-        problem = ControlProblem(
-            direction=direction,
-            mode=state.mode,
-            dg_ids=dg_ids,
-            node_ids=view.node_ids,
-            v0=view.v0,
-            v_sens=view.v_sens[:, cols],
-            x_lower=lo - now,
-            x_upper=hi - now,
-            transformers=[replace(t, p_row=t.p_row[cols], s_row=t.s_row[cols]) for t in view.transformers],
-            v_min=v_min,
-            v_max=v_max,
-        )
-    except ValueError as exc:
-        # Active-power control cannot raise voltages; log and leave the
-        # episode open rather than abort the run.
-        refuse(str(exc), dg_ids)
-        return {}
-
+    problem = ControlProblem(
+        direction=direction,
+        dg_ids=dg_ids,
+        node_ids=view.node_ids,
+        v0=view.v0,
+        v_sens=view.v_sens[:, cols],
+        x_lower=x_lower,
+        x_upper=x_upper,
+        transformers=[replace(t, row=t.row[cols]) for t in view.transformers],
+        v_min=v_min,
+        v_max=v_max,
+    )
     solution = solve_lp(formulate_lp(problem))
 
     if not solution.feasible:
-        headroom = now - lo if over else hi - now
+        headroom = -x_lower if over else x_upper
         exhausted = {g for g, room in zip(dg_ids, headroom) if room <= HEADROOM_TOL}
         already = state.excluded.setdefault(community, set())
         new = exhausted - already

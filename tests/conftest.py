@@ -529,8 +529,8 @@ def formulate_lp_by_rows(problem: ControlProblem) -> LinearProgram:
         rhs.append(-problem.x_lower[j])
         labels.append(("surplus_lower", dg))
     for t in problem.transformers:
-        rows.append(np.append(t.s_row - t.p_row, 0.0))
-        rhs.append(t.theta_p0 - t.theta_s0 - t.theta_shift)
+        rows.append(np.append(t.row, 0.0))
+        rhs.append(t.rhs)
         labels.append(("reverse_flow", t.label))
     for j, dg in enumerate(problem.dg_ids):
         e = np.zeros(k + 1)
@@ -549,4 +549,4 @@ def formulate_lp_by_rows(problem: ControlProblem) -> LinearProgram:
 
     c = np.zeros(k + 1)
     c[k] = -1.0 if over else 1.0
-    return LinearProgram(c=c, a_ub=np.vstack(rows), b_ub=np.array(rhs), row_labels=labels, dg_ids=list(problem.dg_ids))
+    return LinearProgram(c=c, a_ub=np.vstack(rows), b_ub=np.array(rhs), row_labels=labels)

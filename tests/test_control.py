@@ -30,7 +30,6 @@ SENS_3X2 = np.array([[0.3, 0.1], [0.1, 0.3], [0.2, 0.2]])
 def one_dg_problem(v0, direction, qsur=1.0, sens=0.05):
     return ControlProblem(
         direction=direction,
-        mode=SensitivityMode.VQ,
         dg_ids=[1],
         node_ids=[2],
         v0=np.array([float(v0)]),
@@ -140,7 +139,6 @@ def test_lp_direct_transcription_single_dg():
 def test_lp_maxmin_rows_per_dg():
     problem = ControlProblem(
         direction=ControlDirection.OVERVOLTAGE,
-        mode=SensitivityMode.VQ,
         dg_ids=[4, 9],
         node_ids=[2],
         v0=np.array([1.07]),
@@ -166,14 +164,9 @@ def test_lp_undervoltage_flips_coupling():
 
 
 def test_lp_transformer_row_present():
-    t = TransformerAngleRows(
-        label="t0",
-        theta_p0=0.01,
-        theta_s0=0.002,
-        theta_shift=0.0,
-        p_row=np.array([0.3]),
-        s_row=np.array([0.5]),
-    )
+    # secondary angle row 0.5 less primary 0.3; primary angle 0.01 less
+    # secondary 0.002, no phase shift
+    t = TransformerAngleRows(label="t0", row=np.array([0.5 - 0.3]), rhs=0.01 - 0.002 - 0.0)
     problem = one_dg_problem(1.06, ControlDirection.OVERVOLTAGE)
     problem.transformers = [t]
     lp = formulate_lp(problem)
@@ -188,15 +181,9 @@ def test_lp_transformer_row_present():
     n_nodes=st.integers(1, 40),
     n_dgs=st.integers(1, 8),
     n_transformers=st.integers(0, 3),
-    kind=st.sampled_from(
-        [
-            (ControlDirection.OVERVOLTAGE, SensitivityMode.VQ),
-            (ControlDirection.UNDERVOLTAGE, SensitivityMode.VQ),
-            (ControlDirection.OVERVOLTAGE, SensitivityMode.VP),
-        ]
-    ),
+    direction=st.sampled_from(list(ControlDirection)),
 )
-def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_transformers, kind):
+def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_transformers, direction):
     """The block-filled LP is the row-by-row one to the byte: every padding
     zero is +0.0, and signed zeros in the sensitivities carry through."""
     rng = np.random.default_rng(seed)
@@ -207,10 +194,8 @@ def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_trans
         x[rng.random(shape) < 0.1] = -0.0
         return x
 
-    direction, mode = kind
     problem = ControlProblem(
         direction=direction,
-        mode=mode,
         dg_ids=sorted(rng.choice(100, n_dgs, replace=False).tolist()),
         node_ids=sorted(rng.choice(300, n_nodes, replace=False).tolist()),
         v0=1.0 + floats(n_nodes),
@@ -220,11 +205,8 @@ def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_trans
         transformers=[
             TransformerAngleRows(
                 label=f"{i}->{i + 1}",
-                theta_p0=float(rng.normal(scale=0.1)),
-                theta_s0=float(rng.normal(scale=0.1)),
-                theta_shift=float(rng.choice([0.0, 0.5236])),
-                p_row=floats(n_dgs),
-                s_row=floats(n_dgs),
+                row=floats(n_dgs),
+                rhs=float(rng.normal(scale=0.1)) - float(rng.normal(scale=0.1)) - float(rng.choice([0.0, 0.5236])),
             )
             for i in range(n_transformers)
         ],
@@ -235,28 +217,12 @@ def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_trans
     assert got.b_ub.tobytes() == want.b_ub.tobytes()
     assert got.c.tobytes() == want.c.tobytes()
     assert got.row_labels == want.row_labels
-    assert got.dg_ids == want.dg_ids
-
-
-def test_active_undervoltage_rejected():
-    with pytest.raises(ValueError):
-        ControlProblem(
-            direction=ControlDirection.UNDERVOLTAGE,
-            mode=SensitivityMode.VP,
-            dg_ids=[1],
-            node_ids=[2],
-            v0=np.array([0.94]),
-            v_sens=np.array([[0.05]]),
-            x_lower=np.array([-1.0]),
-            x_upper=np.array([1.0]),
-        )
 
 
 def test_empty_dg_list_rejected():
     with pytest.raises(ValueError):
         ControlProblem(
             direction=ControlDirection.OVERVOLTAGE,
-            mode=SensitivityMode.VQ,
             dg_ids=[],
             node_ids=[2],
             v0=np.array([1.06]),
@@ -300,7 +266,6 @@ def test_solve_undervoltage_min_max():
 def test_solve_equal_dgs_share_equally():
     problem = ControlProblem(
         direction=ControlDirection.OVERVOLTAGE,
-        mode=SensitivityMode.VQ,
         dg_ids=[1, 2],
         node_ids=[5],
         v0=np.array([1.07]),
@@ -311,7 +276,7 @@ def test_solve_equal_dgs_share_equally():
     sol = solve_lp(formulate_lp(problem))
     assert sol.feasible
     assert sol.x == pytest.approx([-0.2, -0.2], abs=1e-9)
-    assert float(sol.x[sol.dg_ids.index(1)]) == pytest.approx(-0.2, abs=1e-9)
+    assert float(sol.x[problem.dg_ids.index(1)]) == pytest.approx(-0.2, abs=1e-9)
 
 
 def test_solution_satisfies_every_constraint_independently():
@@ -323,7 +288,6 @@ def test_solution_satisfies_every_constraint_independently():
         )
         problem = ControlProblem(
             direction=direction,
-            mode=SensitivityMode.VQ,
             dg_ids=[1, 2],
             node_ids=[5, 6],
             v0=v0,
@@ -346,7 +310,6 @@ def test_maxmin_optimal_against_vertex_oracle():
         v0 = 1.0 + rng.uniform(-0.09, 0.09, size=2)
         problem = ControlProblem(
             direction=ControlDirection.OVERVOLTAGE,
-            mode=SensitivityMode.VQ,
             dg_ids=[1, 2],
             node_ids=[5, 6],
             v0=v0,
@@ -413,7 +376,6 @@ def test_end_to_end_overvoltage_clears():
     lo, hi = capability_range(net.dgs[0], SensitivityMode.VQ)
     problem = ControlProblem(
         direction=ControlDirection.OVERVOLTAGE,
-        mode=SensitivityMode.VQ,
         dg_ids=[1],
         node_ids=[2],
         v0=np.array([v_of(sol, 2)]),
@@ -423,18 +385,15 @@ def test_end_to_end_overvoltage_clears():
         transformers=[
             TransformerAngleRows(
                 label="t0",
-                theta_p0=float(sol.v_ang[1]),
-                theta_s0=float(sol.v_ang[2]),
-                theta_shift=tr.phase_shift,
-                p_row=angle[sens.row_of(1)],
-                s_row=angle[sens.row_of(2)],
+                row=angle[sens.row_of(2)] - angle[sens.row_of(1)],
+                rhs=float(sol.v_ang[1]) - float(sol.v_ang[2]) - tr.phase_shift,
             )
         ],
     )
     control = solve_lp(formulate_lp(problem))
     assert control.feasible
     assert control.x[0] < 0
-    after, residual = apply_and_resolve(net, float(control.x[control.dg_ids.index(1)]))
+    after, residual = apply_and_resolve(net, float(control.x[problem.dg_ids.index(1)]))
     assert residual == []
     assert v_of(after, 2) <= 1.05 + 1e-9
     # No reverse active flow through the transformer at the new point.

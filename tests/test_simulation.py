@@ -281,8 +281,9 @@ def test_view_gives_a_slack_transformer_end_a_zero_angle_row():
     by_q = sens.columns(SensitivityMode.VQ, [1])
     (t,) = view.transformers
     assert t.label == "0->1"
-    np.testing.assert_array_equal(t.p_row, [0.0])
-    np.testing.assert_array_equal(t.s_row, by_q[sens.row_of(1)])
+    # secondary row less a zero primary row; zero primary angle less the secondary's
+    np.testing.assert_array_equal(t.row, by_q[sens.row_of(1)])
+    assert t.rhs == -float(state.pf.v_ang[state.pf.index_of[1]])
     np.testing.assert_array_equal(view.v_sens, by_q[2:])
 
 
@@ -645,6 +646,70 @@ def test_degraded_community_flags_unresolved(tmp_path):
     failed = [r for r in report.controls if not r.feasible]
     assert failed and all(r.community == 2 for r in failed)
     assert 17 in failed[0].nodes
+
+
+def bus4_load_step(net, mode, magnitude, duration):
+    """net6 with a load step at bus 4 on tick 1, run to the end."""
+    part, sens = prepared(net)
+    scenario = Scenario(events=[Event(1, EventKind.LOAD_CHANGE, 4, magnitude)], duration=duration)
+    return run_scenario(net, scenario, part, sens, mode=mode)
+
+
+def refusals(report):
+    return [(m.tick, m.payload) for m in report.messages if m.kind is MessageKind.INFEASIBLE_NOTICE]
+
+
+def test_vp_undervoltage_is_refused_before_any_lp(net6, monkeypatch):
+    # Curtailment cannot raise a voltage: the CA refuses on its own, builds
+    # no control problem, and the episodes stay open.
+    monkeypatch.setattr(simulation, "ControlProblem", lambda **kw: pytest.fail("an LP was built"))
+    report = bus4_load_step(net6, SensitivityMode.VP, 0.5, 3)
+    reason = "active-power control is implemented for overvoltage curtailment only"
+    assert refusals(report) == [(t, {"community": 0, "reason": reason, "nodes": [4, 5]}) for t in (1, 2)]
+    assert [(r.tick, r.direction, r.feasible, r.dg_ids, r.adjustments) for r in report.controls] == [
+        (1, "undervoltage", False, [2], []),
+        (2, "undervoltage", False, [2], []),
+    ]
+    assert report.summary() == "violations:2 resolved:0 unresolved:2 actions:0 regenerations:0"
+
+
+def test_infeasible_lp_without_an_exhausted_dg_is_refused(net6):
+    # A +0.7 pu step is more than DG 2 can lift once it has moved on tick 1:
+    # the next two LPs are infeasible with headroom left, so nothing is
+    # excluded and the subsets stay as they are.
+    report = bus4_load_step(net6, SensitivityMode.VQ, 0.7, 4)
+    assert refusals(report) == [
+        (t, {"community": 0, "reason": "no_feasible_adjustment", "nodes": [4], "exhausted": []}) for t in (2, 3)
+    ]
+    assert not report.final_state.excluded.get(0)
+    assert report.summary() == "violations:4 resolved:3 unresolved:1 actions:2 regenerations:0"
+
+
+def test_exhausted_dg_is_excluded_and_the_community_regroups(net6):
+    # DG 2 has no reactive surplus, so its LP is infeasible with DG 2 at its
+    # range edge: the CA excludes it and regroups around no DG at all.
+    net6.dg_by_id(2).q_surplus = 0.0
+    report = bus4_load_step(net6, SensitivityMode.VQ, 0.3, 3)
+    assert refusals(report) == [
+        (1, {"community": 0, "reason": "exhausted_dg", "nodes": [4, 5], "exhausted": [2]}),
+        (1, {"community": 0, "reason": "no_available_dg"}),
+        (2, {"community": 0, "reason": "no_available_dg", "nodes": [4, 5]}),
+    ]
+    assert report.final_state.excluded == {0: {2}}
+    assert report.summary() == "violations:2 resolved:0 unresolved:2 actions:0 regenerations:1"
+
+
+def test_a_faulty_control_problem_raises_out_of_step(net6, monkeypatch):
+    # Only the CA's own refusals are logged as such; an error while building
+    # the LP is a fault and leaves step.
+    def faulty(**kwargs):
+        raise ValueError("v_sens must be 2x1, got (2, 2)")
+
+    part, sens = prepared(net6)
+    state = initialize(net6, part, sens)
+    monkeypatch.setattr(simulation, "ControlProblem", faulty)
+    with pytest.raises(ValueError, match="v_sens must be"):
+        step(state, [Event(0, EventKind.LOAD_CHANGE, 4, 0.7)])
 
 
 def test_divergence_preserves_state():
