@@ -22,7 +22,7 @@ import numpy as np
 from .control import V_LIMITS
 from .network import NetworkModel
 from .network_io import NetworkFormatError, NetworkValidationError, joined, load_network, write_table
-from .partition import Dendrogram, Partition, PeakPolicy, partition_network
+from .partition import Dendrogram, Partition, partition_network
 from .powerflow import PowerFlowError, SingularJacobianError, solve_power_flow
 from .sensitivity import SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix
 from .simulation import ScenarioError, SimulationDiverged, load_scenario, run_scenario, write_report
@@ -69,10 +69,7 @@ def _linearized(args) -> tuple[NetworkModel, SensitivityMatrix]:
         net = generate_synthetic_network(_parse_synth(args.synth, args.seed or 0))
     sol = solve_power_flow(net)
     if not sol.converged:
-        raise PowerFlowError(
-            f"power flow did not converge: {sol.stopped.value} ({sol.iterations} steps, "
-            f"{sol.factorizations} factorizations, max mismatch {sol.max_mismatch:.3e})"
-        )
+        raise PowerFlowError(f"power flow did not converge: {sol.stop_text()}")
     return net, compute_sensitivity_matrix(net, sol)
 
 
@@ -97,9 +94,7 @@ def _write_partition(partition: Partition, dendro: Dendrogram, net: NetworkModel
 
 def cmd_partition(args) -> int:
     net, sens = _linearized(args)
-    partition, dendro = partition_network(
-        net, sens, mode=SensitivityMode(args.mode), peak=PeakPolicy(args.peak)
-    )
+    partition, dendro = partition_network(net, sens, mode=SensitivityMode(args.mode))
     _write_partition(partition, dendro, net, Path(args.out))
     print(f"communities:{partition.n_communities} modularity:{repr(partition.modularity)}")
     return 0
@@ -113,7 +108,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--vmin must be below --vmax, got {args.vmin} >= {args.vmax}")
     scenario = load_scenario(args.scenario)
     net, sens = _linearized(args)
-    partition, _ = partition_network(net, sens, mode=SensitivityMode(args.mode), peak=PeakPolicy(args.peak))
+    partition, _ = partition_network(net, sens, mode=SensitivityMode(args.mode))
     report = run_scenario(
         net,
         scenario,
@@ -149,7 +144,6 @@ def _add_common(p: argparse.ArgumentParser, partitions: bool = True, scenario: b
         p.add_argument(
             "--mode", choices=[x.value for x in SensitivityMode], default="vq", help="sensitivity mode (default vq)"
         )
-        p.add_argument("--peak", choices=[x.value for x in PeakPolicy], default="global", help="dendrogram peak policy")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     if scenario:
         p.add_argument("--scenario", required=True, help="scenario JSON file")

@@ -12,7 +12,6 @@ reduces to the unweighted formula on 0/1 graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -21,14 +20,6 @@ from .network import NetworkModel
 from .sensitivity import SensitivityMatrix, SensitivityMode, dg_buses
 
 _SYM_TOL = 1e-12
-
-
-class PeakPolicy(str, Enum):
-    """Which dendrogram state is returned: the global modularity maximum, or
-    the first state after which the next merge strictly decreases it."""
-
-    GLOBAL = "global"
-    FIRST = "first"
 
 
 @dataclass
@@ -147,11 +138,9 @@ def modularity(g: WeightedGraph, p: Partition) -> float:
     return m_val
 
 
-def greedy_partition(
-    g: WeightedGraph, peak: PeakPolicy = PeakPolicy.GLOBAL
-) -> tuple[Partition, Dendrogram]:
+def greedy_partition(g: WeightedGraph) -> tuple[Partition, Dendrogram]:
     """Agglomerate from singletons, always merging the pair with the largest
-    modularity gain; return the dendrogram state at the chosen peak.
+    modularity gain; return the dendrogram state at the modularity peak.
 
     Communities are named by their smallest member node. The gains of all
     live pairs (a, b), a < b, sit in an upper-triangular matrix, and each
@@ -162,7 +151,9 @@ def greedy_partition(
     every other row just compares its new gain against a. That makes
     the whole run O(n^2). Equal gains resolve to the lexicographically
     lowest pair, as a full scan in ascending (a, b) order would.
-    Deterministic throughout.
+    Deterministic throughout. The cut is the first maximum of the trace,
+    the only peak: a merged pair's gain to c is the sum of its parts' gains
+    (CNM eq. 10), so once the best gain is not positive, no later gain is.
     """
     n = g.n_nodes
     two_m = g.total_weight
@@ -214,18 +205,8 @@ def greedy_partition(
         best_col[rescan] = gain[rescan].argmax(axis=1)
         best_val[rescan] = gain[rescan, best_col[rescan]]
 
-    trace = dendro.modularity_trace()
-    if peak is PeakPolicy.GLOBAL:
-        best_step = int(np.argmax(trace))
-    else:
-        best_step = n - 1
-        for s in range(n - 1):
-            if trace[s + 1] < trace[s]:
-                best_step = s
-                break
-    dendro.best_step = best_step
-
-    partition = _partition_at(n, dendro.steps, best_step)
+    dendro.best_step = int(np.argmax(dendro.modularity_trace()))
+    partition = _partition_at(n, dendro.steps, dendro.best_step)
     partition.modularity = modularity(g, partition)
     return partition, dendro
 
@@ -251,7 +232,6 @@ def partition_network(
     net: NetworkModel,
     sens: SensitivityMatrix,
     mode: SensitivityMode = SensitivityMode.VQ,
-    peak: PeakPolicy = PeakPolicy.GLOBAL,
 ) -> tuple[Partition, Dendrogram]:
     """Partition the whole network into DG-centric communities.
 
@@ -264,7 +244,7 @@ def partition_network(
         raise ValueError("network has no online DGs to partition around")
     block = sens.voltage_block(mode)
     graph = combine_weights(block, build_dg_adjacency(block[:, dg_rows]), dg_rows)
-    node_part, dendro = greedy_partition(graph, peak=peak)
+    node_part, dendro = greedy_partition(graph)
 
     community_of = {bus_id: node_part.community_of[i] for i, bus_id in enumerate(sens.bus_ids)}
     slack_id = net.slack_bus.id

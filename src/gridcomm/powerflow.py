@@ -253,6 +253,13 @@ class PowerFlowSolution:
     def non_slack(self) -> list[int]:
         return [self.bus_ids[i] for i in self.grid.non_slack_pos]
 
+    def stop_text(self) -> str:
+        """Why the flow stopped and how far it got, as error messages quote it."""
+        return (
+            f"{self.stopped.value} ({self.iterations} steps, {self.factorizations} factorizations, "
+            f"max mismatch {self.max_mismatch:.3e})"
+        )
+
     @cached_property
     def factor(self) -> BlockLU:
         """The block factor of the Jacobian at these voltages, computed on first

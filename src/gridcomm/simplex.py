@@ -94,11 +94,10 @@ def solve_inequality_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> LP
         tab[first_art:-1] = 0.0
         cost2[first_art:-1] = 0.0
 
-    # Reduce phase-2 costs against the current basis. Basic columns are
-    # exact unit vectors, so one row's reduction leaves the other basic
-    # costs as they were.
-    for i in cost2[basis].nonzero()[0]:
-        cost2 -= cost2[basis[i]] * tab[:, i]
+    # Every basic phase-2 cost is already exactly zero: slacks and
+    # artificials start at zero cost, a pivot sets the entering column's cost
+    # to c - c*1.0 (its pivot-row entry is x/x), and it leaves the other basic
+    # costs alone, since their pivot-row entry is 0.
     status = _iterate(tab, costs[:1], basis)
     if status is not LPStatus.OPTIMAL:
         return LPResult(status, None, None)

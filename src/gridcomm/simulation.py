@@ -392,9 +392,7 @@ def _resolve(state: SimulationState, why: str) -> None:
     pf = solve_power_flow(state.net, state.pf.tolerance, previous=state.pf)
     if not pf.converged:
         raise SimulationDiverged(
-            f"power flow did not converge after {why} at tick {state.tick}: {pf.stopped.value} "
-            f"({pf.iterations} steps, {pf.factorizations} factorizations, max mismatch {pf.max_mismatch:.3e})",
-            state,
+            f"power flow did not converge after {why} at tick {state.tick}: {pf.stop_text()}", state
         )
     state.sens = compute_sensitivity_matrix(state.net, pf)
     state.online_dgs = state.net.dgs_sorted(online_only=True)

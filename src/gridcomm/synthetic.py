@@ -48,6 +48,8 @@ class SynthSpec:
             raise ValueError("n_dgs must be in [1, n_loads]")
         if self.n_transformers > cells:
             raise ValueError("more transformers than grid buses")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def generate_synthetic_network(spec: SynthSpec) -> NetworkModel:

@@ -129,6 +129,27 @@ def test_seed_with_network_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+def test_negative_synth_seed_exits_2_naming_seed(tmp_path, capsys):
+    code, stdout, stderr = run_cli(capsys, "partition", "--synth", "", "--seed", "-1", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "simulate"])
+def test_peak_option_is_gone(tmp_path, capsys, command):
+    # the cut is always the first modularity maximum, the only peak greedy agglomeration has
+    extra = []
+    if command == "simulate":
+        extra = ["--scenario", str(write_scenario(tmp_path / "empty.json", [], duration=1))]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--network", str(NET6), *extra, "--peak", "global", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --peak global" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "spec, fragment",
     [

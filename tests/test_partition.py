@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from gridcomm.partition import (
     MergeStep,
     Partition,
-    PeakPolicy,
     WeightedGraph,
     build_dg_adjacency,
     combine_weights,
@@ -248,11 +247,11 @@ def test_relabel_equivariance():
     assert mapped == blocks_of(p)
 
 
-def reference_greedy(g, peak):
+def reference_greedy(g):
     """The original O(n^3) agglomeration: rescan every live pair in
-    ascending (a, b) order on every merge, keep the first strict maximum.
-    Returns the merge steps, the chosen step, the assignment and its
-    modularity."""
+    ascending (a, b) order on every merge, keep the first strict maximum,
+    cut at the first maximum of the trace. Returns the merge steps, the
+    chosen step, the assignment and its modularity."""
     n = g.n_nodes
     two_m = g.total_weight
     w_com = g.weights.copy()
@@ -282,10 +281,7 @@ def reference_greedy(g, peak):
         trace.append(m_now)
         steps.append(MergeStep(step=step, community_a=a, community_b=b, modularity_after=m_now))
 
-    if peak is PeakPolicy.GLOBAL:
-        best_step = int(np.argmax(trace))
-    else:
-        best_step = next((s for s in range(n - 1) if trace[s + 1] < trace[s]), n - 1)
+    best_step = int(np.argmax(trace))
     label = list(range(n))
     for merge in steps[:best_step]:
         label = [merge.community_a if x == merge.community_b else x for x in label]
@@ -316,11 +312,11 @@ def tied_weights(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tied_weights(), st.sampled_from(list(PeakPolicy)))
-def test_greedy_matches_reference_scan_exactly(w, peak):
+@given(tied_weights())
+def test_greedy_matches_reference_scan_exactly(w):
     g = graph(w)
-    p, dendro = greedy_partition(g, peak=peak)
-    steps, best_step, community_of, mod = reference_greedy(g, peak)
+    p, dendro = greedy_partition(g)
+    steps, best_step, community_of, mod = reference_greedy(g)
     assert dendro.steps == steps
     assert dendro.best_step == best_step
     assert p.community_of == community_of
@@ -337,7 +333,7 @@ def test_greedy_matches_reference_scan_on_skewed_weights():
         w += np.triu(rng.random((n, n)) * 1e-13, 1)
         g = graph(w)
         p, dendro = greedy_partition(g)
-        steps, best_step, community_of, _ = reference_greedy(g, PeakPolicy.GLOBAL)
+        steps, best_step, community_of, _ = reference_greedy(g)
         assert (dendro.steps, dendro.best_step, p.community_of) == (steps, best_step, community_of)
 
 
@@ -351,14 +347,33 @@ def test_merged_gain_tying_an_older_best_takes_the_lower_partner():
     g = graph(w)
     _, dendro = greedy_partition(g)
     assert [(s.community_a, s.community_b) for s in dendro.steps[:2]] == [(1, 2), (0, 1)]
-    assert dendro.steps == reference_greedy(g, PeakPolicy.GLOBAL)[0]
+    assert dendro.steps == reference_greedy(g)[0]
 
 
-def test_peak_policies_agree_on_clean_split():
-    g = graph(two_triangles())
-    p_global, _ = greedy_partition(g, peak=PeakPolicy.GLOBAL)
-    p_local, _ = greedy_partition(g, peak=PeakPolicy.FIRST)
-    assert blocks_of(p_global) == blocks_of(p_local)
+@st.composite
+def float_weights(draw):
+    """Symmetric nonnegative float weights on 2..30 nodes, some of them zero."""
+    n = draw(st.integers(2, 30))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_subnormal=False))
+    upper = draw(st.lists(entry, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, 1)] = upper
+    w += w.T
+    if w.sum() == 0:
+        w[0, 1] = w[1, 0] = 1.0
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tied_weights(), float_weights()))
+def test_modularity_trace_has_a_single_peak(w):
+    # A merged pair's gain to c is the sum of its parts' gains, so the trace
+    # rises strictly to the cut and never rises after it: the first maximum
+    # is the only peak there is to cut at.
+    _, dendro = greedy_partition(graph(w))
+    rise = np.diff(dendro.modularity_trace())
+    assert np.all(rise[: dendro.best_step] > 0)
+    assert np.all(rise[dendro.best_step :] <= 1e-12)
 
 
 # ---------------------------------------------------------------- network level

@@ -64,6 +64,11 @@ def test_transformers_fewer_than_feeders_rejected():
         SynthSpec(n_feeders=3, n_transformers=2)
 
 
+def test_negative_seed_rejected_by_name():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SynthSpec(seed=-1)
+
+
 def test_default_network_solves():
     net = generate_synthetic_network(SynthSpec())
     sol = solve_power_flow(net)
