@@ -42,18 +42,19 @@ pay wherever a factor is solved more than once.
 
 Newton's method with a frozen Jacobian, the chord or Shamanskii method
 (Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003; for
-load flow, Stott, Proc. IEEE 62(7), 1974), is how a solve uses that:
-its first step solves the flat-start factor, its second factors the
-Jacobian at iterate 1 and keeps that factor. Each later step solves the
-kept factor again (a chord step) while the step before cut the largest
-mismatch to at most CHORD_RATIO of what it was, and factors the Jacobian
-at the current iterate otherwise. A solve stops at the same test either
-way: the largest mismatch within tolerance. A network of fewer than
-BLOCK_ROWS non-slack buses is one block in natural order, factored at
-every step: its factor is the Jacobian itself, solved by plain
-``np.linalg.solve``, which repeats the LU on every call, so a chord step
-saves no time there (on 30-bus networks it took as many steps and as long
-per solve) and would only change the bits. Such a solve is a full Newton
+load flow, Stott, Proc. IEEE 62(7), 1974), is how a solve uses that.
+A solve from the flat start factors the Jacobian there for its first
+step and at iterate 1 for its second, and keeps that factor. Each later
+step solves the kept factor again (a chord step) while the step before
+cut the largest mismatch to at most CHORD_RATIO of what it was, and
+factors the Jacobian at the current iterate otherwise. A solve stops at
+the same test either way: the largest mismatch within tolerance. A
+network of fewer than BLOCK_ROWS non-slack buses is one block in natural
+order, factored at every step after the first: its factor is the
+Jacobian itself, solved by plain ``np.linalg.solve``, which repeats the
+LU on every call, so a chord step saves no time there (on 30-bus
+networks it took as many steps and as long per solve) and would only
+change the bits. Such a solve from the flat start is a full Newton
 solve, bit for bit.
 
 The Jacobian values are written straight into the blocks: one flat buffer
@@ -61,21 +62,29 @@ holds, block row after block row, L_k, D_k and U_k, each in C order, and
 the buffer position of every value is computed once per Y-bus. No dense
 Jacobian is formed.
 
-The Jacobian depends on the Y-bus and the voltages only: the injections
-enter the mismatch, never its derivatives. At the flat start (1.0 pu, 0
-rad; the slack at its own v_mag/v_ang) the voltages depend on the slack
-alone, so the flat-start Jacobian and its factor belong to the grid, not
-to the operating point. ``GridStructure`` holds what depends on the grid
-only: bus order, Y-bus, pattern, blocks, buffer layout and, from its first
-use, the flat-start factor. Each flow keeps its structure, and a re-solve
-given an earlier flow reuses that flow's structure when the data the
-Y-bus is built from is unchanged (a load step, a DG trip): the bus ids,
-the slack's position and voltage, every branch's endpoints, r, x and
-b_shunt, and every transformer's endpoints, r, x, tap and phase_shift.
-Otherwise it builds a new structure, and only then a Y-bus. The result is
-the same bit for bit either way. The solution also keeps, from its first
-use, the factor at the solved point, so every sensitivity taken at that
-point shares one factorization.
+``GridStructure`` holds what depends on the grid only: bus order, Y-bus,
+pattern, blocks and buffer layout. Each flow keeps its structure, and a
+re-solve given an earlier flow reuses that flow's structure when the
+data the Y-bus is built from is unchanged (a load step, a DG trip): the
+bus ids, the slack's position and voltage, every branch's endpoints, r,
+x and b_shunt, and every transformer's endpoints, r, x, tap and
+phase_shift. Otherwise it builds a new structure, and only then a
+Y-bus. The solution also keeps, from its first use, the factor at the
+solved point, so every sensitivity taken at that point shares one
+factorization.
+
+A re-solve that reuses a converged flow's structure is warm, the usual
+start for sequential load flow (Stott 1974): it starts at that flow's
+voltages, and its first step solves a factor that flow lends, the
+solved point's factor if it was read, else the one its last step
+solved (``warm_factor``). It never factors only to start; from its
+second step on, the CHORD_RATIO rule alone decides when to factor (a
+one-block network factors at every such step). Any other solve (no
+earlier flow, an unconverged one, another grid, or one with no factor
+to lend because it took no step) starts flat, bit for bit the solve
+without an earlier flow. A warm and a cold solve of one network both
+end within tolerance, so they agree to about ||J^-1|| times it, not bit
+for bit.
 """
 from __future__ import annotations
 
@@ -210,11 +219,6 @@ class GridStructure:
         diagonal block is singular."""
         return BlockLU(self.blocks, *self.jacobian_blocks(v, th))
 
-    @cached_property
-    def flat_factor(self) -> BlockLU:
-        """``factor`` at the flat start, computed on first use and kept."""
-        return self.factor(*self.flat_start())
-
 
 @dataclass
 class PowerFlowSolution:
@@ -224,7 +228,10 @@ class PowerFlowSolution:
     v_mag/v_ang are indexed by position in NetworkModel.buses; bus_ids maps
     positions back to ids and index_of ids to positions. iterations counts
     the steps taken, chord and full; factorizations the Jacobians factored
-    at the solve's own iterates (the flat-start factor is the grid's).
+    at the iterates the solve stepped to (not at its start). warm_factor
+    is the factor a warm re-solve from here starts on: the one the last
+    step solved (for a warm solve that took none, the one it was lent),
+    replaced by the solved point's once that is read.
     """
 
     grid: GridStructure
@@ -236,6 +243,7 @@ class PowerFlowSolution:
     tolerance: float
     stopped: StopReason
     factorizations: int
+    warm_factor: BlockLU | None
 
     @property
     def bus_ids(self) -> list[int]:
@@ -263,8 +271,10 @@ class PowerFlowSolution:
     @cached_property
     def factor(self) -> BlockLU:
         """The block factor of the Jacobian at these voltages, computed on first
-        use and kept; LinAlgError if a diagonal block is singular."""
-        return self.grid.factor(self.v_mag, self.v_ang)
+        use and kept, also as warm_factor; LinAlgError if a diagonal block is
+        singular."""
+        self.warm_factor = self.grid.factor(self.v_mag, self.v_ang)
+        return self.warm_factor
 
     def solves(self, net: NetworkModel) -> bool:
         """Whether these voltages solve net's current injections within the
@@ -455,15 +465,18 @@ def solve_power_flow(
     net: NetworkModel, tolerance: float = 1e-8, previous: PowerFlowSolution | None = None
 ) -> PowerFlowSolution:
     """Solve from a flat start (1.0 pu, 0 rad; the slack at its own
-    v_mag/v_ang) by Newton steps, chord steps on a kept factor among them
-    on a network of several blocks (module docstring), until the largest
-    mismatch is within tolerance; deterministic for a fixed network and
-    tolerance. iterations counts the steps of both kinds.
+    v_mag/v_ang), or warm from previous, by Newton steps, chord steps on a
+    kept factor among them on a network of several blocks (module
+    docstring), until the largest mismatch is within tolerance;
+    deterministic for a fixed network, tolerance and previous. iterations
+    counts the steps of both kinds.
 
     previous, a flow of an earlier state of net, lends its grid structure
-    (and so its Y-bus and flat-start factor) when net's bus ids, slack and
-    branch and transformer data are unchanged (module docstring); the
-    result is the same without it.
+    (and so its Y-bus) when net's bus ids, slack and branch and transformer
+    data are unchanged. If it also converged and has a factor to lend, the
+    solve is warm: it starts at previous's voltages on previous's factor
+    (module docstring). Any other solve is the flat-start solve, bit for
+    bit as without previous.
 
     Non-convergence within MAX_ITER steps (or a collapsing or non-finite
     iterate) returns a solution flagged converged=False, with the reason
@@ -473,13 +486,15 @@ def solve_power_flow(
     """
     if previous is not None and previous.grid.fits(net):
         grid = previous.grid
+        factor = previous.warm_factor if previous.converged else None
     else:
-        grid = GridStructure.build(net)
+        grid, factor = GridStructure.build(net), None
     ns, nn = grid.non_slack_pos, len(grid.non_slack_pos)
     s_spec = _injections(net, grid.index_of)
     full_steps_only = len(grid.blocks) == 1  # where a kept factor saves nothing
+    flat = factor is None
 
-    v, th = grid.flat_start()
+    v, th = grid.flat_start() if flat else (previous.v_mag.copy(), previous.v_ang.copy())
     mis = _mismatch(grid.ybus, s_spec, v, th, ns)
     it = factorizations = 0
     stopped = None
@@ -492,8 +507,9 @@ def solve_power_flow(
             break
         try:
             if it == 0:
-                factor = grid.flat_factor
-            elif full_steps_only or it == 1 or peak > CHORD_RATIO * last_peak:
+                if flat:
+                    factor = grid.factor(v, th)
+            elif full_steps_only or (flat and it == 1) or peak > CHORD_RATIO * last_peak:
                 factor = grid.factor(v, th)
                 factorizations += 1
             dx = factor.solve(mis)
@@ -528,4 +544,5 @@ def solve_power_flow(
         tolerance=tolerance,
         stopped=stopped,
         factorizations=factorizations,
+        warm_factor=factor,
     )

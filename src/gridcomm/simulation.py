@@ -386,9 +386,10 @@ def self_organize(state: SimulationState, community: int) -> None:
 
 
 def _resolve(state: SimulationState, why: str) -> None:
-    """Re-solve the flow of state.net, from the current flow's grid structure
-    where the grid is unchanged, and take the sensitivities there, their DG
-    columns fixed to the DGs online now and solved on first read."""
+    """Re-solve the flow of state.net, warm from the current flow where the
+    grid is unchanged (its grid structure, voltages and kept factor), and
+    take the sensitivities there, their DG columns fixed to the DGs online
+    now and solved on first read."""
     pf = solve_power_flow(state.net, state.pf.tolerance, previous=state.pf)
     if not pf.converged:
         raise SimulationDiverged(

@@ -482,6 +482,9 @@ def outcome(sol):
     trips=st.lists(st.integers(0, len(SYNTH153.dgs) - 1), max_size=4),
 )
 def test_resolve_reusing_the_structure_equals_a_fresh_solve(change, loads, trips):
+    # On an unchanged grid the re-solve starts warm from before and agrees
+    # with the flat-start solve within the tolerance's bound; on a changed
+    # grid it starts flat, bit for bit the solve without previous.
     net = copy.deepcopy(SYNTH153)
     before = solve_power_flow(net)
     for i, dp in loads:
@@ -492,7 +495,38 @@ def test_resolve_reusing_the_structure_equals_a_fresh_solve(change, loads, trips
         GRID_CHANGES[change](net)
     again = solve_power_flow(net, previous=before)
     assert (again.grid is before.grid) == (change is None)
-    assert outcome(again) == outcome(solve_power_flow(net))
+    cold = solve_power_flow(net)
+    if change is not None:
+        assert outcome(again) == outcome(cold)
+        return
+    assert again.converged == cold.converged
+    if again.converged:
+        bound = agreement_bound(net, again, cold)
+        assert np.max(np.abs(again.v_mag - cold.v_mag)) <= bound
+        assert np.max(np.abs(again.v_ang - cold.v_ang)) <= bound
+
+
+def lender(kind, net, monkeypatch):
+    """A flow of net (or of a changed grid) that has nothing to lend a
+    warm re-solve of net."""
+    if kind == "unconverged":
+        with monkeypatch.context() as m:
+            m.setattr(powerflow, "MAX_ITER", 2)
+            return solve_power_flow(net)
+    if kind == "other_grid":
+        other = copy.deepcopy(net)
+        GRID_CHANGES["branch_r"](other)
+        return solve_power_flow(other)
+    return solve_power_flow(net, tolerance=1e3)  # converged at the flat start, no step taken
+
+
+@pytest.mark.parametrize("kind", ["unconverged", "other_grid", "no_step"])
+def test_a_resolve_with_nothing_to_lend_starts_flat(kind, monkeypatch):
+    net = copy.deepcopy(SYNTH153)
+    previous = lender(kind, net, monkeypatch)
+    assert previous.converged == (kind != "unconverged")
+    assert (previous.warm_factor is None) == (kind == "no_step")
+    assert outcome(solve_power_flow(net, previous=previous)) == outcome(solve_power_flow(net))
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +588,45 @@ def test_chord_steps_agree_with_pure_newton(name, scale, steps, trips):
     assert sol.converged == ref.converged
     if sol.converged:
         assert sol.factorizations <= ref.iterations
+        assert max(sol.max_mismatch, ref.max_mismatch) <= sol.tolerance
+        bound = agreement_bound(net, sol, ref)
+        assert np.max(np.abs(sol.v_mag - ref.v_mag)) <= bound
+        assert np.max(np.abs(sol.v_ang - ref.v_ang)) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CHORD_NETS)),
+    scale=st.floats(0.5, 6.0),
+    steps=st.lists(st.tuples(st.integers(1, N153 - 1), st.floats(0.0, 2.0)), max_size=4),
+    trips=st.lists(st.integers(0, len(SYNTH153.dgs) - 1), max_size=4),
+    read=st.booleans(),
+)
+@example(*COLLAPSING, False)
+@example(*WANDERING, True)
+def test_warm_resolve_agrees_with_pure_newton(name, scale, steps, trips, read):
+    # A re-solve after load steps (some past the nose) and DG trips starts
+    # at the earlier flow's voltages, on its solved-point factor if that
+    # was read and otherwise on its last step's factor; it converges
+    # exactly when pure Newton from the flat start does, and then both
+    # meet the tolerance and agree within the bound.
+    net = copy.deepcopy(CHORD_NETS[name])
+    before = solve_power_flow(net)
+    last_step = before.warm_factor
+    assert last_step is not None
+    if read:
+        assert before.factor is before.warm_factor is not last_step
+    for b in net.buses:
+        b.p_load *= scale
+        b.q_load *= scale
+    for i, dp in steps:
+        net.buses[i].p_load += dp
+    for i in trips:
+        net.dgs[i].online = False
+    sol, ref = solve_power_flow(net, previous=before), reference_newton(net)
+    assert sol.grid is before.grid
+    assert sol.converged == ref.converged
+    if sol.converged:
         assert max(sol.max_mismatch, ref.max_mismatch) <= sol.tolerance
         bound = agreement_bound(net, sol, ref)
         assert np.max(np.abs(sol.v_mag - ref.v_mag)) <= bound

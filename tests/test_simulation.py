@@ -34,6 +34,7 @@ from conftest import (
     null_trip30,
     overvoltage30,
     prepared,
+    record_factorizations,
     synth153,
     synth30,
     trip_restore30,
@@ -621,6 +622,37 @@ def test_trip_restore_resolves_within_tick():
     assert rec.feasible
     low = [(t, b) for t, b, v in report.voltage_rows if v < 0.95]
     assert low == []
+
+
+def test_resolve_after_control_factors_no_jacobian(monkeypatch):
+    # The LP reads the flow's solved-point factor; the re-solve after the
+    # control action starts warm on that factor and converges by chord
+    # steps on it, factoring no Jacobian of its own.
+    net = synth153()
+    part, sens = prepared(net)
+    events = [
+        Event(1, EventKind.DG_TRIP, 16),
+        Event(2, EventKind.LOAD_CHANGE, 20, 0.6),
+        Event(3, EventKind.LOAD_CHANGE, 34, 0.6),
+        Event(4, EventKind.DG_RESTORE, 16),
+    ]
+    points = record_factorizations(monkeypatch)
+    real = simulation._resolve
+    after_control = []
+
+    def resolve(state, why):
+        lender, before = state.pf, len(points)
+        real(state, why)
+        if why == "control adjustments":
+            after_control.append(("factor" in lender.__dict__, len(points) - before, state.pf))
+
+    monkeypatch.setattr(simulation, "_resolve", resolve)
+    report = run_scenario(net, Scenario(events=events, duration=6), part, sens)
+    assert report.actions > 0
+    assert after_control
+    for read, factored, pf in after_control:
+        assert read and factored == 0
+        assert pf.converged and pf.iterations > 0 and pf.factorizations == 0
 
 
 def test_degraded_community_flags_unresolved(tmp_path):
