@@ -79,7 +79,6 @@ class Subset:
 
 @dataclass
 class CommunitySubsets:
-    community: int
     subsets: list[Subset]
     generation: int = 0
 
@@ -89,7 +88,6 @@ def derive_subsets(
     node_ids: Sequence[int],
     dg_ids: Sequence[int],
     dg_bus_of: dict[int, int],
-    community: int = 0,
     generation: int = 0,
 ) -> CommunitySubsets:
     """Group nodes by their argmax DG; a subset's DG set is its anchor plus
@@ -104,7 +102,7 @@ def derive_subsets(
         located = {g for g in dg_ids if dg_bus_of.get(g) in nodes}
         subsets.append(Subset(anchor_dg=anchor, dg_ids=tuple(sorted({anchor} | located)), nodes=nodes))
     subsets.sort(key=lambda s: s.anchor_dg)
-    return CommunitySubsets(community=community, subsets=subsets, generation=generation)
+    return CommunitySubsets(subsets=subsets, generation=generation)
 
 
 @dataclass

@@ -22,8 +22,9 @@ class Bus:
 
     On the slack, v_mag/v_ang fix the reference voltage of every power
     flow, and v_mag must be positive. On other buses they are carried
-    through load and save but never read: every solve starts flat. Solved
-    voltages live in PowerFlowSolution, never here.
+    through load and save but never read: a solve starts flat, or warm
+    from an earlier flow. Solved voltages live in PowerFlowSolution, never
+    here.
     """
 
     id: int

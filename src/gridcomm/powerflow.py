@@ -237,13 +237,16 @@ class PowerFlowSolution:
     grid: GridStructure
     v_mag: np.ndarray
     v_ang: np.ndarray
-    converged: bool
     iterations: int
     max_mismatch: float
     tolerance: float
     stopped: StopReason
     factorizations: int
     warm_factor: BlockLU | None
+
+    @property
+    def converged(self) -> bool:
+        return self.stopped is StopReason.CONVERGED
 
     @property
     def bus_ids(self) -> list[int]:
@@ -531,14 +534,12 @@ def solve_power_flow(
             break
 
     max_mis = float(np.max(np.abs(mis))) if np.all(np.isfinite(mis)) else float("inf")
-    converged = stopped is None and max_mis <= tolerance
     if stopped is None:
-        stopped = StopReason.CONVERGED if converged else StopReason.MAX_ITER
+        stopped = StopReason.CONVERGED if max_mis <= tolerance else StopReason.MAX_ITER
     return PowerFlowSolution(
         grid=grid,
         v_mag=v,
         v_ang=th,
-        converged=converged,
         iterations=it,
         max_mismatch=max_mis,
         tolerance=tolerance,

@@ -23,12 +23,16 @@ Tick phases, all deterministic:
    electrical state changed, and re-organizing subsets in any community
    whose DG population changed;
 2. BAs scan against the voltage band and report violations to their CA;
-3. CAs, community id ascending, solve the max-min LP over the union of the
-   violated nodes' subset DGs, or self-organize around exhausted DGs when
-   the LP is infeasible; in vp mode, which only curtails, a CA refuses an
-   undervoltage without an LP;
-4. DAs apply the commands, each clamped to its DG's capability range;
-   the flow is re-solved once if any DA moved, and voltages are logged.
+3. CAs with reports, community id ascending, solve the max-min LP over the
+   union of the reported buses' subset DGs and command the DAs they move,
+   or self-organize around exhausted DGs when the LP is infeasible; in vp
+   mode, which only curtails, a CA refuses an undervoltage without an LP;
+4. DAs apply the commands they are sent, each clamped to its DG's
+   capability range; the flow is re-solved once if any DA moved, and
+   voltages are logged.
+
+Messages are a tick's only data path, so the log holds every violation a
+CA acted on and every move a DA made.
 
 Violations are tracked as episodes: a bus entering the band closes the
 episode it opened when it left. Run totals count episodes, not ticks.
@@ -227,7 +231,7 @@ class SimulationState:
     nodes_of: dict[int, list[int]]  # community -> non-slack bus ids, community id ascending
     subsets: dict[int, CommunitySubsets]
     cap_range: dict[int, tuple[float, float]]  # DG id -> (lo, hi) of the mode's setpoint
-    dg_pos: dict[int, int]  # DG id -> position in net.dgs; keys id ascending
+    dgs: dict[int, DG]  # DG id -> the DG of net; keys id ascending
     tick: int = 0
     comm_lost: set[int] = field(default_factory=set)
     excluded: dict[int, set[int]] = field(default_factory=dict)
@@ -291,11 +295,7 @@ def initialize(
         raise ValueError("the sensitivities' operating point does not solve this network")
 
     slack_id = net.slack_bus.id
-    nodes_of: dict[int, list[int]] = {c: [] for c in sorted(set(partition.community_of.values()))}
-    for bus_id in sorted(partition.community_of):
-        if bus_id != slack_id:
-            nodes_of[partition.community_of[bus_id]].append(bus_id)
-
+    dgs = net.dgs_sorted()
     state = SimulationState(
         net=net,
         partition=partition,
@@ -303,14 +303,13 @@ def initialize(
         mode=mode,
         online_dgs=net.dgs_sorted(online_only=True),
         v_limits=v_limits,
-        nodes_of=nodes_of,
+        nodes_of={c: [b for b in partition.members(c) if b != slack_id] for c in range(partition.n_communities)},
         subsets={},
-        cap_range={d.id: capability_range(d, mode) for d in net.dgs_sorted()},
-        dg_pos=dict(sorted((d.id, i) for i, d in enumerate(net.dgs))),
+        cap_range={d.id: capability_range(d, mode) for d in dgs},
+        dgs={d.id: d for d in dgs},
     )
-    for c in nodes_of:
-        state.subsets[c] = _build_subsets(_view(state, c), generation=0)
-        _record_subsets(state, c)
+    for c in state.nodes_of:
+        _organize(state, c, generation=0)
     return state
 
 
@@ -318,12 +317,8 @@ def _view(state: SimulationState, community: int) -> CommunityView:
     """Slice one community's view out of the network-wide flow and
     sensitivities; the only reader of them on the CA side."""
     community_of = state.partition.community_of
-    banned = state.excluded.get(community, ())
-    dgs = []
-    for i in state.dg_pos.values():
-        d = state.net.dgs[i]
-        if community_of[d.bus] == community and d.online and d.id not in state.comm_lost and d.id not in banned:
-            dgs.append(d)
+    unreachable = state.comm_lost | state.excluded.get(community, set())
+    dgs = [d for d in state.dgs.values() if community_of[d.bus] == community and d.online and d.id not in unreachable]
     nodes = state.nodes_of[community]
     sens, pf, mode, online = state.sens, state.pf, state.mode, state.cols
     cols = np.searchsorted(online.dg_ids, [d.id for d in dgs])
@@ -359,27 +354,25 @@ def _view(state: SimulationState, community: int) -> CommunityView:
     )
 
 
-def _build_subsets(view: CommunityView, generation: int) -> CommunitySubsets:
-    if not view.dg_ids or not view.node_ids:
-        return CommunitySubsets(community=view.community, subsets=[], generation=generation)
-    d_com = build_dg_adjacency(view.v_sens)
-    dg_bus_of = dict(zip(view.dg_ids, view.dg_buses))
-    return derive_subsets(d_com, view.node_ids, view.dg_ids, dg_bus_of, community=view.community, generation=generation)
-
-
-def _record_subsets(state: SimulationState, community: int) -> None:
-    cs = state.subsets[community]
+def _organize(state: SimulationState, community: int, generation: int) -> None:
+    """Group a community's nodes into subsets around the DGs of its view,
+    and log them."""
+    view = _view(state, community)
+    cs = CommunitySubsets(subsets=[], generation=generation)
+    if view.dg_ids and view.node_ids:
+        d_com = build_dg_adjacency(view.v_sens)
+        dg_bus_of = dict(zip(view.dg_ids, view.dg_buses))
+        cs = derive_subsets(d_com, view.node_ids, view.dg_ids, dg_bus_of, generation=generation)
+    state.subsets[community] = cs
     rows = [(s.anchor_dg, s.dg_ids, s.nodes) for s in cs.subsets] or [(None, (), ())]
-    state.subset_rows.extend((state.tick, community, cs.generation, *row) for row in rows)
+    state.subset_rows.extend((state.tick, community, generation, *row) for row in rows)
 
 
 def self_organize(state: SimulationState, community: int) -> None:
     """Rebuild a community's subsets from its currently reachable DGs and
     bump the generation counter."""
-    gen = state.subsets[community].generation + 1
-    state.subsets[community] = _build_subsets(_view(state, community), generation=gen)
+    _organize(state, community, state.subsets[community].generation + 1)
     state.regenerations += 1
-    _record_subsets(state, community)
     if not state.subsets[community].subsets:
         ca = AgentId(AgentKind.CA, community)
         state.send(ca, ca, MessageKind.INFEASIBLE_NOTICE, {"community": community, "reason": "no_available_dg"})
@@ -411,7 +404,7 @@ def _apply_events(state: SimulationState, events: Sequence[Event]) -> tuple[bool
             changed = True
             continue
 
-        dg = state.net.dgs[state.dg_pos[ev.target]]
+        dg = state.dgs[ev.target]
         power, on = _DG_TOGGLES[ev.kind]
         if (dg.online if power else dg.id not in state.comm_lost) is on:
             continue
@@ -440,9 +433,9 @@ def _update_episodes(state: SimulationState, violating: set[int]) -> None:
         state.violations_resolved += 1
 
 
-def _control_community(state: SimulationState, view: CommunityView, violated: list[int]) -> dict[int, float]:
-    """One CA's decision for this tick, from its view alone; returns the
-    adjustments to apply."""
+def _control_community(state: SimulationState, view: CommunityView, violated: list[int]) -> None:
+    """One CA's decision for this tick, from its view and the buses reported
+    to it alone; it sends its adjustments to the DAs as commands."""
     community = view.community
     ca = AgentId(AgentKind.CA, community)
     v_min, v_max = state.v_limits
@@ -463,13 +456,13 @@ def _control_community(state: SimulationState, view: CommunityView, violated: li
     dg_ids = sorted({g for s in state.subsets[community].subsets if not hit.isdisjoint(s.nodes) for g in s.dg_ids})
     if not dg_ids:
         refuse("no_available_dg", [])
-        return {}
+        return
 
     if state.mode is SensitivityMode.VP and not over:
         # Active-power control cannot raise voltages; log and leave the
         # episode open rather than abort the run.
         refuse("active-power control is implemented for overvoltage curtailment only", dg_ids)
-        return {}
+        return
 
     col_of = {g: j for j, g in enumerate(view.dg_ids)}
     cols = [col_of[g] for g in dg_ids]
@@ -502,23 +495,30 @@ def _control_community(state: SimulationState, view: CommunityView, violated: li
         if new:
             already.update(new)
             self_organize(state, community)
-        return {}
+        return
 
-    pending: dict[int, float] = {}
     for g, xi in zip(dg_ids, solution.x):
         if abs(xi) > 1e-12:
             state.send(
                 ca, AgentId(AgentKind.DA, g), MessageKind.ADJUSTMENT_COMMAND,
                 {"dg": g, "x": float(xi)},
             )
-            pending[g] = float(xi)
     state.controls.append(
         ControlRecord(
             state.tick, community, direction.value, True,
             solution.objective, dg_ids, [float(v) for v in solution.x], violated,
         )
     )
-    return pending
+
+
+def _inbox(state: SimulationState, since: int, kind: MessageKind) -> dict[int, list[dict]]:
+    """The payloads of the messages of a kind sent since message `since`,
+    by receiver index, receiver ascending; each list in the order sent."""
+    inbox: dict[int, list[dict]] = {}
+    for m in state.messages[since:]:
+        if m.kind is kind:
+            inbox.setdefault(m.receiver.index, []).append(m.payload)
+    return dict(sorted(inbox.items()))
 
 
 def step(state: SimulationState, events: Sequence[Event] = ()) -> SimulationState:
@@ -533,23 +533,21 @@ def step(state: SimulationState, events: Sequence[Event] = ()) -> SimulationStat
     violations = scan_voltage_limits(state.pf, v_min, v_max)
     _update_episodes(state, {v.bus for v in violations})
 
-    by_community: dict[int, list[int]] = {}
+    sent = len(state.messages)
     for v in violations:
-        c = state.partition.community_of[v.bus]
-        by_community.setdefault(c, []).append(v.bus)
         state.send(
-            AgentId(AgentKind.BA, v.bus), AgentId(AgentKind.CA, c),
+            AgentId(AgentKind.BA, v.bus), AgentId(AgentKind.CA, state.partition.community_of[v.bus]),
             MessageKind.VIOLATION_REPORT, {"bus": v.bus, "v": v.v_mag, "side": v.side},
         )
+    # Violations are bus ascending, so each CA's reports are too.
+    for c, reports in _inbox(state, sent, MessageKind.VIOLATION_REPORT).items():
+        _control_community(state, _view(state, c), [r["bus"] for r in reports])
 
-    pending: dict[int, float] = {}
-    for c in sorted(by_community):
-        pending.update(_control_community(state, _view(state, c), sorted(by_community[c])))
-
-    if pending:
-        for g in sorted(pending):
-            apply_adjustment(state.net.dgs[state.dg_pos[g]], state.mode, pending[g], *state.cap_range[g])
-            state.control_actions += 1
+    commands = _inbox(state, sent, MessageKind.ADJUSTMENT_COMMAND)
+    for g, (command,) in commands.items():
+        apply_adjustment(state.dgs[g], state.mode, command["x"], *state.cap_range[g])
+    if commands:
+        state.control_actions += len(commands)
         _resolve(state, "control adjustments")
 
     for i, bus_id in enumerate(state.pf.bus_ids):

@@ -397,9 +397,9 @@ def test_in_band_trip_solves_once(monkeypatch):
 
 
 def test_deep_copied_state_shares_the_grid_structure():
-    # The grid structure is immutable, so a deep copy of a state shares it,
-    # flat-start factor and all; stepping the copy leaves the original's
-    # next step as it is on a state with a structure of its own.
+    # The grid structure is immutable, so a deep copy of a state shares it;
+    # stepping the copy leaves the original's next step as it is on a state
+    # with a structure of its own. The copy's DG map holds the copy's DGs.
     net = synth153()
     state = initialize(net, *prepared(net))
     reference = initialize(net, *prepared(net))
@@ -409,6 +409,7 @@ def test_deep_copied_state_shares_the_grid_structure():
         grid.ybus[0, 0] = 0.0
     twin = copy.deepcopy(state)
     assert twin.pf.grid is grid
+    assert all(twin.dgs[d.id] is d for d in twin.net.dgs) and twin.dgs.keys() == state.dgs.keys()
     step(twin, [Event(0, EventKind.LOAD_CHANGE, 34, 0.6), Event(0, EventKind.DG_TRIP, 16)])
     assert twin.pf.grid is grid  # the re-solve reused it
 
@@ -729,6 +730,43 @@ def test_exhausted_dg_is_excluded_and_the_community_regroups(net6):
     ]
     assert report.final_state.excluded == {0: {2}}
     assert report.summary() == "violations:2 resolved:0 unresolved:2 actions:0 regenerations:1"
+
+
+@pytest.mark.parametrize(
+    "magnitude, refused", [(0.5, 0), (0.7, 2)], ids=["actions", "no feasible adjustment"]
+)
+def test_agents_act_on_the_messages_they_are_sent(net6, magnitude, refused):
+    # Messages are a tick's only data path: a CA decides over the buses its
+    # BAs reported, and a DA moves by the command it was sent and no more.
+    part, sens = prepared(net6)
+    state = initialize(net6, part, sens)
+    all_commands = 0
+    for t in range(4):
+        before = {g: d.q_out for g, d in state.dgs.items()}
+        sent, decided, actions = len(state.messages), len(state.controls), state.control_actions
+        step(state, [Event(1, EventKind.LOAD_CHANGE, 4, magnitude)] if t == 1 else [])
+        tick = state.messages[sent:]
+
+        reported: dict[int, list[int]] = {}
+        for m in tick:
+            if m.kind is MessageKind.VIOLATION_REPORT:
+                reported.setdefault(m.receiver.index, []).append(m.payload["bus"])
+        assert [(r.community, r.nodes) for r in state.controls[decided:]] == [
+            (c, sorted(buses)) for c, buses in sorted(reported.items())
+        ]
+
+        commands = [m for m in tick if m.kind is MessageKind.ADJUSTMENT_COMMAND]
+        x = {m.receiver.index: m.payload["x"] for m in commands}
+        assert len(x) == len(commands)
+        for g, d in state.dgs.items():
+            lo, hi = state.cap_range[g]
+            assert d.q_out == (min(max(before[g] + x[g], lo), hi) if g in x else before[g])
+        assert state.control_actions - actions == len(commands)
+        all_commands += len(commands)
+
+    assert all_commands == state.control_actions > 0
+    reasons = [m.payload["reason"] for m in state.messages if m.kind is MessageKind.INFEASIBLE_NOTICE]
+    assert reasons == ["no_feasible_adjustment"] * refused
 
 
 def test_a_faulty_control_problem_raises_out_of_step(net6, monkeypatch):
