@@ -16,15 +16,24 @@ The set:
   - `bench/run.py --seconds 1 --trace 0` for carve-417 and storm-238 at seeds
     0 and 7 and for fleet-30 at seed 0, keeping `details.digests` of each.
 
-Every output file, every stdout and every digest is compared. The first
-difference found is printed (file, line, both lines) and the exit code is 1;
-it is 0 when all are equal. A command that fails in either tree also exits 1.
-No golden digests are committed: the bits of a dense LAPACK solve may
-differ between builds and BLAS thread counts, so both trees run here.
+Each CLI command runs through a `python -c` driver (`drive`) that wraps
+`gridcomm.control.solve_inequality_lp` and the `solve_power_flow` that
+`gridcomm.cli` and `gridcomm.simulation` call, then runs `cli.main`. Beside
+the command's outputs it writes `lp_stream.txt`, one line per LP solved
+(`lp_line`), and `flows.txt`, one line per power flow solved (`flow_line`).
+
+Every output file, every stdout and every digest is compared, the LP
+streams first and the flows next, since every output is downstream of
+them. The first difference found is printed (file, line, both lines) and
+the exit code is 1; it is 0 when all are equal. A command that fails in
+either tree also exits 1. No golden digests are committed: the bits of a
+dense LAPACK solve may differ between builds and BLAS thread counts, so
+both trees run here.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -32,7 +41,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1")
 
 SYNTH = "feeders=2,transformers=12,rows=15,cols=15,loads=120,dgs=40"
@@ -67,6 +79,67 @@ SCENARIOS = {
     },
 }
 BENCH_RUNS = [("carve-417", 0), ("carve-417", 7), ("storm-238", 0), ("storm-238", 7), ("fleet-30", 0)]
+# Compared before every other file, in this order: every output is
+# downstream of the LPs and flows solved on the way to it.
+UPSTREAM = ["lp_stream.txt", "flows.txt"]
+DRIVER = "import sys; sys.path.insert(0, sys.argv[1]); import equivalence; sys.exit(equivalence.drive(sys.argv[2], sys.argv[3:]))"
+
+
+def digest(*arrays) -> str:
+    """A sha256 prefix of the arrays' shapes and float64 bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(repr(a.shape).encode() + a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def lp_line(index: int, c, a_ub, b_ub, result) -> str:
+    """One LP of the stream: its index, status, the digests of its inputs
+    and of its solution, and its objective."""
+    x = "-" if result.x is None else digest(result.x)
+    return (
+        f"{index} {result.status.value} c:{digest(c)} a_ub:{digest(a_ub)} b_ub:{digest(b_ub)} x:{x} "
+        f"{result.objective!r}"
+    )
+
+
+def flow_line(index: int, pf) -> str:
+    """One power flow: its index, iterations, factorizations, stop reason
+    and the digest of its voltages."""
+    return (
+        f"{index} iterations:{pf.iterations} factorizations:{pf.factorizations} stopped:{pf.stopped.name} "
+        f"v:{digest(pf.v_mag, pf.v_ang)}"
+    )
+
+
+def drive(out: str, argv: list[str]) -> int:
+    """Run `gridcomm argv` in this process, recording every LP and flow it
+    solves; write them to lp_stream.txt and flows.txt in out, and return
+    the command's exit code."""
+    from gridcomm import cli, control, simulation
+
+    lps: list[str] = []
+    flows: list[str] = []
+    solve_lp, solve_flow = control.solve_inequality_lp, cli.solve_power_flow
+
+    def recorded_lp(c, a_ub, b_ub):
+        result = solve_lp(c, a_ub, b_ub)
+        lps.append(lp_line(len(lps), c, a_ub, b_ub, result))
+        return result
+
+    def recorded_flow(*args, **kwargs):
+        pf = solve_flow(*args, **kwargs)
+        flows.append(flow_line(len(flows), pf))
+        return pf
+
+    control.solve_inequality_lp = recorded_lp
+    cli.solve_power_flow = simulation.solve_power_flow = recorded_flow
+    code = cli.main(argv)
+    Path(out).mkdir(parents=True, exist_ok=True)
+    (Path(out) / "lp_stream.txt").write_text("".join(line + "\n" for line in lps))
+    (Path(out) / "flows.txt").write_text("".join(line + "\n" for line in flows))
+    return code
 
 
 class CommandFailed(RuntimeError):
@@ -102,7 +175,8 @@ def collect(tree: Path, scenarios: Path, out: Path) -> None:
         }
         for label, command in commands.items():
             result = f"{name}-{label}"
-            stdout = run([sys.executable, "-m", "gridcomm", *command, *source, "--out", result], out, env)
+            argv = [*command, *source, "--out", result]
+            stdout = run([sys.executable, "-c", DRIVER, str(HERE), result, *argv], out, env)
             (out / result / "stdout.txt").write_text(stdout)
     for workload, seed in BENCH_RUNS:
         args = ["--workload", workload, "--seed", str(seed), "--seconds", "1", "--trace", "0"]
@@ -113,13 +187,17 @@ def collect(tree: Path, scenarios: Path, out: Path) -> None:
 
 
 def first_difference(a: Path, b: Path) -> str | None:
-    """The first difference between two result trees, in file order: a file
-    only one tree has, or a file's first differing line with both lines, each
-    labelled with its tree's directory name. None when every file is
-    byte-identical."""
+    """The first difference between two result trees, the UPSTREAM files
+    first and then the rest in path order: a file only one tree has, or a
+    file's first differing line with both lines, each labelled with its
+    tree's directory name. None when every file is byte-identical."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
-    for rel in sorted(files_a | files_b):
+
+    def upstream_first(rel: Path) -> tuple:
+        return (UPSTREAM.index(rel.name) if rel.name in UPSTREAM else len(UPSTREAM), rel)
+
+    for rel in sorted(files_a | files_b, key=upstream_first):
         if rel not in files_b:
             return f"{rel}: only in {a.name}"
         if rel not in files_a:

@@ -1,9 +1,12 @@
-"""Within-community voltage control: neighboring-DG subsets and the
-max-min adjustment LP.
+"""Within-community voltage control: the community view a CA decides from,
+neighboring-DG subsets, and the max-min adjustment LP.
 
-A community's nodes are grouped into subsets by their highest-influence DG;
-when a node violates its voltage band, only its subset's DGs solve for the
-fix. Overvoltage maximizes the minimum adjustment (least total decrease),
+A CommunityView holds one community's buses, its available DGs with their
+adjustment bounds, the sensitivities between the two and its transformers'
+reverse-flow rows; the LP is formulated over a view, and `select` narrows a
+view to the DGs one decision may move. A community's nodes are grouped into
+subsets by their highest-influence DG; when a node violates its voltage
+band, only its subset's DGs solve for the fix. Overvoltage maximizes the minimum adjustment (least total decrease),
 undervoltage minimizes the maximum (least total increase); both are cast as
 a standard LP through a slack objective variable bounded by zero in the
 correction direction, so a community already inside the band solves to the
@@ -15,7 +18,7 @@ reactive output in vq mode, active output (curtailment) in vp mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -116,30 +119,40 @@ class TransformerAngleRows:
     rhs: float
 
 
-@dataclass
-class ControlProblem:
-    """One community's adjustment LP inputs. Whether the run's mode can
-    correct this direction at all is the caller's to decide."""
+@dataclass(frozen=True)
+class CommunityView:
+    """Everything one CA decides from, and the input of its LP: its own
+    buses and available DGs, and the sensitivities between them at the
+    current operating point."""
 
-    direction: ControlDirection
-    dg_ids: list[int]
-    node_ids: list[int]
-    v0: np.ndarray
-    v_sens: np.ndarray  # node x DG voltage-sensitivity rows
-    x_lower: np.ndarray
-    x_upper: np.ndarray
-    transformers: list[TransformerAngleRows] = field(default_factory=list)
-    v_min: float = V_LIMITS[0]
-    v_max: float = V_LIMITS[1]
+    node_ids: list[int]  # non-slack buses, id ascending
+    v0: np.ndarray  # their voltage magnitudes
+    dg_ids: list[int]  # online, reachable, not excluded; id ascending
+    x_lower: np.ndarray  # how far each DG's setpoint in the run's mode may
+    x_upper: np.ndarray  # move down and up inside its capability range
+    v_sens: np.ndarray  # node_ids x dg_ids voltage sensitivities
+    transformers: list[TransformerAngleRows]  # touching the community, over dg_ids
 
     def __post_init__(self) -> None:
-        if not self.dg_ids:
-            raise ValueError("control problem needs at least one DG")
         n, k = len(self.node_ids), len(self.dg_ids)
         if self.v_sens.shape != (n, k):
             raise ValueError(f"v_sens must be {n}x{k}, got {self.v_sens.shape}")
         if self.v0.shape != (n,) or self.x_lower.shape != (k,) or self.x_upper.shape != (k,):
             raise ValueError("v0/x_lower/x_upper shapes inconsistent with node/DG lists")
+
+    def select(self, dg_ids: Sequence[int]) -> CommunityView:
+        """The view of a sorted subset of its DGs: their sensitivity columns,
+        bounds and transformer-row entries."""
+        cols = np.searchsorted(self.dg_ids, dg_ids)
+        return CommunityView(
+            node_ids=self.node_ids,
+            v0=self.v0,
+            dg_ids=list(dg_ids),
+            x_lower=self.x_lower[cols],
+            x_upper=self.x_upper[cols],
+            v_sens=self.v_sens[:, cols],
+            transformers=[replace(t, row=t.row[cols]) for t in self.transformers],
+        )
 
 
 @dataclass
@@ -154,35 +167,39 @@ class LinearProgram:
 
 @dataclass
 class ControlSolution:
-    x: np.ndarray | None  # one adjustment per DG of the problem, in its order
+    x: np.ndarray | None  # one adjustment per DG of the view, in its order
     objective: float | None
     feasible: bool
     binding: list[tuple] = field(default_factory=list)
 
 
-def formulate_lp(problem: ControlProblem) -> LinearProgram:
-    """Transcribe the control problem into min c.z, A z <= b.
+def formulate_lp(view: CommunityView, direction: ControlDirection, v_min: float, v_max: float) -> LinearProgram:
+    """Transcribe the adjustment of a view's DGs that corrects the direction
+    inside [v_min, v_max] into min c.z, A z <= b. Whether the run's mode can
+    correct this direction at all is the caller's to decide.
 
     Row order: voltage upper band per node, lower band per node, adjustment
     upper/lower bounds per DG, one reverse-flow row per transformer, the
     max-min coupling rows, and the zero cap on the objective variable.
     """
-    k = len(problem.dg_ids)
-    n = len(problem.node_ids)
-    t = len(problem.transformers)
-    over = problem.direction is ControlDirection.OVERVOLTAGE
+    if not view.dg_ids:
+        raise ValueError("control LP needs at least one DG")
+    k = len(view.dg_ids)
+    n = len(view.node_ids)
+    t = len(view.transformers)
+    over = direction is ControlDirection.OVERVOLTAGE
     sign = -1.0 if over else 1.0  # the x_j side of the coupling rows
     dgs = np.arange(k)
 
     # Every block is filled into zeros, so an entry no row sets is +0.0.
     a = np.zeros((2 * n + 3 * k + t + 1, k + 1))
-    a[:n, :k] = problem.v_sens
-    np.negative(problem.v_sens, out=a[n : 2 * n, :k])
+    a[:n, :k] = view.v_sens
+    np.negative(view.v_sens, out=a[n : 2 * n, :k])
     r = 2 * n
     a[r + dgs, dgs] = 1.0
     a[r + k + dgs, dgs] = -1.0
     r += 2 * k
-    for i, tr in enumerate(problem.transformers):
+    for i, tr in enumerate(view.transformers):
         a[r + i, :k] = tr.row
     r += t
     a[r + dgs, dgs] = sign  # over: y <= x_j; under: x_j <= y
@@ -190,18 +207,18 @@ def formulate_lp(problem: ControlProblem) -> LinearProgram:
     a[-1, k] = -sign  # the objective variable capped at zero
 
     b = np.zeros(len(a))
-    b[:n] = problem.v_max - problem.v0
-    b[n : 2 * n] = problem.v0 - problem.v_min
-    b[2 * n : 2 * n + k] = problem.x_upper
-    b[2 * n + k : 2 * n + 2 * k] = -problem.x_lower
-    b[2 * n + 2 * k : r] = [tr.rhs for tr in problem.transformers]
+    b[:n] = v_max - view.v0
+    b[n : 2 * n] = view.v0 - v_min
+    b[2 * n : 2 * n + k] = view.x_upper
+    b[2 * n + k : 2 * n + 2 * k] = -view.x_lower
+    b[2 * n + 2 * k : r] = [tr.rhs for tr in view.transformers]
 
-    labels: list[tuple] = [("v_upper", node) for node in problem.node_ids]
-    labels += [("v_lower", node) for node in problem.node_ids]
-    labels += [("surplus_upper", dg) for dg in problem.dg_ids]
-    labels += [("surplus_lower", dg) for dg in problem.dg_ids]
-    labels += [("reverse_flow", tr.label) for tr in problem.transformers]
-    labels += [("maxmin", dg) for dg in problem.dg_ids]
+    labels: list[tuple] = [("v_upper", node) for node in view.node_ids]
+    labels += [("v_lower", node) for node in view.node_ids]
+    labels += [("surplus_upper", dg) for dg in view.dg_ids]
+    labels += [("surplus_lower", dg) for dg in view.dg_ids]
+    labels += [("reverse_flow", tr.label) for tr in view.transformers]
+    labels += [("maxmin", dg) for dg in view.dg_ids]
     labels.append(("objective_cap",))
 
     c = np.zeros(k + 1)

@@ -7,14 +7,16 @@ into an adjustment LP over the violated nodes' DG subsets, and DG agents
 Message and every message stays inside one community; the log is the proof
 of locality.
 
-A CA decides from its CommunityView alone: its own non-slack buses and their
-voltages, its available DGs with their adjustment bounds, the voltage
-sensitivities between the two, and the reverse-flow rows of the transformers
-touching it. Only `_view` (and `initialize`) read the network-wide flow and
-sensitivities. The view slices the online DGs' columns, solved once per
-operating point against the whole network's Jacobian, so how the rest of
-the network responds to a DG move (the boundary) comes from the global
-Jacobian, not from a model of the community alone.
+A CA decides from its `control.CommunityView` alone: its own non-slack buses
+and their voltages, its available DGs with their adjustment bounds, the
+voltage sensitivities between the two, and the reverse-flow rows of the
+transformers touching it. Its LP is formulated over that view narrowed to
+the reported buses' subset DGs (`CommunityView.select`). Only `_view` (and
+`initialize`) read the network-wide flow and sensitivities. The view slices
+the online DGs' columns, solved once per operating point against the whole
+network's Jacobian, so how the rest of the network responds to a DG move
+(the boundary) comes from the global Jacobian, not from a model of the
+community alone.
 
 Tick phases, all deterministic:
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -52,9 +54,9 @@ import numpy as np
 
 from .control import (
     V_LIMITS,
-    ControlDirection,
-    ControlProblem,
     CommunitySubsets,
+    CommunityView,
+    ControlDirection,
     TransformerAngleRows,
     apply_adjustment,
     capability_range,
@@ -101,7 +103,6 @@ class MessageKind(str, Enum):
 
 @dataclass(frozen=True)
 class Message:
-    seq: int
     tick: int
     sender: AgentId
     receiver: AgentId
@@ -259,25 +260,7 @@ class SimulationState:
         return dg_columns_at(self.sens, self.online_dgs, self.mode)
 
     def send(self, sender: AgentId, receiver: AgentId, kind: MessageKind, payload: dict) -> None:
-        self.messages.append(
-            Message(seq=len(self.messages), tick=self.tick, sender=sender, receiver=receiver, kind=kind, payload=payload)
-        )
-
-
-@dataclass(frozen=True)
-class CommunityView:
-    """Everything one CA decides from: its own buses and available DGs, and
-    the sensitivities between them at the current operating point."""
-
-    community: int
-    node_ids: list[int]  # non-slack buses, id ascending
-    v0: np.ndarray  # their voltage magnitudes
-    dg_ids: list[int]  # online, reachable, not excluded; id ascending
-    dg_buses: list[int]
-    x_lower: np.ndarray  # how far each DG's setpoint in the run's mode may
-    x_upper: np.ndarray  # move down and up inside its capability range
-    v_sens: np.ndarray  # node_ids x dg_ids voltage sensitivities
-    transformers: list[TransformerAngleRows]  # touching the community, over dg_ids
+        self.messages.append(Message(tick=self.tick, sender=sender, receiver=receiver, kind=kind, payload=payload))
 
 
 def initialize(
@@ -342,11 +325,9 @@ def _view(state: SimulationState, community: int) -> CommunityView:
         if community in (community_of.get(t.primary_bus), community_of.get(t.secondary_bus))
     ]
     return CommunityView(
-        community=community,
         node_ids=nodes,
         v0=pf.v_mag[[pf.index_of[b] for b in nodes]],
         dg_ids=[d.id for d in dgs],
-        dg_buses=[d.bus for d in dgs],
         x_lower=ranges[:, 0] - now,
         x_upper=ranges[:, 1] - now,
         v_sens=online.matrix[np.ix_([sens.row[b] for b in nodes], cols)],
@@ -361,7 +342,7 @@ def _organize(state: SimulationState, community: int, generation: int) -> None:
     cs = CommunitySubsets(subsets=[], generation=generation)
     if view.dg_ids and view.node_ids:
         d_com = build_dg_adjacency(view.v_sens)
-        dg_bus_of = dict(zip(view.dg_ids, view.dg_buses))
+        dg_bus_of = {g: state.dgs[g].bus for g in view.dg_ids}
         cs = derive_subsets(d_com, view.node_ids, view.dg_ids, dg_bus_of, generation=generation)
     state.subsets[community] = cs
     rows = [(s.anchor_dg, s.dg_ids, s.nodes) for s in cs.subsets] or [(None, (), ())]
@@ -433,10 +414,10 @@ def _update_episodes(state: SimulationState, violating: set[int]) -> None:
         state.violations_resolved += 1
 
 
-def _control_community(state: SimulationState, view: CommunityView, violated: list[int]) -> None:
+def _control_community(state: SimulationState, community: int, violated: list[int]) -> None:
     """One CA's decision for this tick, from its view and the buses reported
     to it alone; it sends its adjustments to the DAs as commands."""
-    community = view.community
+    view = _view(state, community)
     ca = AgentId(AgentKind.CA, community)
     v_min, v_max = state.v_limits
     v = view.v0[np.searchsorted(view.node_ids, violated)]
@@ -464,30 +445,15 @@ def _control_community(state: SimulationState, view: CommunityView, violated: li
         refuse("active-power control is implemented for overvoltage curtailment only", dg_ids)
         return
 
-    col_of = {g: j for j, g in enumerate(view.dg_ids)}
-    cols = [col_of[g] for g in dg_ids]
-    x_lower, x_upper = view.x_lower[cols], view.x_upper[cols]
+    chosen = view.select(dg_ids)
     if over:
         v_max = v_max - LIN_GUARD
     else:
         v_min = v_min + LIN_GUARD
-
-    problem = ControlProblem(
-        direction=direction,
-        dg_ids=dg_ids,
-        node_ids=view.node_ids,
-        v0=view.v0,
-        v_sens=view.v_sens[:, cols],
-        x_lower=x_lower,
-        x_upper=x_upper,
-        transformers=[replace(t, row=t.row[cols]) for t in view.transformers],
-        v_min=v_min,
-        v_max=v_max,
-    )
-    solution = solve_lp(formulate_lp(problem))
+    solution = solve_lp(formulate_lp(chosen, direction, v_min, v_max))
 
     if not solution.feasible:
-        headroom = -x_lower if over else x_upper
+        headroom = -chosen.x_lower if over else chosen.x_upper
         exhausted = {g for g, room in zip(dg_ids, headroom) if room <= HEADROOM_TOL}
         already = state.excluded.setdefault(community, set())
         new = exhausted - already
@@ -541,7 +507,7 @@ def step(state: SimulationState, events: Sequence[Event] = ()) -> SimulationStat
         )
     # Violations are bus ascending, so each CA's reports are too.
     for c, reports in _inbox(state, sent, MessageKind.VIOLATION_REPORT).items():
-        _control_community(state, _view(state, c), [r["bus"] for r in reports])
+        _control_community(state, c, [r["bus"] for r in reports])
 
     commands = _inbox(state, sent, MessageKind.ADJUSTMENT_COMMAND)
     for g, (command,) in commands.items():
@@ -646,6 +612,9 @@ def write_report(report: RunReport, out_dir: str | Path) -> None:
     write_table(
         out / "messages.csv",
         ["seq", "tick", "sender", "receiver", "kind", "payload"],
-        ((m.seq, m.tick, str(m.sender), str(m.receiver), m.kind.value, payload(m.payload)) for m in report.messages),
+        (
+            (seq, m.tick, str(m.sender), str(m.receiver), m.kind.value, payload(m.payload))
+            for seq, m in enumerate(report.messages)
+        ),
     )
     (out / "summary.txt").write_text(report.summary() + "\n")

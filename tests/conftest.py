@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gridcomm import powerflow
-from gridcomm.control import ControlDirection, ControlProblem, LinearProgram
+from gridcomm.control import CommunityView, ControlDirection, LinearProgram
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel
 from gridcomm.network_io import load_network
 from gridcomm.partition import Partition, WeightedGraph, modularity, partition_network
@@ -498,41 +498,43 @@ def _reference_expel_artificials(tableau, cost2, basis, first_art: int) -> None:
                     break
 
 
-def formulate_lp_by_rows(problem: ControlProblem) -> LinearProgram:
+def formulate_lp_by_rows(
+    view: CommunityView, direction: ControlDirection, v_min: float, v_max: float
+) -> LinearProgram:
     """The control LP built one row at a time, each row its own array:
     the oracle of `control.formulate_lp`, which fills blocks."""
-    k = len(problem.dg_ids)
-    over = problem.direction is ControlDirection.OVERVOLTAGE
+    k = len(view.dg_ids)
+    over = direction is ControlDirection.OVERVOLTAGE
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
     labels: list[tuple] = []
 
-    for i, node in enumerate(problem.node_ids):
-        rows.append(np.append(problem.v_sens[i], 0.0))
-        rhs.append(problem.v_max - problem.v0[i])
+    for i, node in enumerate(view.node_ids):
+        rows.append(np.append(view.v_sens[i], 0.0))
+        rhs.append(v_max - view.v0[i])
         labels.append(("v_upper", node))
-    for i, node in enumerate(problem.node_ids):
-        rows.append(np.append(-problem.v_sens[i], 0.0))
-        rhs.append(problem.v0[i] - problem.v_min)
+    for i, node in enumerate(view.node_ids):
+        rows.append(np.append(-view.v_sens[i], 0.0))
+        rhs.append(view.v0[i] - v_min)
         labels.append(("v_lower", node))
-    for j, dg in enumerate(problem.dg_ids):
+    for j, dg in enumerate(view.dg_ids):
         e = np.zeros(k + 1)
         e[j] = 1.0
         rows.append(e)
-        rhs.append(problem.x_upper[j])
+        rhs.append(view.x_upper[j])
         labels.append(("surplus_upper", dg))
-    for j, dg in enumerate(problem.dg_ids):
+    for j, dg in enumerate(view.dg_ids):
         e = np.zeros(k + 1)
         e[j] = -1.0
         rows.append(e)
-        rhs.append(-problem.x_lower[j])
+        rhs.append(-view.x_lower[j])
         labels.append(("surplus_lower", dg))
-    for t in problem.transformers:
+    for t in view.transformers:
         rows.append(np.append(t.row, 0.0))
         rhs.append(t.rhs)
         labels.append(("reverse_flow", t.label))
-    for j, dg in enumerate(problem.dg_ids):
+    for j, dg in enumerate(view.dg_ids):
         e = np.zeros(k + 1)
         if over:
             e[j], e[k] = -1.0, 1.0

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcomm.control import (
+    V_LIMITS,
+    CommunityView,
     ControlDirection,
-    ControlProblem,
     TransformerAngleRows,
     apply_adjustment,
     capability_range,
@@ -27,8 +30,14 @@ PF = 1e-12  # power-flow tolerance
 SENS_3X2 = np.array([[0.3, 0.1], [0.1, 0.3], [0.2, 0.2]])
 
 
+def control_problem(direction, transformers=(), **view):
+    """formulate_lp's arguments: the view of the given fields, the direction
+    and the default band."""
+    return CommunityView(transformers=list(transformers), **view), direction, *V_LIMITS
+
+
 def one_dg_problem(v0, direction, qsur=1.0, sens=0.05):
-    return ControlProblem(
+    return control_problem(
         direction=direction,
         dg_ids=[1],
         node_ids=[2],
@@ -128,7 +137,7 @@ def test_single_dg_single_subset():
 
 
 def test_lp_direct_transcription_single_dg():
-    lp = formulate_lp(one_dg_problem(1.06, ControlDirection.OVERVOLTAGE))
+    lp = formulate_lp(*one_dg_problem(1.06, ControlDirection.OVERVOLTAGE))
     row = lp.row_labels.index(("v_upper", 2))
     np.testing.assert_allclose(lp.a_ub[row], [0.05, 0.0])
     assert lp.b_ub[row] == pytest.approx(-0.01, abs=1e-15)
@@ -137,7 +146,7 @@ def test_lp_direct_transcription_single_dg():
 
 
 def test_lp_maxmin_rows_per_dg():
-    problem = ControlProblem(
+    problem = control_problem(
         direction=ControlDirection.OVERVOLTAGE,
         dg_ids=[4, 9],
         node_ids=[2],
@@ -146,7 +155,7 @@ def test_lp_maxmin_rows_per_dg():
         x_lower=np.array([-1.0, -1.0]),
         x_upper=np.array([1.0, 1.0]),
     )
-    lp = formulate_lp(problem)
+    lp = formulate_lp(*problem)
     assert ("maxmin", 4) in lp.row_labels
     assert ("maxmin", 9) in lp.row_labels
     r4 = lp.row_labels.index(("maxmin", 4))
@@ -155,7 +164,7 @@ def test_lp_maxmin_rows_per_dg():
 
 
 def test_lp_undervoltage_flips_coupling():
-    lp = formulate_lp(one_dg_problem(0.94, ControlDirection.UNDERVOLTAGE))
+    lp = formulate_lp(*one_dg_problem(0.94, ControlDirection.UNDERVOLTAGE))
     r = lp.row_labels.index(("maxmin", 1))
     np.testing.assert_allclose(lp.a_ub[r], [1.0, -1.0])
     cap = lp.row_labels.index(("objective_cap",))
@@ -167,9 +176,8 @@ def test_lp_transformer_row_present():
     # secondary angle row 0.5 less primary 0.3; primary angle 0.01 less
     # secondary 0.002, no phase shift
     t = TransformerAngleRows(label="t0", row=np.array([0.5 - 0.3]), rhs=0.01 - 0.002 - 0.0)
-    problem = one_dg_problem(1.06, ControlDirection.OVERVOLTAGE)
-    problem.transformers = [t]
-    lp = formulate_lp(problem)
+    view, *rest = one_dg_problem(1.06, ControlDirection.OVERVOLTAGE)
+    lp = formulate_lp(replace(view, transformers=[t]), *rest)
     r = lp.row_labels.index(("reverse_flow", "t0"))
     np.testing.assert_allclose(lp.a_ub[r], [0.2, 0.0])
     assert lp.b_ub[r] == pytest.approx(0.008, abs=1e-15)
@@ -184,8 +192,9 @@ def test_lp_transformer_row_present():
     direction=st.sampled_from(list(ControlDirection)),
 )
 def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_transformers, direction):
-    """The block-filled LP is the row-by-row one to the byte: every padding
-    zero is +0.0, and signed zeros in the sensitivities carry through."""
+    """The block-filled LP is the row-by-row one to the byte, over a view and
+    over a DG subset it selects: every padding zero is +0.0, and signed zeros
+    in the sensitivities carry through."""
     rng = np.random.default_rng(seed)
 
     def floats(*shape):
@@ -194,7 +203,7 @@ def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_trans
         x[rng.random(shape) < 0.1] = -0.0
         return x
 
-    problem = ControlProblem(
+    problem = control_problem(
         direction=direction,
         dg_ids=sorted(rng.choice(100, n_dgs, replace=False).tolist()),
         node_ids=sorted(rng.choice(300, n_nodes, replace=False).tolist()),
@@ -211,32 +220,48 @@ def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_trans
             for i in range(n_transformers)
         ],
     )
-    got, want = formulate_lp(problem), formulate_lp_by_rows(problem)
-    assert got.a_ub.dtype == want.a_ub.dtype and got.a_ub.shape == want.a_ub.shape
-    assert got.a_ub.tobytes() == want.a_ub.tobytes()
-    assert got.b_ub.tobytes() == want.b_ub.tobytes()
-    assert got.c.tobytes() == want.c.tobytes()
-    assert got.row_labels == want.row_labels
+    # A sorted DG subset, and its view sliced by hand: the LP of
+    # view.select(ids) is the row builder's over the sliced arrays.
+    view, *rest = problem
+    keep = sorted(rng.choice(n_dgs, rng.integers(1, n_dgs + 1), replace=False).tolist())
+    ids = [view.dg_ids[j] for j in keep]
+    sliced = CommunityView(
+        node_ids=view.node_ids,
+        v0=view.v0,
+        dg_ids=ids,
+        x_lower=np.array([view.x_lower[j] for j in keep]),
+        x_upper=np.array([view.x_upper[j] for j in keep]),
+        v_sens=np.array([[row[j] for j in keep] for row in view.v_sens]),
+        transformers=[replace(t, row=np.array([t.row[j] for j in keep])) for t in view.transformers],
+    )
+    for mine, oracle in ((problem, problem), ((view.select(ids), *rest), (sliced, *rest))):
+        got, want = formulate_lp(*mine), formulate_lp_by_rows(*oracle)
+        assert got.a_ub.dtype == want.a_ub.dtype and got.a_ub.shape == want.a_ub.shape
+        assert got.a_ub.tobytes() == want.a_ub.tobytes()
+        assert got.b_ub.tobytes() == want.b_ub.tobytes()
+        assert got.c.tobytes() == want.c.tobytes()
+        assert got.row_labels == want.row_labels
 
 
 def test_empty_dg_list_rejected():
+    problem = control_problem(
+        direction=ControlDirection.OVERVOLTAGE,
+        dg_ids=[],
+        node_ids=[2],
+        v0=np.array([1.06]),
+        v_sens=np.zeros((1, 0)),
+        x_lower=np.zeros(0),
+        x_upper=np.zeros(0),
+    )
     with pytest.raises(ValueError):
-        ControlProblem(
-            direction=ControlDirection.OVERVOLTAGE,
-            dg_ids=[],
-            node_ids=[2],
-            v0=np.array([1.06]),
-            v_sens=np.zeros((1, 0)),
-            x_lower=np.zeros(0),
-            x_upper=np.zeros(0),
-        )
+        formulate_lp(*problem)
 
 
 # ------------------------------------------------------- solving
 
 
 def test_solve_single_dg_overvoltage():
-    sol = solve_lp(formulate_lp(one_dg_problem(1.06, ControlDirection.OVERVOLTAGE, qsur=1.0)))
+    sol = solve_lp(formulate_lp(*one_dg_problem(1.06, ControlDirection.OVERVOLTAGE, qsur=1.0)))
     assert sol.feasible
     assert sol.x[0] == pytest.approx(-0.2, abs=1e-9)
     assert sol.objective == pytest.approx(-0.2, abs=1e-9)
@@ -244,27 +269,27 @@ def test_solve_single_dg_overvoltage():
 
 
 def test_solve_within_limits_is_zero():
-    sol = solve_lp(formulate_lp(one_dg_problem(1.04, ControlDirection.OVERVOLTAGE, qsur=1.0)))
+    sol = solve_lp(formulate_lp(*one_dg_problem(1.04, ControlDirection.OVERVOLTAGE, qsur=1.0)))
     assert sol.feasible
     assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_solve_insufficient_surplus_infeasible():
-    sol = solve_lp(formulate_lp(one_dg_problem(1.06, ControlDirection.OVERVOLTAGE, qsur=0.1)))
+    sol = solve_lp(formulate_lp(*one_dg_problem(1.06, ControlDirection.OVERVOLTAGE, qsur=0.1)))
     assert not sol.feasible
     assert sol.x is None and sol.objective is None
 
 
 def test_solve_undervoltage_min_max():
-    sol = solve_lp(formulate_lp(one_dg_problem(0.94, ControlDirection.UNDERVOLTAGE, qsur=1.0)))
+    sol = solve_lp(formulate_lp(*one_dg_problem(0.94, ControlDirection.UNDERVOLTAGE, qsur=1.0)))
     assert sol.feasible
     assert sol.x[0] == pytest.approx(0.2, abs=1e-9)
     assert sol.objective == pytest.approx(0.2, abs=1e-9)
 
 
 def test_solve_equal_dgs_share_equally():
-    problem = ControlProblem(
+    problem = control_problem(
         direction=ControlDirection.OVERVOLTAGE,
         dg_ids=[1, 2],
         node_ids=[5],
@@ -273,10 +298,10 @@ def test_solve_equal_dgs_share_equally():
         x_lower=np.array([-1.0, -1.0]),
         x_upper=np.array([1.0, 1.0]),
     )
-    sol = solve_lp(formulate_lp(problem))
+    sol = solve_lp(formulate_lp(*problem))
     assert sol.feasible
     assert sol.x == pytest.approx([-0.2, -0.2], abs=1e-9)
-    assert float(sol.x[problem.dg_ids.index(1)]) == pytest.approx(-0.2, abs=1e-9)
+    assert float(sol.x[problem[0].dg_ids.index(1)]) == pytest.approx(-0.2, abs=1e-9)
 
 
 def test_solution_satisfies_every_constraint_independently():
@@ -286,7 +311,7 @@ def test_solution_satisfies_every_constraint_independently():
         direction = (
             ControlDirection.OVERVOLTAGE if rng.random() < 0.5 else ControlDirection.UNDERVOLTAGE
         )
-        problem = ControlProblem(
+        problem = control_problem(
             direction=direction,
             dg_ids=[1, 2],
             node_ids=[5, 6],
@@ -295,7 +320,7 @@ def test_solution_satisfies_every_constraint_independently():
             x_lower=np.full(2, -1.5),
             x_upper=np.full(2, 1.5),
         )
-        lp = formulate_lp(problem)
+        lp = formulate_lp(*problem)
         sol = solve_lp(lp)
         if not sol.feasible:
             continue
@@ -308,7 +333,7 @@ def test_maxmin_optimal_against_vertex_oracle():
     solved = 0
     for _ in range(15):
         v0 = 1.0 + rng.uniform(-0.09, 0.09, size=2)
-        problem = ControlProblem(
+        problem = control_problem(
             direction=ControlDirection.OVERVOLTAGE,
             dg_ids=[1, 2],
             node_ids=[5, 6],
@@ -317,7 +342,7 @@ def test_maxmin_optimal_against_vertex_oracle():
             x_lower=np.full(2, -2.0),
             x_upper=np.full(2, 2.0),
         )
-        lp = formulate_lp(problem)
+        lp = formulate_lp(*problem)
         sol = solve_lp(lp)
         oracle = lp_vertex_oracle(lp.c, lp.a_ub, lp.b_ub)
         if oracle is None:
@@ -374,7 +399,7 @@ def test_end_to_end_overvoltage_clears():
     angle, volt = by_q[: len(sens.bus_ids)], by_q[len(sens.bus_ids) :]
     tr = net.transformers[0]
     lo, hi = capability_range(net.dgs[0], SensitivityMode.VQ)
-    problem = ControlProblem(
+    problem = control_problem(
         direction=ControlDirection.OVERVOLTAGE,
         dg_ids=[1],
         node_ids=[2],
@@ -390,10 +415,10 @@ def test_end_to_end_overvoltage_clears():
             )
         ],
     )
-    control = solve_lp(formulate_lp(problem))
+    control = solve_lp(formulate_lp(*problem))
     assert control.feasible
     assert control.x[0] < 0
-    after, residual = apply_and_resolve(net, float(control.x[problem.dg_ids.index(1)]))
+    after, residual = apply_and_resolve(net, float(control.x[problem[0].dg_ids.index(1)]))
     assert residual == []
     assert v_of(after, 2) <= 1.05 + 1e-9
     # No reverse active flow through the transformer at the new point.

@@ -1,10 +1,14 @@
 """The comparison at the heart of .github/equivalence.py, on result trees
-written here: no worktree is checked out and no command is run."""
+written here, and its LP-stream lines: no worktree is checked out and no
+command is run."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gridcomm.simplex import solve_inequality_lp
 
 SCRIPT = Path(__file__).resolve().parent.parent / ".github" / "equivalence.py"
 _spec = importlib.util.spec_from_file_location("equivalence", SCRIPT)
@@ -54,3 +58,40 @@ def test_a_file_cut_short_is_reported_at_its_end(tmp_path):
     assert equivalence.first_difference(a, b) == (
         "net6-simulate-vq/controls.csv, line 3:\n  a: 2,0,0.125\n  b: <end of file>"
     )
+
+
+UPSTREAM_RUN = dict(
+    RUN, **{"net6-simulate-vq/lp_stream.txt": "0 optimal a_ub:aa\n", "net6-simulate-vq/flows.txt": "0 v:bb\n"}
+)
+
+
+@pytest.mark.parametrize(
+    "changed, first",
+    [(["lp_stream.txt", "flows.txt", "controls.csv"], "lp_stream.txt"), (["flows.txt", "controls.csv"], "flows.txt")],
+)
+def test_upstream_files_are_compared_first(tmp_path, changed, first):
+    # The LP stream before the flows, and both before the outputs they feed,
+    # though path order alone would put controls.csv first.
+    edited = dict(UPSTREAM_RUN)
+    for name in changed:
+        edited[f"net6-simulate-vq/{name}"] += "one more line\n"
+    a, b = results(tmp_path / "a", UPSTREAM_RUN), results(tmp_path / "b", edited)
+    assert equivalence.first_difference(a, b).startswith(f"net6-simulate-vq/{first}, line ")
+
+
+def test_lp_line_changes_when_one_coefficient_moves_one_ulp():
+    # max y subject to y <= x <= 1 and x >= 0
+    c = np.array([0.0, -1.0])
+    a_ub = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, 0.0]])
+    b_ub = np.array([1.0, 0.0, 0.0])
+    moved = a_ub.copy()
+    moved[1, 0] = np.nextafter(moved[1, 0], 0.0)
+
+    def fields(a):
+        return equivalence.lp_line(0, c, a, b_ub, solve_inequality_lp(c, a, b_ub)).split()
+
+    line = fields(a_ub)
+    assert line[:2] == ["0", "optimal"] and line[-1] == "-1.0"
+    assert fields(a_ub.copy()) == line
+    # index, status, c, a_ub, b_ub: only the a_ub digest moves among the inputs
+    assert [m == f for m, f in zip(fields(moved)[:5], line)] == [True, True, True, False, True]

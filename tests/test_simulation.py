@@ -561,12 +561,11 @@ def test_views_stay_local_and_subsets_cover_nodes(ticks):
 
     def recording_view(state, community):
         view = real_view(state, community)
-        built.append(view)
+        built.append((community, view))
         return view
 
     def check_local():
-        for view in built:
-            c = view.community
+        for c, view in built:
             assert all(part.community_of[b] == c for b in view.node_ids)
             assert all(part.community_of[state.net.dg_by_id(g).bus] == c for g in view.dg_ids)
             assert view.v_sens.shape == (len(view.node_ids), len(view.dg_ids))
@@ -580,7 +579,7 @@ def test_views_stay_local_and_subsets_cover_nodes(ticks):
                 assert exc.state is state
                 check_local()
                 return
-            built.extend(real_view(state, c) for c in state.nodes_of)
+            built.extend((c, real_view(state, c)) for c in state.nodes_of)
             check_local()
             for c, nodes in state.nodes_of.items():
                 if real_view(state, c).dg_ids:
@@ -694,8 +693,8 @@ def refusals(report):
 
 def test_vp_undervoltage_is_refused_before_any_lp(net6, monkeypatch):
     # Curtailment cannot raise a voltage: the CA refuses on its own, builds
-    # no control problem, and the episodes stay open.
-    monkeypatch.setattr(simulation, "ControlProblem", lambda **kw: pytest.fail("an LP was built"))
+    # no LP, and the episodes stay open.
+    monkeypatch.setattr(simulation, "formulate_lp", lambda *args: pytest.fail("an LP was built"))
     report = bus4_load_step(net6, SensitivityMode.VP, 0.5, 3)
     reason = "active-power control is implemented for overvoltage curtailment only"
     assert refusals(report) == [(t, {"community": 0, "reason": reason, "nodes": [4, 5]}) for t in (1, 2)]
@@ -772,12 +771,12 @@ def test_agents_act_on_the_messages_they_are_sent(net6, magnitude, refused):
 def test_a_faulty_control_problem_raises_out_of_step(net6, monkeypatch):
     # Only the CA's own refusals are logged as such; an error while building
     # the LP is a fault and leaves step.
-    def faulty(**kwargs):
+    def faulty(*args):
         raise ValueError("v_sens must be 2x1, got (2, 2)")
 
     part, sens = prepared(net6)
     state = initialize(net6, part, sens)
-    monkeypatch.setattr(simulation, "ControlProblem", faulty)
+    monkeypatch.setattr(simulation, "formulate_lp", faulty)
     with pytest.raises(ValueError, match="v_sens must be"):
         step(state, [Event(0, EventKind.LOAD_CHANGE, 4, 0.7)])
 
@@ -875,5 +874,3 @@ def test_run_report_messages_match_payload_kinds():
         else:
             assert m.kind is MessageKind.INFEASIBLE_NOTICE
             assert "reason" in m.payload
-    seqs = [m.seq for m in report.messages]
-    assert seqs == sorted(seqs) == list(range(len(seqs)))

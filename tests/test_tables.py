@@ -84,8 +84,8 @@ def test_messages_read_back(trip_restore_report):
     report, out = trip_restore_report
     rows = body(out / "messages.csv", ["seq", "tick", "sender", "receiver", "kind", "payload"])
     assert len(rows) == len(report.messages)
-    for (seq, tick, sender, receiver, kind, payload), m in zip(rows, report.messages):
-        assert (int(seq), int(tick), kind) == (m.seq, m.tick, m.kind.value)
+    for i, ((seq, tick, sender, receiver, kind, payload), m) in enumerate(zip(rows, report.messages)):
+        assert (int(seq), int(tick), kind) == (i, m.tick, m.kind.value)
         assert (sender, receiver) == (str(m.sender), str(m.receiver))
         assert json.loads(payload) == m.payload
 
