@@ -84,7 +84,7 @@ def _write_partition(partition: Partition, dendro: Dendrogram, net: NetworkModel
         ((c, joined(partition.members(c)), joined(dg_comm.get(c, ()))) for c in range(partition.n_communities)),
     )
     write_table(out / "node_assignment.csv", ["bus", "community"], sorted(partition.community_of.items()))
-    steps = ((s.step, s.community_a, s.community_b, s.modularity_after) for s in dendro.steps)
+    steps = ((k, s.community_a, s.community_b, s.modularity_after) for k, s in enumerate(dendro.steps, 1))
     write_table(
         out / "dendrogram.csv",
         ["step", "community_a", "community_b", "modularity"],

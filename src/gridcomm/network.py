@@ -6,6 +6,7 @@ radians in memory (the file format carries degrees, see ``network_io``).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
@@ -199,30 +200,37 @@ def validate_network(net: NetworkModel) -> list[Violation]:
         if d.p_surplus < 0 or d.q_surplus < 0:
             out.append(Violation("negative-surplus", f"DG {d.id}"))
 
-    if net.buses and not _connected(net):
+    if net.buses and id_set - levels(adjacency(net), net.buses[0].id).keys():
         out.append(Violation("disconnected", "in-service graph is not connected"))
 
     return out
 
 
-def _connected(net: NetworkModel) -> bool:
-    adj: dict[int, set[int]] = {b.id: set() for b in net.buses}
-    ids = set(adj)
-    edges = [(br.from_bus, br.to_bus) for br in net.branches]
-    edges += [(tr.primary_bus, tr.secondary_bus) for tr in net.transformers]
-    for a, b in edges:
-        if a in ids and b in ids and a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    start = net.buses[0].id
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(ids)
+def adjacency(net: NetworkModel) -> dict[int, set[int]]:
+    """Each bus id's neighbours over branches and transformers; an element
+    with an unknown end or both ends on one bus (invalid) joins nothing."""
+    near: dict[int, set[int]] = {b.id: set() for b in net.buses}
+    ends = [(br.from_bus, br.to_bus) for br in net.branches]
+    ends += [(tr.primary_bus, tr.secondary_bus) for tr in net.transformers]
+    for a, b in ends:
+        if a != b and a in near and b in near:
+            near[a].add(b)
+            near[b].add(a)
+    return near
+
+
+def levels(near: dict[int, set[int]], start: int) -> dict[int, int]:
+    """The breadth-first level, over the adjacency near, of every bus id
+    that start reaches; start is level 0."""
+    level = {start: 0}
+    queue = deque([start])
+    while queue:
+        a = queue.popleft()
+        for b in near[a]:
+            if b not in level:
+                level[b] = level[a] + 1
+                queue.append(b)
+    return level
 
 
 def _non_finite(label: str, element, fields: tuple[str, ...]) -> list[Violation]:

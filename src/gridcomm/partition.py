@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import NetworkModel
+from .network import NetworkModel, adjacency
 from .sensitivity import SensitivityMatrix, SensitivityMode, dg_buses
 
 _SYM_TOL = 1e-12
@@ -64,7 +64,6 @@ class Partition:
 
 @dataclass
 class MergeStep:
-    step: int
     community_a: int
     community_b: int
     modularity_after: float
@@ -173,7 +172,7 @@ def greedy_partition(g: WeightedGraph) -> tuple[Partition, Dendrogram]:
     m_now = float(-(np.sum(share**2)))
     dendro = Dendrogram(initial_modularity=m_now)
 
-    for step in range(1, n):
+    for _ in range(n - 1):
         a = int(np.argmax(best_val))
         b = int(best_col[a])
         m_now += float(best_val[a])
@@ -182,7 +181,7 @@ def greedy_partition(g: WeightedGraph) -> tuple[Partition, Dendrogram]:
         deg[a] += deg[b]
         share[a] = deg[a] / two_m
         alive[b] = False
-        dendro.steps.append(MergeStep(step=step, community_a=a, community_b=b, modularity_after=m_now))
+        dendro.steps.append(MergeStep(community_a=a, community_b=b, modularity_after=m_now))
 
         # Pair (c, a) reads w_com[c, a] and pair (a, c) reads w_com[a, c], as
         # the upper triangle does everywhere (from_weights allows 1e-12 skew).
@@ -248,14 +247,8 @@ def partition_network(
 
     community_of = {bus_id: node_part.community_of[i] for i, bus_id in enumerate(sens.bus_ids)}
     slack_id = net.slack_bus.id
-    neighbors = sorted(
-        {br.to_bus for br in net.branches if br.from_bus == slack_id}
-        | {br.from_bus for br in net.branches if br.to_bus == slack_id}
-        | {t.secondary_bus for t in net.transformers if t.primary_bus == slack_id}
-        | {t.primary_bus for t in net.transformers if t.secondary_bus == slack_id}
-    )
-    attached = next((b for b in neighbors if b in community_of), None)
-    community_of[slack_id] = community_of[attached] if attached is not None else 0
+    near = adjacency(net)[slack_id]
+    community_of[slack_id] = community_of[min(near)] if near else 0
 
     return (
         Partition(

@@ -17,8 +17,9 @@ dSbus_dV (Zimmerman, Murillo-Sanchez & Thomas, IEEE TPWRS 2011):
     dS/dtheta = j diag(V) conj(diag(I) - Y diag(V))
     dS/d|V|   = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|)
 
-taken on the non-slack rows and columns only, and only at the nonzeros of
-the non-slack Y-bus (plus its diagonal): the Jacobian has no other nonzero.
+taken on the non-slack rows and columns only, and only on the diagonal and
+at the pairs a branch or transformer joins (the network's ``adjacency``;
+the Y-bus is read for its values only): the Jacobian has no other nonzero.
 
 The Jacobian is factored by block elimination over breadth-first levels
 from the slack, the level ordering of sparse power-flow factorization
@@ -95,7 +96,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .network import NetworkModel
+from .network import NetworkModel, adjacency, levels
 
 
 class SingularJacobianError(RuntimeError):
@@ -147,10 +148,11 @@ class GridStructure:
     index_of maps bus ids to positions in bus_ids. lines is the branch and
     transformer data the Y-bus was built from. non_slack_pos holds the
     non-slack positions, the row and column order of the Jacobian; pattern
-    the nonzeros of the Y-bus among them and blocks the Jacobian rows of
-    each diagonal block, in elimination order. position is where each of
-    ``_jacobian_values`` lands in the block buffer, and spans the (start,
-    rows, columns) there of every L_k, every D_k and every U_k.
+    the diagonal and the pairs among them a branch or transformer joins,
+    and blocks the Jacobian rows of each diagonal block, in elimination
+    order. position is where each of ``_jacobian_values`` lands in the
+    block buffer, and spans the (start, rows, columns) there of every L_k,
+    every D_k and every U_k.
     """
 
     bus_ids: list[int]
@@ -176,9 +178,9 @@ class GridStructure:
         slack_index = index_of[slack.id]
         ybus = build_ybus(net, index_of)
         ns = np.array([i for i in range(len(bus_ids)) if i != slack_index], dtype=int)
-        linked = ybus != 0
-        pattern = _pattern(linked, ns)
-        blocks = _blocks(linked, slack_index, ns)
+        near = adjacency(net)
+        pattern = _pattern(near, bus_ids, ns)
+        blocks = _blocks(near, slack.id, bus_ids, ns)
         position, spans, size = _layout(blocks, pattern, len(ns))
         for a in (ybus, ns, *pattern, *blocks, position):
             a.flags.writeable = False
@@ -335,13 +337,14 @@ def _mismatch(ybus: np.ndarray, s_spec: np.ndarray, v: np.ndarray, th: np.ndarra
     return np.concatenate([ds.real, ds.imag])
 
 
-def _pattern(linked: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns, among the non-slack positions, of the Y-bus
-    nonzeros (linked = ybus != 0) and of the whole diagonal: where the
-    Jacobian may be nonzero."""
-    nz = linked[np.ix_(ns, ns)]
-    np.fill_diagonal(nz, True)
-    return np.nonzero(nz)
+def _pattern(near: dict[int, set[int]], bus_ids: list[int], ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the Jacobian may be nonzero: the rows and columns, among the
+    non-slack positions ns, of the diagonal and of the pairs near (the
+    network's ``adjacency``) joins, row by row with columns ascending."""
+    n1 = len(ns)
+    col_of = {bus_ids[i]: k for k, i in enumerate(ns)}
+    keys = (n1 * k + col_of[b] for a, k in col_of.items() for b in (a, *near[a]) if b in col_of)
+    return np.divmod(np.unique(np.fromiter(keys, dtype=int)), n1)
 
 
 def _jacobian_values(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray, pattern: tuple) -> np.ndarray:
@@ -366,23 +369,18 @@ def _entries(pattern: tuple, n1: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([r, r, r + n1, r + n1]), np.concatenate([c, c + n1, c, c + n1])
 
 
-def _blocks(linked: np.ndarray, slack_idx: int, ns: np.ndarray) -> list[np.ndarray]:
-    """Jacobian rows of each diagonal block: the non-slack buses by
-    breadth-first level from the slack over the Y-bus nonzeros (linked =
-    ybus != 0: its branches and transformers), consecutive levels merged
-    until a block has BLOCK_ROWS rows, a short last group joining the block
-    before it. A bus the slack does not reach (an invalid network) forms a
-    level after the last."""
+def _blocks(near: dict[int, set[int]], slack_id: int, bus_ids: list[int], ns: np.ndarray) -> list[np.ndarray]:
+    """Jacobian rows of each diagonal block: the non-slack positions ns by
+    breadth-first level from the slack over its branches and transformers
+    (near, the network's ``adjacency``), consecutive levels merged until a
+    block has BLOCK_ROWS rows, a short last group joining the block before
+    it. A bus the slack does not reach (an invalid network) forms a level
+    after the last."""
     if len(ns) < BLOCK_ROWS:  # too few rows for two blocks
         return [np.arange(2 * len(ns))]
-    level = np.full(len(linked), -1)
-    level[slack_idx] = 0
-    frontier = np.array([slack_idx])
-    while len(frontier):
-        frontier = np.flatnonzero(linked[frontier].any(axis=0) & (level < 0))
-        level[frontier] = level.max() + 1
-    level[level < 0] = level.max() + 1
-    level = level[ns]  # by Jacobian column, slack dropped
+    level_of = levels(near, slack_id)
+    unreached = max(level_of.values()) + 1
+    level = np.array([level_of.get(bus_ids[i], unreached) for i in ns])  # by Jacobian column
     cuts, start = [], 0
     for end in np.cumsum(np.bincount(level)):  # where each level ends
         if 2 * (end - start) >= BLOCK_ROWS:

@@ -55,6 +55,48 @@ def dense_jacobian(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarr
     return jac
 
 
+def ybus_pattern(ybus: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the Jacobian may be nonzero, read off the dense Y-bus: its
+    nonzeros among the non-slack positions ns and the whole diagonal, in
+    np.nonzero order."""
+    nz = (ybus != 0)[np.ix_(ns, ns)]
+    np.fill_diagonal(nz, True)
+    return np.nonzero(nz)
+
+
+def frontier_levels(ybus: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first level of every position from position start over the
+    dense Y-bus nonzeros, one frontier per sweep; -1 where start does not
+    reach."""
+    linked = ybus != 0
+    level = np.full(len(linked), -1)
+    level[start] = 0
+    frontier = np.array([start])
+    while len(frontier):
+        frontier = np.flatnonzero(linked[frontier].any(axis=0) & (level < 0))
+        level[frontier] = level.max() + 1
+    return level
+
+
+def frontier_blocks(ybus: np.ndarray, slack_index: int, ns: np.ndarray) -> list[np.ndarray]:
+    """The Jacobian rows of each diagonal block, from frontier_levels over
+    the dense Y-bus: consecutive levels merged until a block has BLOCK_ROWS
+    rows, a short last group joining the block before it, unreached buses
+    a level after the last."""
+    if len(ns) < powerflow.BLOCK_ROWS:
+        return [np.arange(2 * len(ns))]
+    level = frontier_levels(ybus, slack_index)
+    level[level < 0] = level.max() + 1
+    level = level[ns]
+    cuts, start = [], 0
+    for end in np.cumsum(np.bincount(level)):
+        if 2 * (end - start) >= powerflow.BLOCK_ROWS:
+            cuts.append(end)
+            start = end
+    groups = np.split(np.argsort(level, kind="stable"), cuts[:-1])
+    return [np.concatenate([g, g + len(ns)]) for g in map(np.sort, groups)]
+
+
 def jacobian_at(sol: PowerFlowSolution) -> np.ndarray:
     """The dense Jacobian at sol's voltages, on sol's grid."""
     g = sol.grid

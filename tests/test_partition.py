@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridcomm.network import Transformer, validate_network
 from gridcomm.partition import (
     MergeStep,
     Partition,
@@ -15,7 +16,7 @@ from gridcomm.partition import (
 from gridcomm.powerflow import solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 
-from conftest import barbell8, brute_force_best_modularity, k4, random_graph, two_triangles
+from conftest import barbell8, brute_force_best_modularity, k4, random_graph, synth30, two_triangles
 
 
 def graph(weights):
@@ -260,7 +261,7 @@ def reference_greedy(g):
     m_now = float(-(np.sum((deg / two_m) ** 2)))
     trace = [m_now]
     steps = []
-    for step in range(1, n):
+    for _ in range(n - 1):
         best, best_gain = None, -np.inf
         for ai in range(len(active)):
             a = active[ai]
@@ -279,7 +280,7 @@ def reference_greedy(g):
         active.remove(b)
         m_now += float(best_gain)
         trace.append(m_now)
-        steps.append(MergeStep(step=step, community_a=a, community_b=b, modularity_after=m_now))
+        steps.append(MergeStep(community_a=a, community_b=b, modularity_after=m_now))
 
     best_step = int(np.argmax(trace))
     label = list(range(n))
@@ -414,6 +415,39 @@ def test_net6_every_bus_assigned(net6):
 
 def test_slack_joins_lowest_id_neighbor(net6):
     p, _ = partition_network(net6, solved_sens(net6))
+    assert p.community_of[0] == p.community_of[1]
+
+
+def swapped_feeder_heads(link: str):
+    """synth30 with bus ids 1 and 3 swapped, the bus order kept. The slack's
+    neighbours are still buses 1 and 3, but bus 1 now heads the second
+    feeder, outside community 0, which holds the first non-slack bus (now
+    3). link is what joins the slack to bus 1: its branch, or a transformer
+    of the same r and x from either side."""
+    net = synth30()
+    swap = {1: 3, 3: 1}.get
+    for b in net.buses:
+        b.id = swap(b.id, b.id)
+    for br in net.branches:
+        br.from_bus, br.to_bus = swap(br.from_bus, br.from_bus), swap(br.to_bus, br.to_bus)
+    for t in net.transformers:
+        t.primary_bus, t.secondary_bus = swap(t.primary_bus, t.primary_bus), swap(t.secondary_bus, t.secondary_bus)
+    if link != "branch":
+        br = next(br for br in net.branches if {br.from_bus, br.to_bus} == {0, 1})
+        net.branches.remove(br)
+        ends = (0, 1) if link == "transformer from the slack" else (1, 0)
+        net.transformers.append(Transformer(*ends, r=br.r, x=br.x))
+    return net
+
+
+@pytest.mark.parametrize("link", ["branch", "transformer from the slack", "transformer to the slack"])
+def test_slack_joins_lowest_id_neighbor_outside_community_zero(link):
+    # Community 0 is also where a slack with no neighbour goes, and the
+    # slack's highest-id neighbour, bus 3, is in it.
+    net = swapped_feeder_heads(link)
+    assert validate_network(net) == []
+    p, _ = partition_network(net, solved_sens(net))
+    assert p.community_of[3] == 0 != p.community_of[1]
     assert p.community_of[0] == p.community_of[1]
 
 

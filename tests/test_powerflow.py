@@ -7,13 +7,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcomm import powerflow
-from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer
+from gridcomm.network import (
+    Branch,
+    Bus,
+    BusKind,
+    DG,
+    NetworkModel,
+    Transformer,
+    adjacency,
+    levels,
+    validate_network,
+)
 from gridcomm.powerflow import (
+    GridStructure,
     SingularJacobianError,
     StopReason,
     _injections,
     _mismatch,
-    _pattern,
     build_ybus,
     solve_power_flow,
 )
@@ -22,6 +32,8 @@ from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
 from conftest import (
     dense_jacobian,
+    frontier_blocks,
+    frontier_levels,
     jacobian_at,
     ladder238,
     ladder417,
@@ -32,6 +44,7 @@ from conftest import (
     synth30,
     two_bus,
     v_of,
+    ybus_pattern,
 )
 
 
@@ -299,7 +312,7 @@ def test_jacobian_matches_trig_form_off_the_solution(v, th, taps, shifts):
         t.tap, t.phase_shift = float(tap), float(shift)
     ybus = build_ybus(net, index_map(net))
     ns = np.array([i for i, b in enumerate(net.buses) if b.kind is not BusKind.SLACK])
-    new, oracle = dense_jacobian(ybus, v, th, ns, _pattern(ybus != 0, ns)), trig_jacobian(ybus, v, th, ns)
+    new, oracle = dense_jacobian(ybus, v, th, ns, ybus_pattern(ybus, ns)), trig_jacobian(ybus, v, th, ns)
     assert new.shape == oracle.shape == (2 * (N - 1), 2 * (N - 1))
     assert np.max(np.abs(new - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
@@ -399,6 +412,60 @@ def test_newton_and_columns_match_blocks_sliced_from_the_dense_jacobian(make, mo
     assert same(ref.v_mag, sol.v_mag) and same(ref.v_ang, sol.v_ang)
     for c, r in zip(cols, ref_cols):
         assert same(c, r)
+
+
+# ---------------------------------------------------------------------------
+# the pattern and blocks from the network's adjacency against the dense Y-bus
+
+
+@st.composite
+def altered_networks(draw):
+    """A synthetic network of one block or of several (at least 64
+    non-slack buses), with some branches and transformers repeated in
+    parallel and some dropped, at times every one that ends at a drawn bus,
+    which cuts that bus off."""
+    several = draw(st.booleans())
+    side = st.integers(8, 9) if several else st.integers(2, 4)
+    rows, cols = draw(side), draw(side)
+    feeders = draw(st.integers(1, 2))
+    spec = SynthSpec(
+        n_feeders=feeders,
+        n_transformers=draw(st.integers(feeders, 4)),
+        grid_rows=rows,
+        grid_cols=cols,
+        n_loads=rows * cols // 2,
+        n_dgs=1,
+        seed=draw(st.integers(0, 1000)),
+    )
+    net = generate_synthetic_network(spec)
+    elements = net.branches + net.transformers
+    elements += [copy.copy(elements[i]) for i in draw(st.lists(st.integers(0, len(elements) - 1), max_size=4))]
+    dropped = draw(st.sets(st.integers(0, len(elements) - 1), max_size=5))
+    lone = draw(st.none() | st.sampled_from([b.id for b in net.buses[1:]]))
+    ends = [(e.from_bus, e.to_bus) if isinstance(e, Branch) else (e.primary_bus, e.secondary_bus) for e in elements]
+    dropped |= {i for i, pair in enumerate(ends) if lone in pair}
+    kept = [e for i, e in enumerate(elements) if i not in dropped]
+    net.branches = [e for e in kept if isinstance(e, Branch)]
+    net.transformers = [e for e in kept if isinstance(e, Transformer)]
+    return net
+
+
+@settings(max_examples=100, deadline=None)
+@given(altered_networks())
+def test_pattern_blocks_and_levels_match_the_dense_ybus(net):
+    # Validation, the Jacobian's pattern and its blocks all read the one
+    # adjacency; the Y-bus's nonzeros and a frontier sweep over them must
+    # give the same, connected or not.
+    grid = GridStructure.build(net)
+    ns = grid.non_slack_pos
+    assert all(map(same, grid.pattern, ybus_pattern(grid.ybus, ns)))
+    expected = frontier_blocks(grid.ybus, grid.slack_index, ns)
+    assert len(grid.blocks) == len(expected) and all(map(same, grid.blocks, expected))
+    level = frontier_levels(grid.ybus, grid.slack_index)
+    reached = {grid.bus_ids[i]: int(k) for i, k in enumerate(level) if k >= 0}
+    assert levels(adjacency(net), net.slack_bus.id) == reached
+    codes = {v.code for v in validate_network(net)}
+    assert codes == ({"disconnected"} if len(reached) < len(net.buses) else set())
 
 
 # ---------------------------------------------------------------------------

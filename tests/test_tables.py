@@ -125,7 +125,7 @@ def test_partition_tables_read_back(net6_partition):
     assert steps[0][:3] == ["0", "", ""]
     assert [float(r[3]) for r in steps] == [dendro.initial_modularity] + [s.modularity_after for s in dendro.steps]
     assert [(int(r[0]), int(r[1]), int(r[2])) for r in steps[1:]] == [
-        (s.step, s.community_a, s.community_b) for s in dendro.steps
+        (k, s.community_a, s.community_b) for k, s in enumerate(dendro.steps, 1)
     ]
 
 
