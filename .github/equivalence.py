@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Check that this tree behaves exactly like a git revision.
+"""Check that this tree behaves exactly like a git revision, or within a
+float tolerance.
 
-    python3 .github/equivalence.py REV
+    python3 .github/equivalence.py REV [--tolerance TOL]
 
 Checks REV out with `git worktree add --detach` into a temporary directory,
 runs one fixed set in both trees with one BLAS thread, and compares the
-results byte for byte. The worktree is removed afterwards.
+results byte for byte, or with --tolerance within TOL. The worktree is
+removed afterwards.
 
 The set:
   - `partition`, `simulate --mode vq`, `simulate --mode vp` and
@@ -29,13 +31,26 @@ the exit code is 1; it is 0 when all are equal. A command that fails in
 either tree also exits 1. No golden digests are committed: the bits of a
 dense LAPACK solve may differ between builds and BLAS thread counts, so
 both trees run here.
+
+With --tolerance, for a numerical change that moves floats at rounding
+level, lines are compared token by token (``line_difference``): a float
+(a number with a point or an exponent) matches one within TOL of it, in
+CSV cells, in the JSON payloads inside them and in stdout alike; every
+other token must be equal. In the LP streams, the flows and the bench
+digest files (``digested``) a digest that changed is counted, not
+compared, while every other field there must still match. The script
+prints the largest change of each file and column, then the changed
+digests (``change_report``), and exits 0 only when nothing else differs.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -82,6 +97,11 @@ BENCH_RUNS = [("carve-417", 0), ("carve-417", 7), ("storm-238", 0), ("storm-238"
 # Compared before every other file, in this order: every output is
 # downstream of the LPs and flows solved on the way to it.
 UPSTREAM = ["lp_stream.txt", "flows.txt"]
+# A float or integer standing alone (not part of a name, hex digest or
+# longer number), and a hex digest of 16 or more digits.
+NUMBER = r"(?<![\w.])[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?(?![\w.])"
+TOKEN = re.compile(rf"(?P<digest>(?<![\w.])[0-9a-f]{{16,}}(?![\w.]))|(?P<number>{NUMBER})")
+KEY = re.compile(r"([A-Za-z_]\w*)\"?\s*[:=]\s*$")  # the name a number is given, as in `modularity:` or `"v":`
 DRIVER = "import sys; sys.path.insert(0, sys.argv[1]); import equivalence; sys.exit(equivalence.drive(sys.argv[2], sys.argv[3:]))"
 
 
@@ -186,11 +206,70 @@ def collect(tree: Path, scenarios: Path, out: Path) -> None:
         (out / f"bench-{workload}-seed{seed}.json").write_text(digests + "\n")
 
 
-def first_difference(a: Path, b: Path) -> str | None:
+def digested(rel: Path) -> bool:
+    """Whether a result file holds digests, which --tolerance counts
+    instead of comparing: the LP streams, the flows and the bench digests."""
+    return rel.name in UPSTREAM or rel.name.startswith("bench-")
+
+
+def tokens(text: str) -> list[tuple[str, str]]:
+    """text as (kind, token) pairs: "digest", "float", "integer" and, for
+    everything between them, "text"."""
+    out, end = [], 0
+    for m in TOKEN.finditer(text):
+        out.append(("text", text[end : m.start()]))
+        token = m.group()
+        kind = "digest" if m.group("digest") else "float" if re.search(r"[.eE]", token) else "integer"
+        out.append((kind, token))
+        end = m.end()
+    out.append(("text", text[end:]))
+    return out
+
+
+def line_difference(
+    line_a: str, line_b: str, csv_header: list[str] | None, tolerance: float, digests: bool, changes: dict
+) -> bool:
+    """Whether two lines differ beyond tolerance. A CSV line (csv_header
+    given) is compared cell by cell. Each float change is recorded in
+    changes under its column (header, then any JSON key within the cell,
+    or the name before the float on a line that is not CSV) as the largest
+    |a - b| seen. A changed digest is counted under "digests" where digests
+    is set, and is a difference elsewhere."""
+    if csv_header is None:
+        cells_a, cells_b, names = [line_a], [line_b], [None]
+    else:
+        cells_a, cells_b = next(csv.reader([line_a])), next(csv.reader([line_b]))
+        names = csv_header + [f"#{i}" for i in range(len(csv_header), len(cells_a))]
+    if len(cells_a) != len(cells_b):
+        return True
+    for cell_a, cell_b, name in zip(cells_a, cells_b, names):
+        pieces_a, pieces_b = tokens(cell_a), tokens(cell_b)
+        if [kind for kind, _ in pieces_a] != [kind for kind, _ in pieces_b]:
+            return True
+        before = ""
+        for (kind, a), (_, b) in zip(pieces_a, pieces_b):
+            if kind == "float" and a != b:
+                change = abs(float(a) - float(b))
+                if not change <= tolerance:
+                    return True
+                key = KEY.search(before)
+                column = ".".join(filter(None, (name, key and key.group(1)))) or "-"
+                changes[column] = max(changes.get(column, 0.0), change)
+            elif kind == "digest" and a != b and digests:
+                changes["digests"] = changes.get("digests", 0) + 1
+            elif a != b:
+                return True
+            before = a
+    return False
+
+
+def first_difference(a: Path, b: Path, tolerance: float | None = None, changes: dict | None = None) -> str | None:
     """The first difference between two result trees, the UPSTREAM files
     first and then the rest in path order: a file only one tree has, or a
     file's first differing line with both lines, each labelled with its
-    tree's directory name. None when every file is byte-identical."""
+    tree's directory name. None when every file is byte-identical, or with
+    a tolerance when every line matches within it; then changes maps each
+    file with a float or digest change to ``line_difference``'s record."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
 
@@ -206,21 +285,54 @@ def first_difference(a: Path, b: Path) -> str | None:
         if bytes_a == bytes_b:
             continue
         lines_a, lines_b = bytes_a.splitlines(), bytes_b.splitlines()
+        header = next(csv.reader([lines_a[0].decode()])) if rel.suffix == ".csv" and lines_a else None
+        found: dict = {}
         for i in range(max(len(lines_a), len(lines_b))):
             line_a = lines_a[i] if i < len(lines_a) else b"<end of file>"
             line_b = lines_b[i] if i < len(lines_b) else b"<end of file>"
-            if line_a != line_b:
-                text_a, text_b = line_a.decode(errors="replace"), line_b.decode(errors="replace")
+            if line_a == line_b:
+                continue
+            text_a, text_b = line_a.decode(errors="replace"), line_b.decode(errors="replace")
+            within = (
+                tolerance is not None
+                and i < min(len(lines_a), len(lines_b))
+                and not line_difference(text_a, text_b, header if i else None, tolerance, digested(rel), found)
+            )
+            if not within:
                 return f"{rel}, line {i + 1}:\n  {a.name}: {text_a}\n  {b.name}: {text_b}"
-        return f"{rel}: line endings differ"
+        if not found:
+            return f"{rel}: line endings differ"
+        if changes is not None:
+            changes[str(rel)] = found
     return None
 
 
+REPORTED_COLUMNS = 4  # per file; the rest (a sensitivity table has one per bus) share a line
+
+
+def change_report(changes: dict, tolerance: float) -> str:
+    """The largest float change of each file and column, then the changed
+    digests of each file, as lines. A file's columns are listed largest
+    change first; past REPORTED_COLUMNS, one line gives how many more there
+    are and the largest change among them."""
+    lines = [f"largest change per file and column (tolerance {tolerance:g}):"]
+    for rel, found in sorted(changes.items()):
+        columns = sorted(((c, x) for c, x in found.items() if c != "digests"), key=lambda item: -item[1])
+        lines += [f"  {rel}  {column}  {change:.3g}" for column, change in columns[:REPORTED_COLUMNS]]
+        if len(columns) > REPORTED_COLUMNS:
+            rest = columns[REPORTED_COLUMNS:]
+            lines.append(f"  {rel}  {len(rest)} more columns  {rest[0][1]:.3g}")
+    lines.append("changed digests, counted and not compared:")
+    lines += [f"  {rel}  {found['digests']}" for rel, found in sorted(changes.items()) if "digests" in found]
+    return "\n".join(lines)
+
+
 def main() -> int:
-    if len(sys.argv) != 2:
-        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
-        return 2
-    rev = sys.argv[1]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", metavar="REV", help="the git revision to compare this tree with")
+    parser.add_argument("--tolerance", metavar="TOL", type=float, help="compare floats within this absolute tolerance")
+    args = parser.parse_args()
+    rev = args.rev
     with tempfile.TemporaryDirectory(prefix="equivalence-") as tmp:
         tmp = Path(tmp)
         scenarios = tmp / "scenarios"
@@ -238,13 +350,17 @@ def main() -> int:
         except CommandFailed as exc:
             print(f"error: {exc}")
             return 1
-        difference = first_difference(tmp / "rev", tmp / "tree")
+        changes: dict = {}
+        difference = first_difference(tmp / "rev", tmp / "tree", args.tolerance, changes)
+        if args.tolerance is not None:
+            print(change_report(changes, args.tolerance))
         if difference is not None:
             print(f"{rev} (rev) and this tree (tree) differ at {difference}")
             return 1
         results = sorted(p.name for p in (tmp / "tree").iterdir())
         files = sum(p.is_file() for p in (tmp / "tree").rglob("*"))
-        print(f"{rev} and this tree are equal on {files} files of {len(results)} results: {', '.join(results)}")
+        within = "" if args.tolerance is None else f" within {args.tolerance:g}"
+        print(f"{rev} and this tree are equal{within} on {files} files of {len(results)} results: {', '.join(results)}")
         return 0
 
 

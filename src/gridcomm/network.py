@@ -6,6 +6,7 @@ radians in memory (the file format carries degrees, see ``network_io``).
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -90,6 +91,18 @@ class NetworkModel:
     branches: list[Branch] = field(default_factory=list)
     transformers: list[Transformer] = field(default_factory=list)
     dgs: list[DG] = field(default_factory=list)
+
+    def copy(self) -> NetworkModel:
+        """A copy that shares no bus, branch, transformer or DG with this
+        one. Every field of an element is an immutable value, so a shallow
+        copy of each element is a deep copy of the network."""
+        return NetworkModel(
+            s_base=self.s_base,
+            buses=[copy.copy(b) for b in self.buses],
+            branches=[copy.copy(br) for br in self.branches],
+            transformers=[copy.copy(t) for t in self.transformers],
+            dgs=[copy.copy(d) for d in self.dgs],
+        )
 
     def dg_by_id(self, dg_id: int) -> DG:
         for d in self.dgs:

@@ -21,6 +21,13 @@ taken on the non-slack rows and columns only, and only on the diagonal and
 at the pairs a branch or transformer joins (the network's ``adjacency``;
 the Y-bus is read for its values only): the Jacobian has no other nonzero.
 
+The Y-bus is kept as its nonzeros, row, column and value arrays sorted by
+row and column, as MATPOWER's makeYbus builds it; no n x n array is formed
+(at 1633 buses a dense complex Y-bus is 42.7 MB against a few thousand
+nonzeros). Y V, for the injections and the mismatch, is a real and an
+imaginary ``np.bincount`` of the nonzeros' products with V; the Jacobian
+reads Y at its pattern from values gathered once per grid structure.
+
 The Jacobian is factored by block elimination over breadth-first levels
 from the slack, the level ordering of sparse power-flow factorization
 (Tinney & Hart, Proc. IEEE 1967). A branch or transformer joins two buses
@@ -62,6 +69,16 @@ The Jacobian values are written straight into the blocks: one flat buffer
 holds, block row after block row, L_k, D_k and U_k, each in C order, and
 the buffer position of every value is computed once per Y-bus. No dense
 Jacobian is formed.
+
+A sensitivity reads columns of the inverse Jacobian, the solutions for
+unit right-hand sides. ``BlockLU.solve_units`` builds each block's part of
+the units itself and returns only the rows asked for, so the voltage block
+of every bus allocates neither the 2n x n unit matrix nor the angle rows.
+A unit column is zero in the forward sweep until the block of its unit
+(the structure a sparse factor's solve skips; Tinney & Walker, Proc. IEEE
+55(11), 1967), so each z_k carries only the columns whose unit lies in
+block k or before it: on the 417-bus ladder the voltage block takes about
+6 ms instead of 10.
 
 ``GridStructure`` holds what depends on the grid only: bus order, Y-bus,
 pattern, blocks and buffer layout. Each flow keeps its structure, and a
@@ -146,13 +163,14 @@ class GridStructure:
     docstring). Immutable, so flows and their deep copies share one.
 
     index_of maps bus ids to positions in bus_ids. lines is the branch and
-    transformer data the Y-bus was built from. non_slack_pos holds the
-    non-slack positions, the row and column order of the Jacobian; pattern
-    the diagonal and the pairs among them a branch or transformer joins,
-    and blocks the Jacobian rows of each diagonal block, in elimination
-    order. position is where each of ``_jacobian_values`` lands in the
-    block buffer, and spans the (start, rows, columns) there of every L_k,
-    every D_k and every U_k.
+    transformer data the Y-bus was built from, and ybus its nonzeros
+    (``build_ybus``). non_slack_pos holds the non-slack positions, the row
+    and column order of the Jacobian; pattern the diagonal and the pairs
+    among them a branch or transformer joins, y_at the Y-bus values there
+    (0 where no element stamps one), and blocks the Jacobian rows of each
+    diagonal block, in elimination order. position is where each of
+    ``_jacobian_values`` lands in the block buffer, and spans the (start,
+    rows, columns) there of every L_k, every D_k and every U_k.
     """
 
     bus_ids: list[int]
@@ -160,9 +178,10 @@ class GridStructure:
     slack_index: int
     slack_v: tuple[float, float]  # the slack's v_mag and v_ang
     lines: tuple
-    ybus: np.ndarray
+    ybus: tuple[np.ndarray, np.ndarray, np.ndarray]
     non_slack_pos: np.ndarray
     pattern: tuple[np.ndarray, np.ndarray]
+    y_at: np.ndarray
     blocks: list[np.ndarray]
     position: np.ndarray
     spans: tuple[list, list, list]
@@ -171,7 +190,7 @@ class GridStructure:
     @classmethod
     def build(cls, net: NetworkModel) -> GridStructure:
         """The structure of net's buses, slack and Y-bus; the arrays it
-        keeps (ybus among them) are made read-only."""
+        keeps (the Y-bus's among them) are made read-only."""
         bus_ids = [b.id for b in net.buses]
         index_of = {bid: i for i, bid in enumerate(bus_ids)}
         slack = net.slack_bus
@@ -180,12 +199,15 @@ class GridStructure:
         ns = np.array([i for i in range(len(bus_ids)) if i != slack_index], dtype=int)
         near = adjacency(net)
         pattern = _pattern(near, bus_ids, ns)
+        y_at = _values_at(ybus, len(bus_ids), ns[pattern[0]], ns[pattern[1]])
         blocks = _blocks(near, slack.id, bus_ids, ns)
         position, spans, size = _layout(blocks, pattern, len(ns))
-        for a in (ybus, ns, *pattern, *blocks, position):
+        for a in (*ybus, ns, *pattern, y_at, *blocks, position):
             a.flags.writeable = False
         slack_v, lines = (slack.v_mag, slack.v_ang), _line_data(net)
-        return cls(bus_ids, index_of, slack_index, slack_v, lines, ybus, ns, pattern, blocks, position, spans, size)
+        return cls(
+            bus_ids, index_of, slack_index, slack_v, lines, ybus, ns, pattern, y_at, blocks, position, spans, size
+        )
 
     def __deepcopy__(self, memo) -> GridStructure:
         return self
@@ -212,7 +234,7 @@ class GridStructure:
         """The Jacobian at v, th as its blocks D_k, L_k and U_k, views into
         one freshly filled buffer."""
         buf = np.zeros(self.size)
-        buf[self.position] = _jacobian_values(self.ybus, v, th, self.non_slack_pos, self.pattern)
+        buf[self.position] = _jacobian_values(self, v, th)
         l, d, u = ([buf[s : s + r * c].reshape(r, c) for s, r, c in side] for side in self.spans)
         return d, l, u
 
@@ -291,31 +313,37 @@ class PowerFlowSolution:
         return bool(np.max(np.abs(mis)) <= self.tolerance)
 
 
-def build_ybus(net: NetworkModel, index_of: dict[int, int]) -> np.ndarray:
-    """Dense complex bus admittance matrix.
+def build_ybus(net: NetworkModel, index_of: dict[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The complex bus admittance matrix as its nonzeros: rows, columns and
+    values, sorted by row, then column.
 
     Transformers use the standard pi model with complex ratio
-    a = tap * exp(j*phase_shift) on the primary side.
+    a = tap * exp(j*phase_shift) on the primary side. Each entry sums its
+    stamps in element order, branches then transformers, as a dense matrix
+    built by ``+=`` would, so its value is that sum bit for bit.
     """
-    n = len(net.buses)
-    y = np.zeros((n, n), dtype=complex)
+    rows: list[int] = []
+    cols: list[int] = []
+    stamps: list[complex] = []
     for br in net.branches:
         i, j = index_of[br.from_bus], index_of[br.to_bus]
         ys = 1.0 / complex(br.r, br.x)
         ysh = 0.5j * br.b_shunt
-        y[i, i] += ys + ysh
-        y[j, j] += ys + ysh
-        y[i, j] -= ys
-        y[j, i] -= ys
+        rows += (i, j, i, j)
+        cols += (i, j, j, i)
+        stamps += (ys + ysh, ys + ysh, -ys, -ys)
     for tr in net.transformers:
         p, s = index_of[tr.primary_bus], index_of[tr.secondary_bus]
         ys = 1.0 / complex(tr.r, tr.x)
         a = tr.tap * np.exp(1j * tr.phase_shift)
-        y[p, p] += ys / (tr.tap * tr.tap)
-        y[p, s] += -ys / np.conj(a)
-        y[s, p] += -ys / a
-        y[s, s] += ys
-    return y
+        rows += (p, p, s, s)
+        cols += (p, s, p, s)
+        stamps += (ys / (tr.tap * tr.tap), -ys / np.conj(a), -ys / a, ys)
+    n = len(net.buses)
+    keys, entry = np.unique(np.array(rows, dtype=int) * n + np.array(cols, dtype=int), return_inverse=True)
+    values = np.zeros(len(keys), dtype=complex)
+    np.add.at(values, entry, np.array(stamps, dtype=complex))
+    return (*np.divmod(keys, n), values)
 
 
 def _injections(net: NetworkModel, index_of: dict[int, int]) -> np.ndarray:
@@ -329,11 +357,32 @@ def _injections(net: NetworkModel, index_of: dict[int, int]) -> np.ndarray:
     return s
 
 
-def _mismatch(ybus: np.ndarray, s_spec: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray) -> np.ndarray:
+def _current(ybus: tuple, vc: np.ndarray) -> np.ndarray:
+    """I = Y V from the Y-bus nonzeros: a real and an imaginary bincount of
+    their products with V."""
+    rows, cols, values = ybus
+    terms = values * vc[cols]
+    i = np.empty(len(vc), dtype=complex)
+    i.real = np.bincount(rows, terms.real, len(vc))
+    i.imag = np.bincount(rows, terms.imag, len(vc))
+    return i
+
+
+def _values_at(ybus: tuple, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The values of n-bus ybus at the given rows and columns, 0 where no
+    element stamps one."""
+    y_rows, y_cols, values = ybus
+    keys, want = y_rows * n + y_cols, rows * n + cols
+    k = np.searchsorted(keys, want)
+    k[np.append(keys, -1)[k] != want] = len(keys)  # no stamp: the appended 0
+    return np.append(values, 0)[k]
+
+
+def _mismatch(ybus: tuple, s_spec: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """Specified minus calculated injections at the non-slack buses, P rows
     then Q rows."""
     vc = v * np.exp(1j * th)
-    ds = (s_spec - vc * np.conj(ybus @ vc))[ns]
+    ds = (s_spec - vc * np.conj(_current(ybus, vc)))[ns]
     return np.concatenate([ds.real, ds.imag])
 
 
@@ -347,16 +396,15 @@ def _pattern(near: dict[int, set[int]], bus_ids: list[int], ns: np.ndarray) -> t
     return np.divmod(np.unique(np.fromiter(keys, dtype=int)), n1)
 
 
-def _jacobian_values(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray, pattern: tuple) -> np.ndarray:
-    """The polar Jacobian's values at pattern on the non-slack rows and
-    columns, from the complex derivatives dS/dtheta and dS/d|V| (module
+def _jacobian_values(grid: GridStructure, v: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """The polar Jacobian's values at grid's pattern on the non-slack rows
+    and columns, from the complex derivatives dS/dtheta and dS/d|V| (module
     docstring) with the expressions of the dense matrix form term by term:
     dP/dtheta, dP/d|V|, dQ/dtheta, then dQ/d|V|, each in pattern order."""
+    ns, (r, c), y = grid.non_slack_pos, grid.pattern, grid.y_at
     vc = v * np.exp(1j * th)
-    i = (ybus @ vc)[ns]
+    i = _current(grid.ybus, vc)[ns]
     vs, unit = vc[ns], np.exp(1j * th[ns])  # V and V/|V| on the non-slack buses
-    r, c = pattern
-    y = ybus[ns[r], ns[c]]
     on_diag = r == c
     dth = 1j * vs[r] * np.conj(np.where(on_diag, i[r], 0) - y * vs[c])
     dv = vs[r] * np.conj(y * unit[c]) + np.where(on_diag, (np.conj(i) * unit)[r], 0)
@@ -460,6 +508,48 @@ class BlockLU:
         for rows, inv_k, lk in zip(self.blocks[1:], self.inv[1:], self.l):
             z.append(inv_k @ (b[rows] - lk @ z[-1]))
         return _back_sweep(self.blocks, self.x, z, b.shape)
+
+    def solve_units(self, units: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The given rows (distinct, in that order) of x with matrix @ x = E,
+        where column j of E is the unit vector at row units[j]: those
+        columns of the inverse, formed without E and without the rows not
+        asked for. Each block's part of E is built where the forward sweep
+        reaches it. A column is zero in the forward sweep until the block of
+        its unit, so with the columns taken by block, then row, each z_k
+        carries only those whose unit lies in block k or before it."""
+        m = len(units)
+        if self.dense is not None:
+            e = np.zeros((len(self.dense), m))
+            e[units, np.arange(m)] = 1.0
+            return np.linalg.solve(self.dense, e)[rows]
+        n = sum(map(len, self.blocks))
+        block_of, local, at = np.empty(n, dtype=int), np.empty(n, dtype=int), np.full(n, -1)
+        for k, b in enumerate(self.blocks):
+            block_of[b], local[b] = k, np.arange(len(b))
+        at[rows] = np.arange(len(rows))
+        order = np.argsort(block_of[units] * n + local[units], kind="stable")
+        ends = np.searchsorted(block_of[units[order]], np.arange(len(self.blocks)), side="right")
+        z, start = [], 0
+        for b, inv_k, lk, end in zip(self.blocks, self.inv, [None, *self.l], ends):
+            rhs = np.zeros((len(b), end))
+            rhs[local[units[order[start:end]]], np.arange(start, end)] = 1.0
+            if lk is not None:
+                rhs[:, :start] -= lk @ z[-1]
+            z.append(inv_k @ rhs)
+            start = end
+        out = np.empty((len(rows), m))
+        for k in range(len(self.blocks) - 1, -1, -1):
+            zk = z.pop()
+            if k == len(self.x):
+                xk = zk  # x_K = z_K, which carries every column
+            else:  # x_k = z_k - X_k x_(k+1), z_k zero past its columns
+                x_next, xk = xk, np.zeros((len(zk), m))
+                xk[:, : zk.shape[1]] = zk
+                xk -= self.x[k] @ x_next
+            pick = at[self.blocks[k]]
+            keep = pick >= 0
+            out[np.ix_(pick[keep], order)] = xk[keep]
+        return out
 
 
 def solve_power_flow(

@@ -8,11 +8,13 @@ At a converged operating point the linearization
 
 maps per-unit injection changes at non-slack buses to angle and voltage
 changes. ``SensitivityMatrix.columns`` solves for just the columns a caller
-reads; the full inverse is never formed. Rows and columns follow the non-slack
-buses in network order, not their ids: ``bus_ids`` lists them and ``row``
-maps ids to them. ``pf`` is the flow whose Jacobian is solved, through the
-block factor it keeps (``pf.factor``), so every caller at one operating point
-shares one factorization.
+reads, and ``voltage_block`` for just their voltage rows, by one unit-column
+solve (``BlockLU.solve_units``) that forms neither the unit right-hand side
+nor the rows not asked for; the full inverse is never formed. Rows and
+columns follow the non-slack buses in network order, not their ids:
+``bus_ids`` lists them and ``row`` maps ids to them. ``pf`` is the flow whose
+Jacobian is solved, through the block factor it keeps (``pf.factor``), so
+every caller at one operating point shares one factorization.
 """
 
 from __future__ import annotations
@@ -47,23 +49,22 @@ class SensitivityMatrix:
         except KeyError:
             raise ValueError(f"unknown bus id {bus_id}") from None
 
-    def columns(self, mode: SensitivityMode, bus_ids: list[int]) -> np.ndarray:
+    def columns(self, mode: SensitivityMode, bus_ids: list[int], voltage_only: bool = False) -> np.ndarray:
         """Responses to a unit injection of the mode's kind (P or Q) at each
-        bus, one column per bus: angle rows, then voltage rows. Raises
-        SingularJacobianError if the Jacobian, or a diagonal block of its
-        factor, is singular."""
+        bus, one column per bus: angle rows, then voltage rows, or the
+        voltage rows alone. Raises SingularJacobianError if the Jacobian, or
+        a diagonal block of its factor, is singular."""
         n1 = len(self.bus_ids)
-        unit = np.zeros((2 * n1, len(bus_ids)))
         offset = n1 if mode is SensitivityMode.VQ else 0
-        unit[[offset + self.row_of(b) for b in bus_ids], np.arange(len(bus_ids))] = 1.0
+        units = np.array([offset + self.row_of(b) for b in bus_ids], dtype=int)
         try:
-            return self.pf.factor.solve(unit)
+            return self.pf.factor.solve_units(units, np.arange(n1 if voltage_only else 0, 2 * n1))
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(f"the power-flow Jacobian is singular at the solved point ({exc})") from exc
 
     def voltage_block(self, mode: SensitivityMode) -> np.ndarray:
         """a_vq or a_vp: the voltage rows of the mode's columns at every bus."""
-        return self.columns(mode, self.bus_ids)[len(self.bus_ids) :]
+        return self.columns(mode, self.bus_ids, voltage_only=True)
 
 
 @dataclass

@@ -42,7 +42,6 @@ episode it opened when it left. Run totals count episodes, not ticks.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -273,7 +272,7 @@ def initialize(
     """Stand up agents, subsets and capability ranges on a private copy of
     net, starting from the flow sens was taken at (sens.pf). Raises
     ValueError if that flow does not solve net as it is now."""
-    net = copy.deepcopy(net)
+    net = net.copy()
     if not sens.pf.solves(net):
         raise ValueError("the sensitivities' operating point does not solve this network")
 

@@ -44,15 +44,77 @@ def count_ybus_builds(monkeypatch) -> list:
     return calls
 
 
+def dense_ybus(net: NetworkModel) -> np.ndarray:
+    """The dense complex bus admittance matrix, in bus order, stamp by
+    stamp: the oracle of the runtime's ``build_ybus`` nonzeros. Transformers
+    use the standard pi model with complex ratio a = tap * exp(j*phase_shift)
+    on the primary side."""
+    index_of = {b.id: i for i, b in enumerate(net.buses)}
+    n = len(net.buses)
+    y = np.zeros((n, n), dtype=complex)
+    for br in net.branches:
+        i, j = index_of[br.from_bus], index_of[br.to_bus]
+        ys = 1.0 / complex(br.r, br.x)
+        ysh = 0.5j * br.b_shunt
+        y[i, i] += ys + ysh
+        y[j, j] += ys + ysh
+        y[i, j] -= ys
+        y[j, i] -= ys
+    for tr in net.transformers:
+        p, s = index_of[tr.primary_bus], index_of[tr.secondary_bus]
+        ys = 1.0 / complex(tr.r, tr.x)
+        a = tr.tap * np.exp(1j * tr.phase_shift)
+        y[p, p] += ys / (tr.tap * tr.tap)
+        y[p, s] += -ys / np.conj(a)
+        y[s, p] += -ys / a
+        y[s, s] += ys
+    return y
 
-def dense_jacobian(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray, pattern: tuple) -> np.ndarray:
-    """The dense polar Jacobian on the non-slack rows and columns: zero but
-    for the runtime's ``_jacobian_values`` at their ``_entries``, the values
-    the solver scatters into its blocks."""
-    n1 = len(ns)
+
+def scattered(ybus: tuple, n: int) -> np.ndarray:
+    """The runtime's Y-bus nonzeros (rows, columns, values) as a dense n x n
+    matrix."""
+    y = np.zeros((n, n), dtype=complex)
+    rows, cols, values = ybus
+    y[rows, cols] = values
+    return y
+
+
+def dense_jacobian(grid: GridStructure, v: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """The dense polar Jacobian on grid's non-slack rows and columns: zero
+    but for the runtime's ``_jacobian_values`` at their ``_entries``, the
+    values the solver scatters into its blocks."""
+    n1 = len(grid.non_slack_pos)
     jac = np.zeros((2 * n1, 2 * n1))
-    jac[powerflow._entries(pattern, n1)] = powerflow._jacobian_values(ybus, v, th, ns, pattern)
+    jac[powerflow._entries(grid.pattern, n1)] = powerflow._jacobian_values(grid, v, th)
     return jac
+
+
+def trig_jacobian(ybus: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """The polar Jacobian from the four cos/sin blocks of the power-flow
+    equations (as in Grainger & Stevenson) over a dense Y-bus, on the
+    non-slack positions ns."""
+    vc = v * np.exp(1j * th)
+    s = vc * np.conj(ybus @ vc)
+    p_calc, q_calc = s.real, s.imag
+    g, b = ybus.real, ybus.imag
+    dth = th[:, None] - th[None, :]
+    cs, sn = np.cos(dth), np.sin(dth)
+    vv = v[:, None] * v[None, :]
+
+    h = vv * (g * sn - b * cs)  # dP/dtheta
+    n_ = v[:, None] * (g * cs + b * sn)  # dP/dV
+    k = -vv * (g * cs + b * sn)  # dQ/dtheta
+    l_ = v[:, None] * (g * sn - b * cs)  # dQ/dV
+
+    np.fill_diagonal(h, -q_calc - b.diagonal() * v * v)
+    np.fill_diagonal(n_, p_calc / v + g.diagonal() * v)
+    np.fill_diagonal(k, p_calc - g.diagonal() * v * v)
+    np.fill_diagonal(l_, q_calc / v - b.diagonal() * v)
+
+    top = np.hstack([h[np.ix_(ns, ns)], n_[np.ix_(ns, ns)]])
+    bot = np.hstack([k[np.ix_(ns, ns)], l_[np.ix_(ns, ns)]])
+    return np.vstack([top, bot])
 
 
 def ybus_pattern(ybus: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +161,7 @@ def frontier_blocks(ybus: np.ndarray, slack_index: int, ns: np.ndarray) -> list[
 
 def jacobian_at(sol: PowerFlowSolution) -> np.ndarray:
     """The dense Jacobian at sol's voltages, on sol's grid."""
-    g = sol.grid
-    return dense_jacobian(g.ybus, sol.v_mag, sol.v_ang, g.non_slack_pos, g.pattern)
+    return dense_jacobian(sol.grid, sol.v_mag, sol.v_ang)
 
 
 def v_of(sol: PowerFlowSolution, bus_id: int) -> float:

@@ -79,6 +79,76 @@ def test_upstream_files_are_compared_first(tmp_path, changed, first):
     assert equivalence.first_difference(a, b).startswith(f"net6-simulate-vq/{first}, line ")
 
 
+# ---------------------------------------------------------------------------
+# --tolerance
+
+TOLERANT_RUN = dict(
+    RUN,
+    **{
+        "net6-simulate-vq/messages.csv": 'seq,tick,kind,payload\n0,1,report,"{""bus"":4,""v"":1.0625}"\n',
+        "net6-simulate-vq/flows.txt": "0 iterations:3 factorizations:1 stopped:CONVERGED v:00112233445566aa\n",
+    },
+)
+
+
+def tolerant(tmp_path, edits: dict[str, tuple[str, str]], tolerance: float = 1e-12):
+    """Compare TOLERANT_RUN with a copy where each file's first given text
+    is replaced by the second; the difference found and the changes."""
+    edited = dict(TOLERANT_RUN)
+    for rel, (old, new) in edits.items():
+        assert old in edited[rel]
+        edited[rel] = edited[rel].replace(old, new)
+    a, b = results(tmp_path / "a", TOLERANT_RUN), results(tmp_path / "b", edited)
+    changes: dict = {}
+    return equivalence.first_difference(a, b, tolerance, changes), changes
+
+
+def test_floats_within_the_tolerance_pass_with_their_largest_change_per_column(tmp_path):
+    difference, changes = tolerant(
+        tmp_path,
+        {
+            "net6-simulate-vq/controls.csv": ("0.125\n", "0.1250000000000004\n"),
+            "net6-simulate-vq/messages.csv": ("1.0625", "1.0625000000000009"),
+        },
+    )
+    assert difference is None
+    assert changes.keys() == {"net6-simulate-vq/controls.csv", "net6-simulate-vq/messages.csv"}
+    assert changes["net6-simulate-vq/controls.csv"] == {"objective": pytest.approx(4e-16, rel=0.5)}
+    assert changes["net6-simulate-vq/messages.csv"] == {"payload.v": pytest.approx(9e-16, rel=0.5)}
+    report = equivalence.change_report(changes, 1e-12)
+    assert "net6-simulate-vq/messages.csv  payload.v  8.88e-16" in report
+
+
+def test_a_float_beyond_the_tolerance_is_a_difference(tmp_path):
+    difference, _ = tolerant(tmp_path, {"net6-simulate-vq/controls.csv": ("0.125\n", "0.12500001\n")})
+    assert difference == "net6-simulate-vq/controls.csv, line 3:\n  a: 2,0,0.125\n  b: 2,0,0.12500001"
+
+
+@pytest.mark.parametrize(
+    "rel, old, new",
+    [
+        ("net6-simulate-vq/controls.csv", "2,0,", "2,1,"),  # an integer cell
+        ("net6-simulate-vq/messages.csv", "report", "reports"),  # a text cell
+        ("net6-simulate-vq/messages.csv", '""bus"":4', '""bus"":4.0'),  # an integer that became a float
+        ("net6-simulate-vq/flows.txt", "iterations:3", "iterations:4"),  # a flow's field beside its digest
+    ],
+)
+def test_any_other_changed_token_is_a_difference_within_the_tolerance(tmp_path, rel, old, new):
+    difference, _ = tolerant(tmp_path, {rel: (old, new)})
+    assert difference is not None and difference.startswith(f"{rel}, line ")
+
+
+def test_a_changed_digest_is_counted_not_compared(tmp_path):
+    digest = {"net6-simulate-vq/flows.txt": ("v:00112233445566aa", "v:ffee2233445566aa")}
+    difference, changes = tolerant(tmp_path, digest)
+    assert difference is None
+    assert changes == {"net6-simulate-vq/flows.txt": {"digests": 1}}
+    assert "net6-simulate-vq/flows.txt  1" in equivalence.change_report(changes, 1e-12)
+    # Without a tolerance the digest is a difference like any other byte.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert equivalence.first_difference(a, b).startswith("net6-simulate-vq/flows.txt, line 1:")
+
+
 def test_lp_line_changes_when_one_coefficient_moves_one_ulp():
     # max y subject to y <= x <= 1 and x >= 0
     c = np.array([0.0, -1.0])

@@ -1,10 +1,11 @@
+import copy
 import math
 
 import pytest
 
 from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer, validate_network
 
-from conftest import two_bus
+from conftest import synth30, two_bus
 
 
 def codes(net):
@@ -169,3 +170,18 @@ def test_dgs_sorted_and_online_filter():
     )
     assert [d.id for d in net.dgs_sorted()] == [3, 5]
     assert [d.id for d in net.dgs_sorted(online_only=True)] == [5]
+
+
+def test_copy_equals_the_network_and_shares_no_element():
+    net = synth30()
+    net.transformers[0].phase_shift = 0.1
+    net.dgs[0].online = False
+    twin = net.copy()
+    assert twin == net == copy.deepcopy(net)
+    for elements in ("buses", "branches", "transformers", "dgs"):
+        mine, theirs = getattr(net, elements), getattr(twin, elements)
+        assert mine is not theirs and len(mine) == len(theirs)
+        assert not {id(e) for e in mine} & {id(e) for e in theirs}
+    twin.buses[1].p_load += 1.0
+    twin.dgs[0].online = True
+    assert net.buses[1].p_load != twin.buses[1].p_load and not net.dgs[0].online

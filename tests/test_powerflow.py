@@ -32,16 +32,19 @@ from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
 from conftest import (
     dense_jacobian,
+    dense_ybus,
     frontier_blocks,
     frontier_levels,
     jacobian_at,
     ladder238,
     ladder417,
     reference_newton,
+    scattered,
     sliced_block_lu,
     sliced_blocks,
     synth153,
     synth30,
+    trig_jacobian,
     two_bus,
     v_of,
     ybus_pattern,
@@ -120,9 +123,19 @@ def index_map(net):
     return {b.id: i for i, b in enumerate(net.buses)}
 
 
+def runtime_ybus(net):
+    """The runtime's Y-bus of net, scattered into a dense matrix that must
+    equal the stamp-by-stamp oracle bit for bit."""
+    y = scattered(build_ybus(net, index_map(net)), len(net.buses))
+    assert y.tobytes() == dense_ybus(net).tobytes()
+    return y
+
+
 def test_ybus_line_stamp():
     net = two_bus(r=0.01, x=0.1)
-    y = build_ybus(net, index_map(net))
+    rows, cols, _ = build_ybus(net, index_map(net))
+    assert rows.tolist() == [0, 0, 1, 1] and cols.tolist() == [0, 1, 0, 1]
+    y = runtime_ybus(net)
     series = 1.0 / complex(0.01, 0.1)
     assert y.shape == (2, 2)
     assert y[0, 1] == pytest.approx(-series)
@@ -134,7 +147,7 @@ def test_ybus_line_stamp():
 def test_ybus_shunt_charging_splits():
     net = two_bus(r=0.01, x=0.1)
     net.branches[0].b_shunt = 0.04
-    y = build_ybus(net, index_map(net))
+    y = runtime_ybus(net)
     series = 1.0 / complex(0.01, 0.1)
     assert y[0, 0] == pytest.approx(series + 0.02j)
     assert y[1, 1] == pytest.approx(series + 0.02j)
@@ -146,7 +159,7 @@ def test_ybus_transformer_tap_asymmetry():
         buses=[Bus(0, BusKind.SLACK, 13.8), Bus(1, BusKind.PQ, 0.48)],
         transformers=[Transformer(0, 1, 0.0, 0.1, tap=1.05)],
     )
-    y = build_ybus(net, index_map(net))
+    y = runtime_ybus(net)
     yt = 1.0 / 0.1j
     assert y[0, 0] == pytest.approx(yt / 1.05**2)
     assert y[1, 1] == pytest.approx(yt)
@@ -161,13 +174,50 @@ def test_phase_shifter_conjugate_coupling():
         buses=[Bus(0, BusKind.SLACK, 13.8), Bus(1, BusKind.PQ, 0.48)],
         transformers=[Transformer(0, 1, 0.0, 0.1, tap=1.0, phase_shift=shift)],
     )
-    y = build_ybus(net, index_map(net))
+    y = runtime_ybus(net)
     yt = 1.0 / 0.1j
     t = 1.0 * complex(math.cos(shift), math.sin(shift))
     assert y[0, 1] == pytest.approx(-yt / np.conj(t))
     assert y[1, 0] == pytest.approx(-yt / t)
     # Off-diagonals differ, so the matrix is deliberately non-symmetric here.
     assert y[0, 1] != pytest.approx(y[1, 0])
+
+
+@st.composite
+def shifted_networks(draw):
+    """A small synthetic network with drawn taps and phase shifts on its
+    transformers (an asymmetric Y-bus), line charging on some branches and
+    some branches and transformers repeated in parallel, so that entries sum
+    several stamps."""
+    feeders = draw(st.integers(1, 2))
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    spec = SynthSpec(
+        n_feeders=feeders,
+        n_transformers=draw(st.integers(feeders, 4)),
+        grid_rows=rows,
+        grid_cols=cols,
+        n_loads=rows * cols // 2,
+        n_dgs=1,
+        seed=draw(st.integers(0, 1000)),
+    )
+    net = generate_synthetic_network(spec)
+    for t in net.transformers:
+        t.tap, t.phase_shift = draw(st.floats(0.9, 1.1)), draw(st.floats(-0.5, 0.5))
+    for br in net.branches:
+        br.b_shunt = draw(st.sampled_from([0.0, 0.0, 0.02, 1e-3]))
+    elements = net.branches + net.transformers
+    for e in draw(st.lists(st.sampled_from(elements), max_size=4)):
+        (net.branches if isinstance(e, Branch) else net.transformers).append(copy.copy(e))
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_networks())
+def test_sparse_ybus_scatters_to_the_dense_oracle_bit_for_bit(net):
+    rows, cols, values = build_ybus(net, index_map(net))
+    keys = rows * len(net.buses) + cols
+    assert np.all(np.diff(keys) > 0)  # sorted by row, then column, each entry once
+    assert len(values) == np.count_nonzero(runtime_ybus(net))
 
 
 def test_solution_accessors():
@@ -268,32 +318,6 @@ def test_bus_the_slack_does_not_reach_makes_the_jacobian_singular():
 # the Jacobian against the textbook polar form
 
 
-def trig_jacobian(ybus, v, th, ns):
-    """The polar Jacobian from the four cos/sin blocks of the power-flow
-    equations (as in Grainger & Stevenson), on the non-slack buses."""
-    vc = v * np.exp(1j * th)
-    s = vc * np.conj(ybus @ vc)
-    p_calc, q_calc = s.real, s.imag
-    g, b = ybus.real, ybus.imag
-    dth = th[:, None] - th[None, :]
-    cs, sn = np.cos(dth), np.sin(dth)
-    vv = v[:, None] * v[None, :]
-
-    h = vv * (g * sn - b * cs)  # dP/dtheta
-    n_ = v[:, None] * (g * cs + b * sn)  # dP/dV
-    k = -vv * (g * cs + b * sn)  # dQ/dtheta
-    l_ = v[:, None] * (g * sn - b * cs)  # dQ/dV
-
-    np.fill_diagonal(h, -q_calc - b.diagonal() * v * v)
-    np.fill_diagonal(n_, p_calc / v + g.diagonal() * v)
-    np.fill_diagonal(k, p_calc - g.diagonal() * v * v)
-    np.fill_diagonal(l_, q_calc / v - b.diagonal() * v)
-
-    top = np.hstack([h[np.ix_(ns, ns)], n_[np.ix_(ns, ns)]])
-    bot = np.hstack([k[np.ix_(ns, ns)], l_[np.ix_(ns, ns)]])
-    return np.vstack([top, bot])
-
-
 SYNTH30 = synth30()
 N, M = len(SYNTH30.buses), len(SYNTH30.transformers)
 
@@ -310,9 +334,9 @@ def test_jacobian_matches_trig_form_off_the_solution(v, th, taps, shifts):
     net = copy.deepcopy(SYNTH30)
     for t, tap, shift in zip(net.transformers, taps, shifts):
         t.tap, t.phase_shift = float(tap), float(shift)
-    ybus = build_ybus(net, index_map(net))
-    ns = np.array([i for i, b in enumerate(net.buses) if b.kind is not BusKind.SLACK])
-    new, oracle = dense_jacobian(ybus, v, th, ns, ybus_pattern(ybus, ns)), trig_jacobian(ybus, v, th, ns)
+    grid = GridStructure.build(net)
+    ns = grid.non_slack_pos
+    new, oracle = dense_jacobian(grid, v, th), trig_jacobian(dense_ybus(net), v, th, ns)
     assert new.shape == oracle.shape == (2 * (N - 1), 2 * (N - 1))
     assert np.max(np.abs(new - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
@@ -345,7 +369,7 @@ def test_scattered_blocks_are_slices_of_the_dense_jacobian(make):
     grid = sol.grid
     assert len(grid.blocks) >= 3
     v0, th0 = grid.flat_start()
-    flat = dense_jacobian(grid.ybus, v0, th0, grid.non_slack_pos, grid.pattern)
+    flat = dense_jacobian(grid, v0, th0)
     for v, th, jac in ((v0, th0, flat), (sol.v_mag, sol.v_ang, jacobian_at(sol))):
         d, l, u = grid.jacobian_blocks(v, th)
         pairs = list(zip(grid.blocks, grid.blocks[1:]))
@@ -383,6 +407,73 @@ def test_kept_factor_solves_like_the_dense_jacobian(make):
         assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
+def unit_columns(n: int, units) -> np.ndarray:
+    """The n-row unit vectors at units, one column each."""
+    e = np.zeros((n, len(units)))
+    e[units, np.arange(len(units))] = 1.0
+    return e
+
+
+# A unit solve skips the forward sweep's zero columns, and a matrix product
+# over fewer columns may round differently: within this share of the
+# largest entry of the full solve on several blocks, bit for bit on one.
+UNIT_SOLVE_TOLERANCE = 1e-14
+
+
+def assert_unit_solve(factor, units, rows, n):
+    oracle = factor.solve(unit_columns(n, units))[rows]
+    got = factor.solve_units(np.asarray(units), rows)
+    assert got.shape == oracle.shape
+    if factor.dense is not None:
+        assert same(got, oracle)
+    else:
+        assert np.max(np.abs(got - oracle), initial=0.0) <= UNIT_SOLVE_TOLERANCE * np.max(np.abs(oracle), initial=0.0)
+    return got
+
+
+@pytest.mark.parametrize("make", [synth30, synth153, ladder417], ids=["synth30", "synth153", "ladder417"])
+def test_voltage_rows_solve_is_the_full_solve_cut_to_its_voltage_rows(make):
+    # The voltage block solves only the voltage rows, against factor.solve
+    # of the whole unit right-hand side. Asking for all rows, or for the
+    # columns in another order, gives the same voltage rows bit for bit.
+    net = make()
+    sol = solve_power_flow(net, tolerance=1e-10)
+    sens = compute_sensitivity_matrix(net, sol)
+    n1 = len(sens.bus_ids)
+    for mode in SensitivityMode:
+        offset = n1 if mode is SensitivityMode.VQ else 0
+        units = offset + np.arange(n1)
+        block = assert_unit_solve(sol.factor, units, np.arange(n1, 2 * n1), 2 * n1)
+        assert same(sens.voltage_block(mode), block)
+        assert same(sens.columns(mode, sens.bus_ids)[n1:], block)
+        backwards = sens.bus_ids[::-1]
+        assert same(sens.columns(mode, backwards, voltage_only=True), block[:, ::-1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unit_solve_over_blocks_with_an_unreached_bus(seed):
+    # A bus the slack does not reach forms a block after the last level;
+    # over those blocks a nonsingular block-tridiagonal matrix is solved for
+    # unit columns anywhere, repeated and in any order, rows in any order.
+    net = synth153()
+    net.buses.append(Bus(999, BusKind.PQ, 0.48))
+    grid = GridStructure.build(net)
+    blocks = grid.blocks
+    n = 2 * len(grid.non_slack_pos)
+    lone = n // 2 - 1  # the appended bus's P row; its Q row is lone + n // 2
+    assert len(blocks) >= 3 and {lone, lone + n // 2} <= set(blocks[-1].tolist())
+    block_of = np.empty(n, dtype=int)
+    for k, b in enumerate(blocks):
+        block_of[b] = k
+    rng = np.random.default_rng(seed)
+    band = np.abs(block_of[:, None] - block_of[None, :]) <= 1
+    matrix = rng.standard_normal((n, n)) * band + n * np.eye(n)
+    factor = sliced_block_lu(matrix, blocks)
+    for units in ([lone, lone + n // 2], rng.integers(0, n, 9), blocks[-1], blocks[0][:3]):
+        for rows in (np.arange(n), np.arange(n // 2, n), rng.permutation(n)[:40]):
+            assert_unit_solve(factor, units, rows, n)
+
+
 @pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
 def test_singular_diagonal_block_raises_when_the_factor_is_built(make):
     blocks = solve_power_flow(make()).grid.blocks
@@ -404,7 +495,7 @@ def test_newton_and_columns_match_blocks_sliced_from_the_dense_jacobian(make, mo
         assert (a if a.base is None else a.base).nbytes == a.nbytes
 
     def sliced(grid, v, th):
-        return sliced_blocks(dense_jacobian(grid.ybus, v, th, grid.non_slack_pos, grid.pattern), grid.blocks)
+        return sliced_blocks(dense_jacobian(grid, v, th), grid.blocks)
 
     monkeypatch.setattr(powerflow.GridStructure, "jacobian_blocks", sliced)
     ref, ref_cols = solved_with_columns(net)
@@ -456,12 +547,12 @@ def test_pattern_blocks_and_levels_match_the_dense_ybus(net):
     # Validation, the Jacobian's pattern and its blocks all read the one
     # adjacency; the Y-bus's nonzeros and a frontier sweep over them must
     # give the same, connected or not.
-    grid = GridStructure.build(net)
+    grid, ybus = GridStructure.build(net), dense_ybus(net)
     ns = grid.non_slack_pos
-    assert all(map(same, grid.pattern, ybus_pattern(grid.ybus, ns)))
-    expected = frontier_blocks(grid.ybus, grid.slack_index, ns)
+    assert all(map(same, grid.pattern, ybus_pattern(ybus, ns)))
+    expected = frontier_blocks(ybus, grid.slack_index, ns)
     assert len(grid.blocks) == len(expected) and all(map(same, grid.blocks, expected))
-    level = frontier_levels(grid.ybus, grid.slack_index)
+    level = frontier_levels(ybus, grid.slack_index)
     reached = {grid.bus_ids[i]: int(k) for i, k in enumerate(level) if k >= 0}
     assert levels(adjacency(net), net.slack_bus.id) == reached
     codes = {v.code for v in validate_network(net)}
@@ -613,7 +704,7 @@ def agreement_bound(net, sol, ref) -> float:
     second-order term, which |a - b| near 1e-9 makes negligible."""
     jinv_norm = np.max(np.sum(np.abs(np.linalg.inv(jacobian_at(sol))), axis=1))
     v = sol.v_mag
-    terms = np.abs(_injections(net, sol.index_of)) + v * (np.abs(sol.grid.ybus) @ v)
+    terms = np.abs(_injections(net, sol.index_of)) + v * (np.abs(dense_ybus(net)) @ v)
     rounding = 16 * np.finfo(float).eps * np.max(terms)
     return 2 * jinv_norm * (sol.max_mismatch + ref.max_mismatch + 2 * rounding)
 

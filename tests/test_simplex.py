@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gridcomm.simplex import LPStatus, solve_inequality_lp
+from gridcomm.simplex import TOL, LPStatus, _leaving_row, solve_inequality_lp
 
 from conftest import lp_vertex_oracle, reference_inequality_lp
 
@@ -196,3 +196,50 @@ def test_pivots_match_scalar_scan_bit_for_bit(seed, m, n, quantized, boxed):
     else:
         assert got.x.tobytes() == want.x.tobytes()
         assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the leaving row without the fold against the full fold
+
+
+def full_fold(rows, ratios, basic) -> int:
+    """Bland's leaving row as a scalar scan over every candidate row."""
+    leaving, best_ratio, best_basic = -1, np.inf, -1
+    for i, ratio, b in zip(rows, ratios, basic):
+        if ratio < best_ratio - TOL or (abs(ratio - best_ratio) <= TOL and (leaving < 0 or b < best_basic)):
+            leaving, best_ratio, best_basic = i, ratio, b
+    return leaving
+
+
+@st.composite
+def chained_ratios(draw):
+    """Candidate rows (ascending) with ratios in chains of near-ties: each
+    ratio a drawn step above the one before, most steps within TOL or
+    2·TOL of it, some far, dealt to the rows in a drawn order; the basic
+    variables are distinct and random."""
+    n = draw(st.integers(1, 30))
+    steps = st.one_of(
+        st.floats(0.0, 2.5), st.sampled_from([0.0, 1.0, 2.0]), st.floats(2.0, 2.0 + 1e-6), st.floats(2.5, 1e6)
+    )
+    base = draw(st.sampled_from([0.0, 1.0, 0.37]) | st.floats(-1e-9, 100.0))
+    ascending = base + np.cumsum([0.0] + draw(st.lists(steps, min_size=n - 1, max_size=n - 1))) * TOL
+    ratios = np.array(draw(st.permutations(ascending.tolist())))
+    rows = np.array(sorted(draw(st.lists(st.integers(0, 200), min_size=n, max_size=n, unique=True))))
+    basic = np.array(draw(st.lists(st.integers(0, 400), min_size=n, max_size=n, unique=True)))
+    return rows, ratios, basic
+
+
+CHAIN = (np.arange(4), np.array([0.0, 0.9, 1.8, 2.7]) * TOL, np.array([4, 3, 2, 1]))  # climbs past min + TOL
+ABOVE_A_GAP = (np.arange(4), np.array([4.0, 0.0, 0.9, 1.8]) * TOL, np.array([1, 4, 3, 2]))  # first row can't win
+LONE_MINIMUM = (np.arange(3), np.array([5.0, 0.0, 2.5]) * TOL, np.array([0, 2, 1]))  # no fold needed
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_ratios())
+@example(CHAIN)
+@example(ABOVE_A_GAP)
+@example(LONE_MINIMUM)
+@example((np.arange(0), np.zeros(0), np.zeros(0, dtype=int)))
+def test_leaving_row_matches_the_full_fold(candidates):
+    rows, ratios, basic = candidates
+    assert _leaving_row(rows, ratios, basic) == full_fold(rows.tolist(), ratios.tolist(), basic.tolist())

@@ -405,8 +405,9 @@ def test_deep_copied_state_shares_the_grid_structure():
     reference = initialize(net, *prepared(net))
     grid = state.pf.grid
     assert reference.pf.grid is not grid
-    with pytest.raises(ValueError):
-        grid.ybus[0, 0] = 0.0
+    for array in grid.ybus:
+        with pytest.raises(ValueError):
+            array[0] = 0
     twin = copy.deepcopy(state)
     assert twin.pf.grid is grid
     assert all(twin.dgs[d.id] is d for d in twin.net.dgs) and twin.dgs.keys() == state.dgs.keys()
