@@ -15,6 +15,11 @@ The set:
     communication-loss scenario;
   - the same four commands on a 238-bus `--synth` network, with a scenario of
     load steps, a DG trip and a communication loss;
+  - the same four commands on the tapped network, with a scenario like the
+    238-bus one: a generated network of 89 non-slack buses (so the Jacobian
+    has several blocks) whose transformers have taps off 1 and some a phase
+    shift, which no other input has. `write_tapped` writes it once per run
+    with this tree's gridcomm, and both trees read that file;
   - `bench/run.py --seconds 1 --trace 0` for carve-417 and storm-238 at seeds
     0 and 7 and for fleet-30 at seed 0, keeping `details.digests` of each.
 
@@ -92,6 +97,22 @@ SCENARIOS = {
             {"at_tick": 7, "kind": "load_change", "target": 222, "magnitude": 0.5},
         ],
     },
+    "tapped": {
+        "name": "tapped-load-trip-comm",
+        "duration": 10,
+        "events": [
+            {"at_tick": 1, "kind": "load_change", "target": 81, "magnitude": 0.5},
+            {"at_tick": 1, "kind": "load_change", "target": 63, "magnitude": 0.3},
+            {"at_tick": 2, "kind": "dg_trip", "target": 10},
+            {"at_tick": 3, "kind": "comm_loss", "target": 89},
+            {"at_tick": 3, "kind": "load_change", "target": 73, "magnitude": 0.4},
+            {"at_tick": 4, "kind": "load_change", "target": 40, "magnitude": 0.6},
+            {"at_tick": 5, "kind": "load_change", "target": 81, "magnitude": -0.3},
+            {"at_tick": 6, "kind": "dg_restore", "target": 10},
+            {"at_tick": 7, "kind": "comm_restore", "target": 89},
+            {"at_tick": 7, "kind": "load_change", "target": 20, "magnitude": 0.6},
+        ],
+    },
 }
 BENCH_RUNS = [("carve-417", 0), ("carve-417", 7), ("storm-238", 0), ("storm-238", 7), ("fleet-30", 0)]
 # Compared before every other file, in this order: every output is
@@ -103,6 +124,24 @@ NUMBER = r"(?<![\w.])[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?(?![\w.])"
 TOKEN = re.compile(rf"(?P<digest>(?<![\w.])[0-9a-f]{{16,}}(?![\w.]))|(?P<number>{NUMBER})")
 KEY = re.compile(r"([A-Za-z_]\w*)\"?\s*[:=]\s*$")  # the name a number is given, as in `modularity:` or `"v":`
 DRIVER = "import sys; sys.path.insert(0, sys.argv[1]); import equivalence; sys.exit(equivalence.drive(sys.argv[2], sys.argv[3:]))"
+WRITER = "import sys; sys.path.insert(0, sys.argv[1]); import equivalence; equivalence.write_tapped(sys.argv[2])"
+# The tapped network: the generator's network of this spec, its k-th
+# transformer given TAPS[k % 6] and a phase shift of SHIFTS[k % 4] degrees.
+TAPPED = dict(n_feeders=2, n_transformers=8, grid_rows=9, grid_cols=9, n_loads=40, n_dgs=20, seed=0)
+TAPS = (0.975, 1.025, 0.95, 1.0375, 0.9625, 1.05)
+SHIFTS = (0.0, 2.0, 0.0, -3.0)
+
+
+def write_tapped(path: str) -> None:
+    """Write the tapped network to path as a network file, generated by the
+    gridcomm on sys.path."""
+    from gridcomm.network_io import save_network
+    from gridcomm.synthetic import SynthSpec, generate_synthetic_network
+
+    net = generate_synthetic_network(SynthSpec(**TAPPED))
+    for k, tr in enumerate(net.transformers):
+        tr.tap, tr.phase_shift = TAPS[k % len(TAPS)], np.radians(SHIFTS[k % len(SHIFTS)])
+    save_network(net, path)
 
 
 def digest(*arrays) -> str:
@@ -174,7 +213,7 @@ def run(args: list[str], cwd: Path, env: dict | None = None) -> str:
     return done.stdout
 
 
-def collect(tree: Path, scenarios: Path, out: Path) -> None:
+def collect(tree: Path, inputs: Path, out: Path) -> None:
     """Run the fixed set in tree, writing every result under out: one
     directory per CLI command with its output files and its stdout, and one
     digest file per bench run. Output paths are relative to out, so no
@@ -184,9 +223,10 @@ def collect(tree: Path, scenarios: Path, out: Path) -> None:
     sources = {
         "net6": ["--network", str(tree / "tests" / "fixtures" / "net6.json")],
         "synth238": ["--synth", SYNTH],
+        "tapped": ["--network", str(inputs / "tapped-network.json")],
     }
     for name, source in sources.items():
-        scenario = ["--scenario", str(scenarios / f"{name}.json")]
+        scenario = ["--scenario", str(inputs / f"{name}.json")]
         commands = {
             "partition": ["partition"],
             "simulate-vq": ["simulate", "--mode", "vq", *scenario],
@@ -335,16 +375,18 @@ def main() -> int:
     rev = args.rev
     with tempfile.TemporaryDirectory(prefix="equivalence-") as tmp:
         tmp = Path(tmp)
-        scenarios = tmp / "scenarios"
-        scenarios.mkdir()
+        inputs = tmp / "inputs"
+        inputs.mkdir()
         for name, doc in SCENARIOS.items():
-            (scenarios / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
+            (inputs / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
         checkout = tmp / "checkout"
         try:
+            writer = [sys.executable, "-c", WRITER, str(HERE), str(inputs / "tapped-network.json")]
+            run(writer, ROOT, dict(ENV, PYTHONPATH=str(ROOT / "src")))
             run(["git", "worktree", "add", "--detach", str(checkout), rev], ROOT)
             try:
-                collect(checkout, scenarios, tmp / "rev")
-                collect(ROOT, scenarios, tmp / "tree")
+                collect(checkout, inputs, tmp / "rev")
+                collect(ROOT, inputs, tmp / "tree")
             finally:
                 run(["git", "worktree", "remove", "--force", str(checkout)], ROOT)
         except CommandFailed as exc:

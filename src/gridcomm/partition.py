@@ -241,6 +241,8 @@ def partition_network(
     dg_rows = [sens.row[b] for b in dg_buses(sens, net.dgs_sorted(online_only=True))]
     if not dg_rows:
         raise ValueError("network has no online DGs to partition around")
+    if len(sens.bus_ids) < 2:
+        raise ValueError(f"a partition needs at least two non-slack buses, network has {len(sens.bus_ids)}")
     block = sens.voltage_block(mode)
     graph = combine_weights(block, build_dg_adjacency(block[:, dg_rows]), dg_rows)
     node_part, dendro = greedy_partition(graph)

@@ -17,16 +17,16 @@ dSbus_dV (Zimmerman, Murillo-Sanchez & Thomas, IEEE TPWRS 2011):
     dS/dtheta = j diag(V) conj(diag(I) - Y diag(V))
     dS/d|V|   = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|)
 
-taken on the non-slack rows and columns only, and only on the diagonal and
-at the pairs a branch or transformer joins (the network's ``adjacency``;
-the Y-bus is read for its values only): the Jacobian has no other nonzero.
+taken on the non-slack rows and columns only, and only at the Y-bus's own
+entries there, the diagonal and the pairs a branch or transformer joins:
+the Jacobian has no other nonzero, so, as in dSbus_dV, its pattern and the
+Y values it reads are the Y-bus's entries with both ends non-slack.
 
 The Y-bus is kept as its nonzeros, row, column and value arrays sorted by
 row and column, as MATPOWER's makeYbus builds it; no n x n array is formed
 (at 1633 buses a dense complex Y-bus is 42.7 MB against a few thousand
 nonzeros). Y V, for the injections and the mismatch, is a real and an
-imaginary ``np.bincount`` of the nonzeros' products with V; the Jacobian
-reads Y at its pattern from values gathered once per grid structure.
+imaginary ``np.bincount`` of the nonzeros' products with V.
 
 The Jacobian is factored by block elimination over breadth-first levels
 from the slack, the level ordering of sparse power-flow factorization
@@ -165,9 +165,9 @@ class GridStructure:
     index_of maps bus ids to positions in bus_ids. lines is the branch and
     transformer data the Y-bus was built from, and ybus its nonzeros
     (``build_ybus``). non_slack_pos holds the non-slack positions, the row
-    and column order of the Jacobian; pattern the diagonal and the pairs
-    among them a branch or transformer joins, y_at the Y-bus values there
-    (0 where no element stamps one), and blocks the Jacobian rows of each
+    and column order of the Jacobian; pattern the rows and columns, among
+    them, of the Y-bus entries with both ends non-slack, in Y-bus order,
+    y_at those entries' values, and blocks the Jacobian rows of each
     diagonal block, in elimination order. position is where each of
     ``_jacobian_values`` lands in the block buffer, and spans the (start,
     rows, columns) there of every L_k, every D_k and every U_k.
@@ -197,10 +197,11 @@ class GridStructure:
         slack_index = index_of[slack.id]
         ybus = build_ybus(net, index_of)
         ns = np.array([i for i in range(len(bus_ids)) if i != slack_index], dtype=int)
-        near = adjacency(net)
-        pattern = _pattern(near, bus_ids, ns)
-        y_at = _values_at(ybus, len(bus_ids), ns[pattern[0]], ns[pattern[1]])
-        blocks = _blocks(near, slack.id, bus_ids, ns)
+        rows, cols, values = ybus
+        kept = (rows != slack_index) & (cols != slack_index)
+        pattern = tuple(k[kept] - (k[kept] > slack_index) for k in (rows, cols))  # as Jacobian columns
+        y_at = values[kept]
+        blocks = _blocks(net, slack.id, bus_ids, ns)
         position, spans, size = _layout(blocks, pattern, len(ns))
         for a in (*ybus, ns, *pattern, y_at, *blocks, position):
             a.flags.writeable = False
@@ -310,21 +311,23 @@ class PowerFlowSolution:
             return False
         ybus = self.grid.ybus if self.grid.fits(net) else build_ybus(net, self.index_of)
         mis = _mismatch(ybus, _injections(net, self.index_of), self.v_mag, self.v_ang, self.grid.non_slack_pos)
-        return bool(np.max(np.abs(mis)) <= self.tolerance)
+        return bool(np.max(np.abs(mis), initial=0.0) <= self.tolerance)
 
 
 def build_ybus(net: NetworkModel, index_of: dict[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The complex bus admittance matrix as its nonzeros: rows, columns and
-    values, sorted by row, then column.
+    values, sorted by row, then column. Every bus has a diagonal entry, 0
+    at a bus no element touches (only in an invalid network).
 
     Transformers use the standard pi model with complex ratio
     a = tap * exp(j*phase_shift) on the primary side. Each entry sums its
-    stamps in element order, branches then transformers, as a dense matrix
-    built by ``+=`` would, so its value is that sum bit for bit.
+    stamps in element order, branches then transformers, after a 0 on the
+    diagonal, as a dense matrix built by ``+=`` would, so its value is that
+    sum bit for bit.
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    stamps: list[complex] = []
+    n = len(net.buses)
+    rows, cols = list(range(n)), list(range(n))
+    stamps: list[complex] = [0j] * n
     for br in net.branches:
         i, j = index_of[br.from_bus], index_of[br.to_bus]
         ys = 1.0 / complex(br.r, br.x)
@@ -339,7 +342,6 @@ def build_ybus(net: NetworkModel, index_of: dict[int, int]) -> tuple[np.ndarray,
         rows += (p, p, s, s)
         cols += (p, s, p, s)
         stamps += (ys / (tr.tap * tr.tap), -ys / np.conj(a), -ys / a, ys)
-    n = len(net.buses)
     keys, entry = np.unique(np.array(rows, dtype=int) * n + np.array(cols, dtype=int), return_inverse=True)
     values = np.zeros(len(keys), dtype=complex)
     np.add.at(values, entry, np.array(stamps, dtype=complex))
@@ -368,32 +370,12 @@ def _current(ybus: tuple, vc: np.ndarray) -> np.ndarray:
     return i
 
 
-def _values_at(ybus: tuple, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The values of n-bus ybus at the given rows and columns, 0 where no
-    element stamps one."""
-    y_rows, y_cols, values = ybus
-    keys, want = y_rows * n + y_cols, rows * n + cols
-    k = np.searchsorted(keys, want)
-    k[np.append(keys, -1)[k] != want] = len(keys)  # no stamp: the appended 0
-    return np.append(values, 0)[k]
-
-
 def _mismatch(ybus: tuple, s_spec: np.ndarray, v: np.ndarray, th: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """Specified minus calculated injections at the non-slack buses, P rows
     then Q rows."""
     vc = v * np.exp(1j * th)
     ds = (s_spec - vc * np.conj(_current(ybus, vc)))[ns]
     return np.concatenate([ds.real, ds.imag])
-
-
-def _pattern(near: dict[int, set[int]], bus_ids: list[int], ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the Jacobian may be nonzero: the rows and columns, among the
-    non-slack positions ns, of the diagonal and of the pairs near (the
-    network's ``adjacency``) joins, row by row with columns ascending."""
-    n1 = len(ns)
-    col_of = {bus_ids[i]: k for k, i in enumerate(ns)}
-    keys = (n1 * k + col_of[b] for a, k in col_of.items() for b in (a, *near[a]) if b in col_of)
-    return np.divmod(np.unique(np.fromiter(keys, dtype=int)), n1)
 
 
 def _jacobian_values(grid: GridStructure, v: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -417,16 +399,16 @@ def _entries(pattern: tuple, n1: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([r, r, r + n1, r + n1]), np.concatenate([c, c + n1, c, c + n1])
 
 
-def _blocks(near: dict[int, set[int]], slack_id: int, bus_ids: list[int], ns: np.ndarray) -> list[np.ndarray]:
+def _blocks(net: NetworkModel, slack_id: int, bus_ids: list[int], ns: np.ndarray) -> list[np.ndarray]:
     """Jacobian rows of each diagonal block: the non-slack positions ns by
-    breadth-first level from the slack over its branches and transformers
-    (near, the network's ``adjacency``), consecutive levels merged until a
-    block has BLOCK_ROWS rows, a short last group joining the block before
-    it. A bus the slack does not reach (an invalid network) forms a level
-    after the last."""
+    breadth-first level from the slack over net's branches and transformers
+    (the network's ``adjacency``), consecutive levels merged until a block
+    has BLOCK_ROWS rows, a short last group joining the block before it. A
+    bus the slack does not reach (an invalid network) forms a level after
+    the last."""
     if len(ns) < BLOCK_ROWS:  # too few rows for two blocks
         return [np.arange(2 * len(ns))]
-    level_of = levels(near, slack_id)
+    level_of = levels(adjacency(net), slack_id)
     unreached = max(level_of.values()) + 1
     level = np.array([level_of.get(bus_ids[i], unreached) for i in ns])  # by Jacobian column
     cuts, start = [], 0
@@ -593,7 +575,7 @@ def solve_power_flow(
         if not np.all(np.isfinite(mis)):
             stopped = StopReason.NON_FINITE
             break
-        peak = np.max(np.abs(mis))
+        peak = np.max(np.abs(mis), initial=0.0)  # 0 with no mismatch row: only the slack
         if peak <= tolerance:
             break
         try:
@@ -621,7 +603,7 @@ def solve_power_flow(
             stopped = StopReason.VOLTAGE_COLLAPSE
             break
 
-    max_mis = float(np.max(np.abs(mis))) if np.all(np.isfinite(mis)) else float("inf")
+    max_mis = float(np.max(np.abs(mis), initial=0.0)) if np.all(np.isfinite(mis)) else float("inf")
     if stopped is None:
         stopped = StopReason.CONVERGED if max_mis <= tolerance else StopReason.MAX_ITER
     return PowerFlowSolution(

@@ -408,6 +408,39 @@ def test_sensitivity_rejects_partition_options(tmp_path, capsys, option):
     assert not (tmp_path / "s").exists()
 
 
+SLACK_ONLY = {"s_base_mva": 1.0, "buses": [{"id": 0, "kind": "slack"}], "branches": []}
+
+
+def test_sensitivity_of_a_slack_only_network_writes_header_only_tables(tmp_path, capsys):
+    net_file = tmp_path / "slack.json"
+    net_file.write_text(json.dumps(SLACK_ONLY))
+    out = tmp_path / "sens"
+    code, stdout, stderr = run_cli(capsys, "sensitivity", "--network", str(net_file), "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert "0 buses" in stdout
+    for name in ("a_vq.csv", "a_vp.csv", "a_theta_p.csv", "a_theta_q.csv"):
+        assert (out / name).read_text() == "bus\n"
+
+
+@pytest.mark.parametrize("command", ["partition", "simulate"])
+@pytest.mark.parametrize(
+    "network, message",
+    [("slack", "network has no online DGs to partition around"), ("two_bus", "at least two non-slack buses")],
+)
+def test_network_too_small_to_partition_exits_2(tmp_path, capsys, command, network, message):
+    net_file = tmp_path / "net.json"
+    if network == "slack":
+        net_file.write_text(json.dumps(SLACK_ONLY))
+    else:
+        save_network(two_bus(with_dg=True), net_file)
+    argv = [command, "--network", str(net_file), "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--scenario", str(write_scenario(tmp_path / "empty.json", [], duration=2))]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and message in stderr
+
+
 def test_sensitivity_nonconvergent_network_exits_3(tmp_path, capsys):
     net_file = tmp_path / "heavy.json"
     save_network(two_bus(p=100.0, q=50.0), net_file)

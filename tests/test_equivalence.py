@@ -3,12 +3,17 @@ written here, and its LP-stream lines: no worktree is checked out and no
 command is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridcomm.network import validate_network
+from gridcomm.network_io import load_network
+from gridcomm.powerflow import solve_power_flow
 from gridcomm.simplex import solve_inequality_lp
+from gridcomm.simulation import load_scenario, validate_scenario
 
 SCRIPT = Path(__file__).resolve().parent.parent / ".github" / "equivalence.py"
 _spec = importlib.util.spec_from_file_location("equivalence", SCRIPT)
@@ -165,3 +170,20 @@ def test_lp_line_changes_when_one_coefficient_moves_one_ulp():
     assert fields(a_ub.copy()) == line
     # index, status, c, a_ub, b_ub: only the a_ub digest moves among the inputs
     assert [m == f for m, f in zip(fields(moved)[:5], line)] == [True, True, True, False, True]
+
+
+def test_tapped_network_has_off_nominal_taps_phase_shifts_and_several_blocks(tmp_path):
+    # The one input whose transformer stamps and reverse-flow rows are not at
+    # their trivial values: every tap off 1, some shifts nonzero, a flow of
+    # several Jacobian blocks, and a scenario whose targets all exist.
+    path = tmp_path / "tapped-network.json"
+    equivalence.write_tapped(str(path))
+    net = load_network(path)
+    assert validate_network(net) == []
+    assert all(tr.tap != 1 for tr in net.transformers)
+    assert 0 < sum(tr.phase_shift != 0 for tr in net.transformers) < len(net.transformers)
+    sol = solve_power_flow(net)
+    assert sol.converged and len(sol.non_slack) >= 64 and len(sol.grid.blocks) >= 2
+    scenario = tmp_path / "tapped.json"
+    scenario.write_text(json.dumps(equivalence.SCENARIOS["tapped"]))
+    validate_scenario(load_scenario(scenario), net)

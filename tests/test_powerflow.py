@@ -86,6 +86,17 @@ def test_zero_load_flat_solution_zero_iterations():
     assert np.allclose(sol.v_ang, 0.0, atol=1e-12)
 
 
+def test_slack_only_network_converges_at_its_start():
+    # No non-slack bus, so no mismatch row: the flow converges where it
+    # starts, with max mismatch 0, and solves the network.
+    net = NetworkModel(s_base=1.0, buses=[Bus(0, BusKind.SLACK, 12.47, v_mag=1.02)])
+    sol = solve_power_flow(net)
+    assert sol.converged and sol.stopped is StopReason.CONVERGED
+    assert (sol.iterations, sol.factorizations, sol.max_mismatch) == (0, 0, 0.0)
+    assert sol.non_slack == [] and list(sol.v_mag) == [1.02]
+    assert sol.solves(net)
+
+
 def test_absurd_load_reports_divergence_without_raising():
     net = two_bus(p=100.0, q=50.0)
     sol = solve_power_flow(net)
@@ -506,7 +517,8 @@ def test_newton_and_columns_match_blocks_sliced_from_the_dense_jacobian(make, mo
 
 
 # ---------------------------------------------------------------------------
-# the pattern and blocks from the network's adjacency against the dense Y-bus
+# the pattern from the Y-bus's entries and the blocks from the network's
+# adjacency, against the dense Y-bus
 
 
 @st.composite
@@ -544,17 +556,27 @@ def altered_networks(draw):
 @settings(max_examples=100, deadline=None)
 @given(altered_networks())
 def test_pattern_blocks_and_levels_match_the_dense_ybus(net):
-    # Validation, the Jacobian's pattern and its blocks all read the one
-    # adjacency; the Y-bus's nonzeros and a frontier sweep over them must
-    # give the same, connected or not.
+    # The Jacobian's pattern and Y values are the sparse Y-bus's entries
+    # with both ends non-slack, in its order; every bus has a diagonal
+    # entry, 0 at a bus no element touches. Validation and the blocks read
+    # the one adjacency. The dense Y-bus's nonzeros and a frontier sweep
+    # over them must give the same, connected or not.
     grid, ybus = GridStructure.build(net), dense_ybus(net)
     ns = grid.non_slack_pos
+    rows, cols, values = build_ybus(net, grid.index_of)
+    diagonal = rows == cols
+    assert same(rows[diagonal], np.arange(len(net.buses))) and same(values[diagonal], np.diag(ybus))
+    near = adjacency(net)
+    assert all(values[diagonal][i] == 0 for i, b in enumerate(net.buses) if not near[b.id])
+    kept = (rows != grid.slack_index) & (cols != grid.slack_index)
+    assert same(ns[grid.pattern[0]], rows[kept]) and same(ns[grid.pattern[1]], cols[kept])
+    assert same(grid.y_at, values[kept])
     assert all(map(same, grid.pattern, ybus_pattern(ybus, ns)))
     expected = frontier_blocks(ybus, grid.slack_index, ns)
     assert len(grid.blocks) == len(expected) and all(map(same, grid.blocks, expected))
     level = frontier_levels(ybus, grid.slack_index)
     reached = {grid.bus_ids[i]: int(k) for i, k in enumerate(level) if k >= 0}
-    assert levels(adjacency(net), net.slack_bus.id) == reached
+    assert levels(near, net.slack_bus.id) == reached
     codes = {v.code for v in validate_network(net)}
     assert codes == ({"disconnected"} if len(reached) < len(net.buses) else set())
 
