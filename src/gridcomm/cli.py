@@ -25,7 +25,7 @@ from .network_io import NetworkFormatError, NetworkValidationError, joined, load
 from .partition import Dendrogram, Partition, partition_network
 from .powerflow import PowerFlowError, SingularJacobianError, solve_power_flow
 from .sensitivity import SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix
-from .simulation import ScenarioError, SimulationDiverged, load_scenario, run_scenario, write_report
+from .simulation import ScenarioError, SimulationDiverged, load_scenario, run_scenario, validate_scenario, write_report
 from .synthetic import SynthesisError, SynthSpec, generate_synthetic_network
 
 _SYNTH_KEYS = {
@@ -58,19 +58,21 @@ def _parse_synth(text: str, seed: int) -> SynthSpec:
     return SynthSpec(**kwargs)
 
 
-def _linearized(args) -> tuple[NetworkModel, SensitivityMatrix]:
-    """Load the network named by --network or --synth/--seed, solve its
-    flow and take the sensitivities at the solved point."""
+def _network(args) -> NetworkModel:
+    """Load the network named by --network, or generate --synth/--seed's."""
     if args.network:
         if args.seed is not None:
             raise ValueError("--seed applies only to --synth, not to --network")
-        net = load_network(args.network)
-    else:
-        net = generate_synthetic_network(_parse_synth(args.synth, args.seed or 0))
+        return load_network(args.network)
+    return generate_synthetic_network(_parse_synth(args.synth, args.seed or 0))
+
+
+def _linearized(net: NetworkModel) -> SensitivityMatrix:
+    """Solve net's flow and take the sensitivities at the solved point."""
     sol = solve_power_flow(net)
     if not sol.converged:
         raise PowerFlowError(f"power flow did not converge: {sol.stop_text()}")
-    return net, compute_sensitivity_matrix(net, sol)
+    return compute_sensitivity_matrix(net, sol)
 
 
 def _write_partition(partition: Partition, dendro: Dendrogram, net: NetworkModel, out: Path) -> None:
@@ -93,7 +95,8 @@ def _write_partition(partition: Partition, dendro: Dendrogram, net: NetworkModel
 
 
 def cmd_partition(args) -> int:
-    net, sens = _linearized(args)
+    net = _network(args)
+    sens = _linearized(net)
     partition, dendro = partition_network(net, sens, mode=SensitivityMode(args.mode))
     _write_partition(partition, dendro, net, Path(args.out))
     print(f"communities:{partition.n_communities} modularity:{repr(partition.modularity)}")
@@ -107,7 +110,9 @@ def cmd_simulate(args) -> int:
     if not args.vmin < args.vmax:
         raise ValueError(f"--vmin must be below --vmax, got {args.vmin} >= {args.vmax}")
     scenario = load_scenario(args.scenario)
-    net, sens = _linearized(args)
+    net = _network(args)
+    validate_scenario(scenario, net)  # a bad scenario is bad input, whether or not the flow solves
+    sens = _linearized(net)
     partition, _ = partition_network(net, sens, mode=SensitivityMode(args.mode))
     report = run_scenario(
         net,
@@ -123,7 +128,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    _, sens = _linearized(args)
+    sens = _linearized(_network(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n1 = len(sens.bus_ids)

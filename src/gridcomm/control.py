@@ -1,16 +1,15 @@
 """Within-community voltage control: the community view a CA decides from,
 neighboring-DG subsets, and the max-min adjustment LP.
 
-A CommunityView holds one community's buses, its available DGs with their
-adjustment bounds, the sensitivities between the two and its transformers'
-reverse-flow rows; the LP is formulated over a view, and `select` narrows a
-view to the DGs one decision may move. A community's nodes are grouped into
+A CommunityView holds one community's buses, DGs with their adjustment
+bounds, the sensitivities between the two and its transformers' reverse-flow
+rows; the LP is formulated over a view. A community's nodes are grouped into
 subsets by their highest-influence DG; when a node violates its voltage
-band, only its subset's DGs solve for the fix. Overvoltage maximizes the minimum adjustment (least total decrease),
-undervoltage minimizes the maximum (least total increase); both are cast as
-a standard LP through a slack objective variable bounded by zero in the
-correction direction, so a community already inside the band solves to the
-all-zero adjustment.
+band, only its subset's DGs solve for the fix. Overvoltage maximizes the
+minimum adjustment (least total decrease), undervoltage minimizes the
+maximum (least total increase); both are cast as a standard LP through a
+slack objective variable bounded by zero in the correction direction, so a
+community already inside the band solves to the all-zero adjustment.
 
 The run's sensitivity mode also decides which DG output control moves:
 reactive output in vq mode, active output (curtailment) in vp mode.
@@ -18,7 +17,7 @@ reactive output in vq mode, active output (curtailment) in vp mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -139,20 +138,6 @@ class CommunityView:
             raise ValueError(f"v_sens must be {n}x{k}, got {self.v_sens.shape}")
         if self.v0.shape != (n,) or self.x_lower.shape != (k,) or self.x_upper.shape != (k,):
             raise ValueError("v0/x_lower/x_upper shapes inconsistent with node/DG lists")
-
-    def select(self, dg_ids: Sequence[int]) -> CommunityView:
-        """The view of a sorted subset of its DGs: their sensitivity columns,
-        bounds and transformer-row entries."""
-        cols = np.searchsorted(self.dg_ids, dg_ids)
-        return CommunityView(
-            node_ids=self.node_ids,
-            v0=self.v0,
-            dg_ids=list(dg_ids),
-            x_lower=self.x_lower[cols],
-            x_upper=self.x_upper[cols],
-            v_sens=self.v_sens[:, cols],
-            transformers=[replace(t, row=t.row[cols]) for t in self.transformers],
-        )
 
 
 @dataclass

@@ -10,13 +10,13 @@ of locality.
 A CA decides from its `control.CommunityView` alone: its own non-slack buses
 and their voltages, its available DGs with their adjustment bounds, the
 voltage sensitivities between the two, and the reverse-flow rows of the
-transformers touching it. Its LP is formulated over that view narrowed to
-the reported buses' subset DGs (`CommunityView.select`). Only `_view` (and
-`initialize`) read the network-wide flow and sensitivities. The view slices
-the online DGs' columns, solved once per operating point against the whole
-network's Jacobian, so how the rest of the network responds to a DG move
-(the boundary) comes from the global Jacobian, not from a model of the
-community alone.
+transformers touching it. For one decision `_view` slices it over the
+reported buses' subset DGs alone, and the LP is formulated over that view.
+Only `_view` (and `initialize`) read the network-wide flow and
+sensitivities. The view slices the online DGs' columns, solved once per
+operating point against the whole network's Jacobian, so how the rest of
+the network responds to a DG move (the boundary) comes from the global
+Jacobian, not from a model of the community alone.
 
 Tick phases, all deterministic:
 
@@ -295,15 +295,20 @@ def initialize(
     return state
 
 
-def _view(state: SimulationState, community: int) -> CommunityView:
+def _view(state: SimulationState, community: int, dg_ids: Sequence[int] | None = None) -> CommunityView:
     """Slice one community's view out of the network-wide flow and
-    sensitivities; the only reader of them on the CA side."""
+    sensitivities over the given sorted DG ids, by default its available
+    DGs; the only reader of them on the CA side."""
     community_of = state.partition.community_of
-    unreachable = state.comm_lost | state.excluded.get(community, set())
-    dgs = [d for d in state.dgs.values() if community_of[d.bus] == community and d.online and d.id not in unreachable]
+    if dg_ids is None:
+        unreachable = state.comm_lost | state.excluded.get(community, set())
+        dg_ids = [
+            g for g, d in state.dgs.items() if community_of[d.bus] == community and d.online and g not in unreachable
+        ]
+    dgs = [state.dgs[g] for g in dg_ids]
     nodes = state.nodes_of[community]
     sens, pf, mode, online = state.sens, state.pf, state.mode, state.cols
-    cols = np.searchsorted(online.dg_ids, [d.id for d in dgs])
+    cols = np.searchsorted(online.dg_ids, dg_ids)
 
     def angle_row(bus_id: int) -> np.ndarray:
         row = sens.row.get(bus_id)  # none for the slack, whose angle is fixed
@@ -326,7 +331,7 @@ def _view(state: SimulationState, community: int) -> CommunityView:
     return CommunityView(
         node_ids=nodes,
         v0=pf.v_mag[[pf.index_of[b] for b in nodes]],
-        dg_ids=[d.id for d in dgs],
+        dg_ids=list(dg_ids),
         x_lower=ranges[:, 0] - now,
         x_upper=ranges[:, 1] - now,
         v_sens=online.matrix[np.ix_([sens.row[b] for b in nodes], cols)],
@@ -416,7 +421,12 @@ def _update_episodes(state: SimulationState, violating: set[int]) -> None:
 def _control_community(state: SimulationState, community: int, violated: list[int]) -> None:
     """One CA's decision for this tick, from its view and the buses reported
     to it alone; it sends its adjustments to the DAs as commands."""
-    view = _view(state, community)
+    hit = set(violated)
+    dg_ids = sorted({g for s in state.subsets[community].subsets if not hit.isdisjoint(s.nodes) for g in s.dg_ids})
+    # Built before the refusals: its first read of state.cols factors the
+    # Jacobian at the solved point, and the next warm re-solve starts from
+    # that factor, so a refused decision must read it too.
+    view = _view(state, community, dg_ids)
     ca = AgentId(AgentKind.CA, community)
     v_min, v_max = state.v_limits
     v = view.v0[np.searchsorted(view.node_ids, violated)]
@@ -432,8 +442,6 @@ def _control_community(state: SimulationState, community: int, violated: list[in
             ControlRecord(state.tick, community, direction.value, False, None, dgs, [], violated)
         )
 
-    hit = set(violated)
-    dg_ids = sorted({g for s in state.subsets[community].subsets if not hit.isdisjoint(s.nodes) for g in s.dg_ids})
     if not dg_ids:
         refuse("no_available_dg", [])
         return
@@ -444,15 +452,14 @@ def _control_community(state: SimulationState, community: int, violated: list[in
         refuse("active-power control is implemented for overvoltage curtailment only", dg_ids)
         return
 
-    chosen = view.select(dg_ids)
     if over:
         v_max = v_max - LIN_GUARD
     else:
         v_min = v_min + LIN_GUARD
-    solution = solve_lp(formulate_lp(chosen, direction, v_min, v_max))
+    solution = solve_lp(formulate_lp(view, direction, v_min, v_max))
 
     if not solution.feasible:
-        headroom = -chosen.x_lower if over else chosen.x_upper
+        headroom = -view.x_lower if over else view.x_upper
         exhausted = {g for g, room in zip(dg_ids, headroom) if room <= HEADROOM_TOL}
         already = state.excluded.setdefault(community, set())
         new = exhausted - already

@@ -721,6 +721,20 @@ def test_simulate_load_change_on_slack_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_simulate_rejects_a_bad_scenario_before_solving_the_flow(tmp_path, capsys):
+    # The load is past voltage collapse, so a flow solved first would exit 3;
+    # the scenario's unknown target is bad input, exit 2, whatever the flow.
+    net_file = tmp_path / "collapse.json"
+    save_network(two_bus(p=100.0, q=50.0), net_file)
+    scenario = write_scenario(tmp_path / "bad.json", [{"at_tick": 0, "kind": "dg_trip", "target": 99}], duration=2)
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--network", str(net_file), "--scenario", str(scenario), "--out", str(tmp_path / "r")
+    )
+    assert code == 2
+    assert stderr == "error: event dg_trip targets unknown DG id 99\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_simulate_malformed_scenario_exits_2(tmp_path, capsys):
     scenario = tmp_path / "list.json"
     scenario.write_text("[]")

@@ -192,9 +192,8 @@ def test_lp_transformer_row_present():
     direction=st.sampled_from(list(ControlDirection)),
 )
 def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_transformers, direction):
-    """The block-filled LP is the row-by-row one to the byte, over a view and
-    over a DG subset it selects: every padding zero is +0.0, and signed zeros
-    in the sensitivities carry through."""
+    """The block-filled LP is the row-by-row one to the byte: every padding
+    zero is +0.0, and signed zeros in the sensitivities carry through."""
     rng = np.random.default_rng(seed)
 
     def floats(*shape):
@@ -220,27 +219,12 @@ def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_trans
             for i in range(n_transformers)
         ],
     )
-    # A sorted DG subset, and its view sliced by hand: the LP of
-    # view.select(ids) is the row builder's over the sliced arrays.
-    view, *rest = problem
-    keep = sorted(rng.choice(n_dgs, rng.integers(1, n_dgs + 1), replace=False).tolist())
-    ids = [view.dg_ids[j] for j in keep]
-    sliced = CommunityView(
-        node_ids=view.node_ids,
-        v0=view.v0,
-        dg_ids=ids,
-        x_lower=np.array([view.x_lower[j] for j in keep]),
-        x_upper=np.array([view.x_upper[j] for j in keep]),
-        v_sens=np.array([[row[j] for j in keep] for row in view.v_sens]),
-        transformers=[replace(t, row=np.array([t.row[j] for j in keep])) for t in view.transformers],
-    )
-    for mine, oracle in ((problem, problem), ((view.select(ids), *rest), (sliced, *rest))):
-        got, want = formulate_lp(*mine), formulate_lp_by_rows(*oracle)
-        assert got.a_ub.dtype == want.a_ub.dtype and got.a_ub.shape == want.a_ub.shape
-        assert got.a_ub.tobytes() == want.a_ub.tobytes()
-        assert got.b_ub.tobytes() == want.b_ub.tobytes()
-        assert got.c.tobytes() == want.c.tobytes()
-        assert got.row_labels == want.row_labels
+    got, want = formulate_lp(*problem), formulate_lp_by_rows(*problem)
+    assert got.a_ub.dtype == want.a_ub.dtype and got.a_ub.shape == want.a_ub.shape
+    assert got.a_ub.tobytes() == want.a_ub.tobytes()
+    assert got.b_ub.tobytes() == want.b_ub.tobytes()
+    assert got.c.tobytes() == want.c.tobytes()
+    assert got.row_labels == want.row_labels
 
 
 def test_empty_dg_list_rejected():

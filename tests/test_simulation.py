@@ -560,8 +560,8 @@ def test_views_stay_local_and_subsets_cover_nodes(ticks):
     built = []
     real_view = simulation._view
 
-    def recording_view(state, community):
-        view = real_view(state, community)
+    def recording_view(state, community, dg_ids=None):
+        view = real_view(state, community, dg_ids)
         built.append((community, view))
         return view
 
@@ -588,6 +588,38 @@ def test_views_stay_local_and_subsets_cover_nodes(ticks):
                     assert sorted(covered) == sorted(nodes)
                     assert len(covered) == len(set(covered))
             built.clear()
+
+
+@settings(max_examples=30, deadline=None)
+@given(event_ticks(), st.data())
+def test_view_of_dg_ids_is_the_full_view_sliced(ticks, data):
+    # A CA's one view per decision, built over its subset's DGs, is the
+    # view of all the community's available DGs sliced at their columns.
+    part, sens = SYNTH30_PREPARED
+    state = initialize(SYNTH30, part, sens)
+    for events in ticks:
+        try:
+            step(state, events)
+        except SimulationDiverged:
+            return
+        for c in state.nodes_of:
+            full = simulation._view(state, c)
+            if not full.dg_ids:
+                continue
+            keep = sorted(data.draw(st.sets(st.integers(0, len(full.dg_ids) - 1), min_size=1)))
+            ids = [full.dg_ids[j] for j in keep]
+            view = simulation._view(state, c, ids)
+            assert view.dg_ids == ids
+            assert view.node_ids == full.node_ids
+            assert view.v0.tobytes() == full.v0.tobytes()
+            assert view.v_sens.tobytes() == full.v_sens[:, keep].tobytes()
+            assert view.x_lower.tobytes() == full.x_lower[keep].tobytes()
+            assert view.x_upper.tobytes() == full.x_upper[keep].tobytes()
+            assert len(view.transformers) == len(full.transformers)
+            for t, whole in zip(view.transformers, full.transformers):
+                assert t.label == whole.label
+                assert np.float64(t.rhs).tobytes() == np.float64(whole.rhs).tobytes()
+                assert t.row.tobytes() == whole.row[keep].tobytes()
 
 
 # ------------------------------------------------------------ scenario runs
