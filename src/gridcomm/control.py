@@ -9,7 +9,9 @@ band, only its subset's DGs solve for the fix. Overvoltage maximizes the
 minimum adjustment (least total decrease), undervoltage minimizes the
 maximum (least total increase); both are cast as a standard LP through a
 slack objective variable bounded by zero in the correction direction, so a
-community already inside the band solves to the all-zero adjustment.
+community already inside the band solves to the all-zero adjustment. Every
+view field is an array or list over its buses, DGs or transformers, and
+the LP fills one block of rows from each.
 
 The run's sensitivity mode also decides which DG output control moves:
 reactive output in vq mode, active output (curtailment) in vp mode.
@@ -107,17 +109,6 @@ def derive_subsets(
     return CommunitySubsets(subsets=subsets, generation=generation)
 
 
-@dataclass
-class TransformerAngleRows:
-    """One transformer's reverse-power-flow constraint, row . x <= rhs: the
-    secondary-minus-primary DG angle-sensitivity row, and the primary-minus-
-    secondary operating-point angle less the phase shift."""
-
-    label: str
-    row: np.ndarray
-    rhs: float
-
-
 @dataclass(frozen=True)
 class CommunityView:
     """Everything one CA decides from, and the input of its LP: its own
@@ -130,14 +121,24 @@ class CommunityView:
     x_lower: np.ndarray  # how far each DG's setpoint in the run's mode may
     x_upper: np.ndarray  # move down and up inside its capability range
     v_sens: np.ndarray  # node_ids x dg_ids voltage sensitivities
-    transformers: list[TransformerAngleRows]  # touching the community, over dg_ids
+    # One reverse-flow row per transformer touching the community,
+    # flow_rows . x <= flow_rhs: its "primary->secondary" label, the
+    # secondary-minus-primary angle sensitivities (transformers x dg_ids),
+    # and the primary-minus-secondary angle less the phase shift.
+    flow_labels: list[str]
+    flow_rows: np.ndarray
+    flow_rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        n, k = len(self.node_ids), len(self.dg_ids)
+        n, k, t = len(self.node_ids), len(self.dg_ids), len(self.flow_labels)
         if self.v_sens.shape != (n, k):
             raise ValueError(f"v_sens must be {n}x{k}, got {self.v_sens.shape}")
         if self.v0.shape != (n,) or self.x_lower.shape != (k,) or self.x_upper.shape != (k,):
             raise ValueError("v0/x_lower/x_upper shapes inconsistent with node/DG lists")
+        if self.flow_rows.shape != (t, k) or self.flow_rhs.shape != (t,):
+            raise ValueError(
+                f"flow_rows must be {t}x{k} and flow_rhs {t} long, got {self.flow_rows.shape} and {self.flow_rhs.shape}"
+            )
 
 
 @dataclass
@@ -171,7 +172,7 @@ def formulate_lp(view: CommunityView, direction: ControlDirection, v_min: float,
         raise ValueError("control LP needs at least one DG")
     k = len(view.dg_ids)
     n = len(view.node_ids)
-    t = len(view.transformers)
+    t = len(view.flow_labels)
     over = direction is ControlDirection.OVERVOLTAGE
     sign = -1.0 if over else 1.0  # the x_j side of the coupling rows
     dgs = np.arange(k)
@@ -184,8 +185,7 @@ def formulate_lp(view: CommunityView, direction: ControlDirection, v_min: float,
     a[r + dgs, dgs] = 1.0
     a[r + k + dgs, dgs] = -1.0
     r += 2 * k
-    for i, tr in enumerate(view.transformers):
-        a[r + i, :k] = tr.row
+    a[r : r + t, :k] = view.flow_rows
     r += t
     a[r + dgs, dgs] = sign  # over: y <= x_j; under: x_j <= y
     a[r : r + k, k] = -sign
@@ -196,13 +196,13 @@ def formulate_lp(view: CommunityView, direction: ControlDirection, v_min: float,
     b[n : 2 * n] = view.v0 - v_min
     b[2 * n : 2 * n + k] = view.x_upper
     b[2 * n + k : 2 * n + 2 * k] = -view.x_lower
-    b[2 * n + 2 * k : r] = [tr.rhs for tr in view.transformers]
+    b[2 * n + 2 * k : r] = view.flow_rhs
 
     labels: list[tuple] = [("v_upper", node) for node in view.node_ids]
     labels += [("v_lower", node) for node in view.node_ids]
     labels += [("surplus_upper", dg) for dg in view.dg_ids]
     labels += [("surplus_lower", dg) for dg in view.dg_ids]
-    labels += [("reverse_flow", tr.label) for tr in view.transformers]
+    labels += [("reverse_flow", label) for label in view.flow_labels]
     labels += [("maxmin", dg) for dg in view.dg_ids]
     labels.append(("objective_cap",))
 

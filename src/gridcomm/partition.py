@@ -61,6 +61,22 @@ class Partition:
     def members(self, community: int) -> list[int]:
         return sorted(k for k, c in self.community_of.items() if c == community)
 
+    def check_covers(self, bus_ids: Sequence[int]) -> None:
+        """Raise ValueError naming the first bus, id ascending, that this
+        partition leaves out, that bus_ids lacks, or that it puts outside
+        its communities 0 to n_communities - 1."""
+        ids = set(bus_ids)
+        for b in sorted(ids | self.community_of.keys()):
+            if b not in self.community_of:
+                raise ValueError(f"the partition puts bus {b} in no community")
+            if b not in ids:
+                raise ValueError(f"the partition names bus {b}, which the network does not have")
+            if self.community_of[b] not in range(self.n_communities):
+                raise ValueError(
+                    f"the partition puts bus {b} in community {self.community_of[b]}, "
+                    f"not one of its {self.n_communities}"
+                )
+
 
 @dataclass
 class MergeStep:

@@ -10,8 +10,11 @@ of locality.
 A CA decides from its `control.CommunityView` alone: its own non-slack buses
 and their voltages, its available DGs with their adjustment bounds, the
 voltage sensitivities between the two, and the reverse-flow rows of the
-transformers touching it. For one decision `_view` slices it over the
-reported buses' subset DGs alone, and the LP is formulated over that view.
+transformers touching it, all arrays sliced at once. For one decision
+`_view` slices it over the reported buses' subset DGs alone, and the LP is
+formulated over that view. `initialize` checks that the partition puts
+each bus of the network in one of its communities, and `run_scenario`
+holds a scenario built in code to the rules of a scenario file.
 Only `_view` (and `initialize`) read the network-wide flow and
 sensitivities. The view slices the online DGs' columns, solved once per
 operating point against the whole network's Jacobian, so how the rest of
@@ -46,6 +49,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
 
@@ -56,7 +60,6 @@ from .control import (
     CommunitySubsets,
     CommunityView,
     ControlDirection,
-    TransformerAngleRows,
     apply_adjustment,
     capability_range,
     derive_subsets,
@@ -157,31 +160,46 @@ def load_scenario(path: str | Path) -> Scenario:
     events_raw = raw.get("events", [])
     if not isinstance(events_raw, list):
         raise ScenarioError(f"{path}: 'events' must be a list")
-    events: list[Event] = []
-    for i, item in enumerate(events_raw):
-        where = f"{path}: events[{i}]"
-        ev = read_element(Event, item, where, ScenarioError)
-        if ev.at_tick < 0:
-            raise ScenarioError(f"{where} field 'at_tick' must be nonnegative, got {ev.at_tick}")
-        if ev.kind is EventKind.LOAD_CHANGE:
-            if ev.magnitude is None or not np.isfinite(ev.magnitude):
-                raise ScenarioError(f"{where} field 'magnitude' must be a finite number on load_change, got {ev.magnitude}")
-        elif ev.magnitude is not None:
-            raise ScenarioError(f"{where} field 'magnitude' is not taken by {ev.kind.value}")
-        events.append(ev)
+    events = [read_element(Event, item, f"{path}: events[{i}]", ScenarioError) for i, item in enumerate(events_raw)]
     duration = raw.get("duration")
     if duration is None:
         duration = max((e.at_tick for e in events), default=-1) + 2
-    elif read_value(int, duration, f"{path}: 'duration'", ScenarioError) < 1:
-        raise ScenarioError(f"{path}: 'duration' must be at least 1, got {duration}")
+    read_value(int, duration, f"{path}: 'duration'", ScenarioError)
+    _check_rules(events, duration, f"{path}: ")
     name = raw.get("name", path.stem)
     if not isinstance(name, str):
         raise ScenarioError(f"{path}: name must be a string")
     return Scenario(events=events, duration=duration, name=name)
 
 
+def _check_rules(events: Sequence[Event], duration: int, where: str) -> None:
+    """The rules of a scenario, read from a file or built in code: every
+    event of an EventKind at an integer tick from 0, with a finite magnitude
+    on a load change and none on any other event, and an integer duration
+    of at least 1. Raises ScenarioError naming the field after `where`."""
+    for i, ev in enumerate(events):
+        entry = f"{where}events[{i}] field"
+        if not isinstance(ev.kind, EventKind):
+            raise ScenarioError(f"{entry} 'kind' must be an EventKind, got {ev.kind!r}")
+        if not isinstance(ev.at_tick, Integral):
+            raise ScenarioError(f"{entry} 'at_tick' must be an integer, got {ev.at_tick!r}")
+        if ev.at_tick < 0:
+            raise ScenarioError(f"{entry} 'at_tick' must be nonnegative, got {ev.at_tick}")
+        if ev.kind is EventKind.LOAD_CHANGE:
+            if not isinstance(ev.magnitude, Real) or not np.isfinite(ev.magnitude):
+                raise ScenarioError(f"{entry} 'magnitude' must be a finite number on load_change, got {ev.magnitude}")
+        elif ev.magnitude is not None:
+            raise ScenarioError(f"{entry} 'magnitude' is not taken by {ev.kind.value}")
+    if not isinstance(duration, Integral):
+        raise ScenarioError(f"{where}'duration' must be an integer, got {duration!r}")
+    if duration < 1:
+        raise ScenarioError(f"{where}'duration' must be at least 1, got {duration}")
+
+
 def validate_scenario(scenario: Scenario, net: NetworkModel) -> None:
-    """Check every event's target against the network; raises ScenarioError."""
+    """Check a scenario against the rules `load_scenario` applies to a file
+    and every event's target against the network; raises ScenarioError."""
+    _check_rules(scenario.events, scenario.duration, "scenario ")
     bus_ids = {b.id for b in net.buses}
     dg_ids = {d.id for d in net.dgs}
     slack_id = net.slack_bus.id
@@ -271,7 +289,10 @@ def initialize(
 ) -> SimulationState:
     """Stand up agents, subsets and capability ranges on a private copy of
     net, starting from the flow sens was taken at (sens.pf). Raises
-    ValueError if that flow does not solve net as it is now."""
+    ValueError naming the bus if partition does not put each bus of net,
+    and no other, in one of its communities, and ValueError if that flow
+    does not solve net as it is now."""
+    partition.check_covers([b.id for b in net.buses])
     net = net.copy()
     if not sens.pf.solves(net):
         raise ValueError("the sensitivities' operating point does not solve this network")
@@ -310,24 +331,19 @@ def _view(state: SimulationState, community: int, dg_ids: Sequence[int] | None =
     sens, pf, mode, online = state.sens, state.pf, state.mode, state.cols
     cols = np.searchsorted(online.dg_ids, dg_ids)
 
-    def angle_row(bus_id: int) -> np.ndarray:
-        row = sens.row.get(bus_id)  # none for the slack, whose angle is fixed
-        return np.zeros(len(cols)) if row is None else online.angles[row, cols]
-
-    def angle(bus_id: int) -> float:
-        return float(pf.v_ang[pf.index_of[bus_id]])
-
+    touching = [
+        t for t in state.net.transformers
+        if community in (community_of[t.primary_bus], community_of[t.secondary_bus])
+    ]
+    ends = [t.secondary_bus for t in touching] + [t.primary_bus for t in touching]
+    # A slack end keeps a zero row: its angle is fixed.
+    rows = np.zeros((len(ends), len(cols)))
+    at = [i for i, b in enumerate(ends) if b in sens.row]
+    rows[at] = online.angles[np.ix_([sens.row[ends[i]] for i in at], cols)]
+    angle = pf.v_ang[[pf.index_of[b] for b in ends]]
+    half = len(touching)
     ranges = np.array([state.cap_range[d.id] for d in dgs]).reshape(-1, 2)
     now = np.array([setpoint(d, mode) for d in dgs])
-    transformers = [
-        TransformerAngleRows(
-            label=f"{t.primary_bus}->{t.secondary_bus}",
-            row=angle_row(t.secondary_bus) - angle_row(t.primary_bus),
-            rhs=angle(t.primary_bus) - angle(t.secondary_bus) - t.phase_shift,
-        )
-        for t in state.net.transformers
-        if community in (community_of.get(t.primary_bus), community_of.get(t.secondary_bus))
-    ]
     return CommunityView(
         node_ids=nodes,
         v0=pf.v_mag[[pf.index_of[b] for b in nodes]],
@@ -335,7 +351,9 @@ def _view(state: SimulationState, community: int, dg_ids: Sequence[int] | None =
         x_lower=ranges[:, 0] - now,
         x_upper=ranges[:, 1] - now,
         v_sens=online.matrix[np.ix_([sens.row[b] for b in nodes], cols)],
-        transformers=transformers,
+        flow_labels=[f"{t.primary_bus}->{t.secondary_bus}" for t in touching],
+        flow_rows=rows[:half] - rows[half:],
+        flow_rhs=(angle[half:] - angle[:half]) - [t.phase_shift for t in touching],
     )
 
 

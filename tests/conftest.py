@@ -633,10 +633,10 @@ def formulate_lp_by_rows(
         rows.append(e)
         rhs.append(-view.x_lower[j])
         labels.append(("surplus_lower", dg))
-    for t in view.transformers:
-        rows.append(np.append(t.row, 0.0))
-        rhs.append(t.rhs)
-        labels.append(("reverse_flow", t.label))
+    for label, row, b in zip(view.flow_labels, view.flow_rows, view.flow_rhs):
+        rows.append(np.append(row, 0.0))
+        rhs.append(b)
+        labels.append(("reverse_flow", label))
     for j, dg in enumerate(view.dg_ids):
         e = np.zeros(k + 1)
         if over:

@@ -8,7 +8,6 @@ from gridcomm.control import (
     V_LIMITS,
     CommunityView,
     ControlDirection,
-    TransformerAngleRows,
     apply_adjustment,
     capability_range,
     derive_subsets,
@@ -30,10 +29,12 @@ PF = 1e-12  # power-flow tolerance
 SENS_3X2 = np.array([[0.3, 0.1], [0.1, 0.3], [0.2, 0.2]])
 
 
-def control_problem(direction, transformers=(), **view):
-    """formulate_lp's arguments: the view of the given fields, the direction
-    and the default band."""
-    return CommunityView(transformers=list(transformers), **view), direction, *V_LIMITS
+def control_problem(direction, **view):
+    """formulate_lp's arguments: the view of the given fields, with no
+    reverse-flow rows unless given, the direction and the default band."""
+    k = len(view["dg_ids"])
+    view = {"flow_labels": [], "flow_rows": np.zeros((0, k)), "flow_rhs": np.zeros(0), **view}
+    return CommunityView(**view), direction, *V_LIMITS
 
 
 def one_dg_problem(v0, direction, qsur=1.0, sens=0.05):
@@ -175,9 +176,9 @@ def test_lp_undervoltage_flips_coupling():
 def test_lp_transformer_row_present():
     # secondary angle row 0.5 less primary 0.3; primary angle 0.01 less
     # secondary 0.002, no phase shift
-    t = TransformerAngleRows(label="t0", row=np.array([0.5 - 0.3]), rhs=0.01 - 0.002 - 0.0)
     view, *rest = one_dg_problem(1.06, ControlDirection.OVERVOLTAGE)
-    lp = formulate_lp(replace(view, transformers=[t]), *rest)
+    flow = dict(flow_labels=["t0"], flow_rows=np.array([[0.5 - 0.3]]), flow_rhs=np.array([0.01 - 0.002 - 0.0]))
+    lp = formulate_lp(replace(view, **flow), *rest)
     r = lp.row_labels.index(("reverse_flow", "t0"))
     np.testing.assert_allclose(lp.a_ub[r], [0.2, 0.0])
     assert lp.b_ub[r] == pytest.approx(0.008, abs=1e-15)
@@ -210,14 +211,10 @@ def test_lp_blocks_match_row_builder_byte_for_byte(seed, n_nodes, n_dgs, n_trans
         v_sens=floats(n_nodes, n_dgs),
         x_lower=-np.abs(floats(n_dgs)),
         x_upper=np.abs(floats(n_dgs)),
-        transformers=[
-            TransformerAngleRows(
-                label=f"{i}->{i + 1}",
-                row=floats(n_dgs),
-                rhs=float(rng.normal(scale=0.1)) - float(rng.normal(scale=0.1)) - float(rng.choice([0.0, 0.5236])),
-            )
-            for i in range(n_transformers)
-        ],
+        flow_labels=[f"{i}->{i + 1}" for i in range(n_transformers)],
+        flow_rows=floats(n_transformers, n_dgs),
+        flow_rhs=rng.normal(scale=0.1, size=n_transformers) - rng.normal(scale=0.1, size=n_transformers)
+        - rng.choice([0.0, 0.5236], size=n_transformers),
     )
     got, want = formulate_lp(*problem), formulate_lp_by_rows(*problem)
     assert got.a_ub.dtype == want.a_ub.dtype and got.a_ub.shape == want.a_ub.shape
@@ -239,6 +236,22 @@ def test_empty_dg_list_rejected():
     )
     with pytest.raises(ValueError):
         formulate_lp(*problem)
+
+
+@pytest.mark.parametrize(
+    "labels, rows, rhs",
+    [
+        ([], np.zeros((1, 1)), np.zeros(0)),  # a row without a label
+        (["t0"], np.zeros((1, 2)), np.zeros(1)),  # a row over two DGs of one
+        (["t0"], np.zeros(1), np.zeros(1)),  # a row not shaped (t, k)
+        (["t0"], np.zeros((1, 1)), np.zeros(2)),  # two right-hand sides of one row
+        (["t0", "t1"], np.zeros((2, 1)), np.zeros(1)),
+    ],
+)
+def test_view_with_mismatched_reverse_flow_arrays_rejected(labels, rows, rhs):
+    view, *_ = one_dg_problem(1.06, ControlDirection.OVERVOLTAGE)
+    with pytest.raises(ValueError, match="flow_rows must be"):
+        replace(view, flow_labels=labels, flow_rows=rows, flow_rhs=rhs)
 
 
 # ------------------------------------------------------- solving
@@ -391,13 +404,9 @@ def test_end_to_end_overvoltage_clears():
         v_sens=volt[[sens.row_of(2)]],
         x_lower=np.array([lo - 0.8]),
         x_upper=np.array([hi - 0.8]),
-        transformers=[
-            TransformerAngleRows(
-                label="t0",
-                row=angle[sens.row_of(2)] - angle[sens.row_of(1)],
-                rhs=float(sol.v_ang[1]) - float(sol.v_ang[2]) - tr.phase_shift,
-            )
-        ],
+        flow_labels=["t0"],
+        flow_rows=np.array([angle[sens.row_of(2)] - angle[sens.row_of(1)]]),
+        flow_rhs=np.array([float(sol.v_ang[1]) - float(sol.v_ang[2]) - tr.phase_shift]),
     )
     control = solve_lp(formulate_lp(*problem))
     assert control.feasible

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -144,6 +145,35 @@ def test_validate_scenario_names_unknown_ids():
         )
 
 
+@pytest.mark.parametrize(
+    "events, duration, named",
+    [
+        ([Event(1, EventKind.LOAD_CHANGE, 4)], 3, "events[0] field 'magnitude' must be a finite number"),
+        ([Event(1, EventKind.LOAD_CHANGE, 4, float("nan"))], 3, "events[0] field 'magnitude' must be a finite"),
+        ([Event(0, EventKind.DG_TRIP, 1), Event(-1, EventKind.DG_TRIP, 1)], 3, "events[1] field 'at_tick'"),
+        ([Event(1, EventKind.DG_TRIP, 1, 0.5)], 3, "events[0] field 'magnitude' is not taken by dg_trip"),
+        ([], 0, "'duration' must be at least 1, got 0"),
+        ([Event(1, EventKind.LOAD_CHANGE, 4, "0.5")], 3, "events[0] field 'magnitude' must be a finite number"),
+        ([Event(1.5, EventKind.DG_TRIP, 1)], 3, "events[0] field 'at_tick' must be an integer, got 1.5"),
+        ([], 2.5, "'duration' must be an integer, got 2.5"),
+        ([Event(1, "dg_trip", 1)], 3, "events[0] field 'kind' must be an EventKind, got 'dg_trip'"),
+    ],
+    ids=[
+        "load change without magnitude", "nan magnitude", "negative tick", "trip with magnitude", "no ticks",
+        "string magnitude", "fractional tick", "fractional duration", "string kind",
+    ],
+)
+def test_a_scenario_built_in_code_meets_the_file_rules(net6, events, duration, named):
+    # load_scenario's event and duration rules hold for a Scenario built in
+    # code too, named by field, before any tick runs.
+    part, sens = prepared(net6)
+    scenario = Scenario(events=events, duration=duration)
+    with pytest.raises(ScenarioError, match=re.escape(f"scenario {named}")):
+        validate_scenario(scenario, net6)
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        run_scenario(net6, scenario, part, sens)
+
+
 # ------------------------------------------------------------ initialization
 
 
@@ -208,6 +238,24 @@ def test_initialize_rejects_stale_sensitivities(net6):
     net6.buses[3].p_load += 0.05
     with pytest.raises(ValueError, match="does not solve"):
         initialize(net6, part, sens)
+
+
+@pytest.mark.parametrize(
+    "misplace, named",
+    [
+        (lambda c: c.pop(4), "puts bus 4 in no community"),
+        (lambda c: c.update({99: 0}), "names bus 99, which the network does not have"),
+        (lambda c: c.update({3: 5}), "puts bus 3 in community 5, not one of its 2"),
+    ],
+    ids=["missing bus", "unknown bus", "community out of range"],
+)
+def test_initialize_names_a_bus_the_partition_misplaces(net6, misplace, named):
+    part, sens = prepared(net6)
+    misplace(part.community_of)
+    with pytest.raises(ValueError, match=named):
+        initialize(net6, part, sens)
+    with pytest.raises(ValueError, match=named):
+        run_scenario(net6, Scenario(events=[Event(1, EventKind.LOAD_CHANGE, 4, 0.5)], duration=3), part, sens)
 
 
 def test_initialize_checks_the_flow_against_the_kept_ybus(monkeypatch):
@@ -280,11 +328,10 @@ def test_view_gives_a_slack_transformer_end_a_zero_angle_row():
     state = initialize(net, Partition({0: 0, 1: 0, 2: 0}, 1, 0.0), sens)
     view = simulation._view(state, 0)
     by_q = sens.columns(SensitivityMode.VQ, [1])
-    (t,) = view.transformers
-    assert t.label == "0->1"
+    assert view.flow_labels == ["0->1"]
     # secondary row less a zero primary row; zero primary angle less the secondary's
-    np.testing.assert_array_equal(t.row, by_q[sens.row_of(1)])
-    assert t.rhs == -float(state.pf.v_ang[state.pf.index_of[1]])
+    np.testing.assert_array_equal(view.flow_rows, [by_q[sens.row_of(1)]])
+    np.testing.assert_array_equal(view.flow_rhs, [-state.pf.v_ang[state.pf.index_of[1]]])
     np.testing.assert_array_equal(view.v_sens, by_q[2:])
 
 
@@ -615,11 +662,10 @@ def test_view_of_dg_ids_is_the_full_view_sliced(ticks, data):
             assert view.v_sens.tobytes() == full.v_sens[:, keep].tobytes()
             assert view.x_lower.tobytes() == full.x_lower[keep].tobytes()
             assert view.x_upper.tobytes() == full.x_upper[keep].tobytes()
-            assert len(view.transformers) == len(full.transformers)
-            for t, whole in zip(view.transformers, full.transformers):
-                assert t.label == whole.label
-                assert np.float64(t.rhs).tobytes() == np.float64(whole.rhs).tobytes()
-                assert t.row.tobytes() == whole.row[keep].tobytes()
+            assert view.flow_labels == full.flow_labels
+            assert view.flow_rhs.tobytes() == full.flow_rhs.tobytes()
+            assert view.flow_rows.shape == full.flow_rows[:, keep].shape
+            assert view.flow_rows.tobytes() == full.flow_rows[:, keep].tobytes()
 
 
 # ------------------------------------------------------------ scenario runs
