@@ -116,12 +116,14 @@ import numpy as np
 from .network import NetworkModel, adjacency, levels
 
 
-class SingularJacobianError(RuntimeError):
-    """The power-flow Jacobian is singular at the current operating point."""
-
-
 class PowerFlowError(RuntimeError):
-    """A power flow needed by a downstream step failed to converge."""
+    """A flow stopped unconverged (the message quotes its ``stop_text``), or
+    its Jacobian is singular at the solved point."""
+
+
+class SingularJacobianError(PowerFlowError):
+    """The Jacobian is singular at a converged point; a solve meeting a
+    singular block stops (StopReason.SINGULAR) instead."""
 
 
 class StopReason(str, Enum):
@@ -305,12 +307,12 @@ class PowerFlowSolution:
         return self.warm_factor
 
     def solves(self, net: NetworkModel) -> bool:
-        """Whether these voltages solve net's current injections within the
-        solution's own tolerance (the test Newton stops on)."""
-        if self.bus_ids != [b.id for b in net.buses]:
+        """Whether net has this flow's grid (``GridStructure.fits``) and these
+        voltages solve its injections within the flow's own tolerance."""
+        grid = self.grid
+        if not grid.fits(net):
             return False
-        ybus = self.grid.ybus if self.grid.fits(net) else build_ybus(net, self.index_of)
-        mis = _mismatch(ybus, _injections(net, self.index_of), self.v_mag, self.v_ang, self.grid.non_slack_pos)
+        mis = _mismatch(grid.ybus, _injections(net, grid.index_of), self.v_mag, self.v_ang, grid.non_slack_pos)
         return bool(np.max(np.abs(mis), initial=0.0) <= self.tolerance)
 
 
@@ -551,11 +553,10 @@ def solve_power_flow(
     (module docstring). Any other solve is the flat-start solve, bit for
     bit as without previous.
 
-    Non-convergence within MAX_ITER steps (or a collapsing or non-finite
-    iterate) returns a solution flagged converged=False, with the reason
-    in stopped. A singular Jacobian, or a singular diagonal block of its
-    factor, at the starting point raises SingularJacobianError; one
-    appearing mid-run after wild steps stops the solve unconverged.
+    A solve never raises for its operating point. Non-convergence within
+    MAX_ITER steps, a collapsing or non-finite iterate, or a singular
+    Jacobian block at any step, the first included, returns a solution
+    flagged converged=False, with the reason in stopped.
     """
     if previous is not None and previous.grid.fits(net):
         grid = previous.grid
@@ -586,9 +587,7 @@ def solve_power_flow(
                 factor = grid.factor(v, th)
                 factorizations += 1
             dx = factor.solve(mis)
-        except np.linalg.LinAlgError as exc:
-            if it == 0:
-                raise SingularJacobianError(str(exc)) from exc
+        except np.linalg.LinAlgError:
             stopped = StopReason.SINGULAR
             break
         last_peak = peak

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .network import DG, NetworkModel
-from .powerflow import PowerFlowSolution, SingularJacobianError
+from .powerflow import PowerFlowError, PowerFlowSolution, SingularJacobianError
 from .powerflow import build_ybus  # noqa: F401  unused; bench/spans.py TARGETS looks it up here
 
 
@@ -52,10 +52,11 @@ class SensitivityMatrix:
     def columns(self, mode: SensitivityMode, bus_ids: list[int], voltage_only: bool = False) -> np.ndarray:
         """Responses to a unit injection of the mode's kind (P or Q) at each
         bus, one column per bus: angle rows, then voltage rows, or the
-        voltage rows alone. Raises SingularJacobianError if the Jacobian, or
-        a diagonal block of its factor, is singular."""
+        voltage rows alone. mode is a SensitivityMode or its value; any
+        other raises ValueError. Raises SingularJacobianError if the
+        Jacobian, or a diagonal block of its factor, is singular."""
         n1 = len(self.bus_ids)
-        offset = n1 if mode is SensitivityMode.VQ else 0
+        offset = n1 if SensitivityMode(mode) is SensitivityMode.VQ else 0
         units = np.array([offset + self.row_of(b) for b in bus_ids], dtype=int)
         try:
             return self.pf.factor.solve_units(units, np.arange(n1 if voltage_only else 0, 2 * n1))
@@ -81,11 +82,11 @@ def compute_sensitivity_matrix(net: NetworkModel, sol: PowerFlowSolution) -> Sen
     """Name the non-slack rows of sol, a converged flow of net, whose
     Jacobian ``columns`` solves.
 
-    Raises ValueError if sol is unconverged or was solved on other buses
-    than net's.
+    Raises PowerFlowError, quoting sol's ``stop_text``, if sol is
+    unconverged, and ValueError if it was solved on other buses than net's.
     """
     if not sol.converged:
-        raise ValueError("sensitivity requires a converged power flow")
+        raise PowerFlowError(f"power flow did not converge: {sol.stop_text()}")
     if sol.bus_ids != [b.id for b in net.buses]:
         raise ValueError("the power flow was solved on other buses than this network's")
     non_slack = sol.non_slack

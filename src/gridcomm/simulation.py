@@ -71,7 +71,7 @@ from .control import (
 from .network import DG, NetworkModel
 from .network_io import joined, load_json, read_element, read_value, write_table
 from .partition import Partition, build_dg_adjacency
-from .powerflow import PowerFlowSolution, solve_power_flow
+from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
 from .sensitivity import DGColumns, SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix, dg_columns_at
 
 HEADROOM_TOL = 1e-9
@@ -230,7 +230,7 @@ class ControlRecord:
     nodes: list[int]
 
 
-class SimulationDiverged(RuntimeError):
+class SimulationDiverged(PowerFlowError):
     """The nonlinear flow stopped converging mid-run; state is attached."""
 
     def __init__(self, message: str, state: "SimulationState"):
@@ -288,10 +288,16 @@ def initialize(
     v_limits: tuple[float, float] = V_LIMITS,
 ) -> SimulationState:
     """Stand up agents, subsets and capability ranges on a private copy of
-    net, starting from the flow sens was taken at (sens.pf). Raises
-    ValueError naming the bus if partition does not put each bus of net,
-    and no other, in one of its communities, and ValueError if that flow
-    does not solve net as it is now."""
+    net, starting from the flow sens was taken at (sens.pf). mode is a
+    SensitivityMode or its value. Raises ValueError for any other mode, for
+    v_limits that are not two finite numbers with v_min < v_max, naming
+    the bus if partition does not put each bus of net, and no other, in
+    one of its communities, and if that flow does not solve net as it is
+    now."""
+    mode = SensitivityMode(mode)
+    v_min, v_max = v_limits
+    if not (np.isfinite(v_min) and np.isfinite(v_max) and v_min < v_max):
+        raise ValueError(f"v_limits must be finite with v_min < v_max, got {v_limits}")
     partition.check_covers([b.id for b in net.buses])
     net = net.copy()
     if not sens.pf.solves(net):

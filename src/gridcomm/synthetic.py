@@ -20,7 +20,7 @@ PRIMARY_KV = 13.8
 SECONDARY_KV = 0.48
 
 
-class SynthesisError(RuntimeError):
+class SynthesisError(ValueError):
     """Generated network failed validation; indicates a generator bug."""
 
 

@@ -202,6 +202,28 @@ def singular_kept_factors(monkeypatch) -> None:
     monkeypatch.setattr(PowerFlowSolution, "factor", property(zero))
 
 
+def zero_first_block_from(monkeypatch, first_call: int):
+    """From the given _jacobian_values call on (0 = the flat start), Newton
+    sees synth153's Jacobian with its first diagonal block zeroed."""
+    net = synth153()
+    grid = solve_power_flow(net).grid
+    first = np.zeros(len(grid.non_slack_pos), dtype=bool)
+    first[grid.blocks[0] % len(first)] = True  # the buses of its P and Q rows
+    r, c = grid.pattern
+    in_block = np.tile(first[r] & first[c], 4)  # in each of the four quadrants
+    real, calls = powerflow._jacobian_values, []
+
+    def values(*args):
+        vals = real(*args)
+        if len(calls) >= first_call:
+            vals[in_block] = 0.0
+        calls.append(1)
+        return vals
+
+    monkeypatch.setattr(powerflow, "_jacobian_values", values)
+    return net
+
+
 def record_factorizations(monkeypatch) -> list[bytes]:
     """Record the operating point (v_mag and v_ang bytes) of every
     GridStructure.jacobian_blocks call: every Jacobian factorization, in

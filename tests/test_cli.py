@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 from gridcomm import cli, simulation
 from gridcomm.cli import main
-from gridcomm.network_io import save_network
-from gridcomm.powerflow import solve_power_flow
-from gridcomm.simulation import EventKind
+from gridcomm.network_io import NetworkFormatError, NetworkValidationError, save_network
+from gridcomm.powerflow import PowerFlowError, SingularJacobianError, solve_power_flow
+from gridcomm.simulation import EventKind, ScenarioError, SimulationDiverged
+from gridcomm.synthetic import SynthesisError
 
 from conftest import (
     FIXTURES,
@@ -34,6 +35,7 @@ from conftest import (
     two_bus,
     v_of,
     write_scenario,
+    zero_first_block_from,
 )
 
 NET6 = FIXTURES / "net6.json"
@@ -476,6 +478,43 @@ def test_singular_jacobian_exits_3(tmp_path, capsys, monkeypatch, command):
         assert stdout == ""
         assert stderr.startswith("error:")
         assert "Jacobian is singular" in stderr
+
+
+def test_singular_start_exits_3_saying_why(tmp_path, capsys, monkeypatch):
+    # A singular block at the flat start stops the flow like any other
+    # stop, and the message says so.
+    zero_first_block_from(monkeypatch, 0)  # on synth153, the network SYNTH153 makes
+    code, stdout, stderr = run_cli(capsys, "partition", "--synth", SYNTH153, "--out", str(tmp_path / "p"))
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith(
+        "error: power flow did not converge: singular Jacobian block (0 steps, 0 factorizations, max mismatch"
+    )
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (NetworkFormatError("bad file"), 2),
+        (NetworkValidationError("bad network"), 2),
+        (ScenarioError("bad scenario"), 2),
+        (SynthesisError("bad synthesis"), 2),
+        (ValueError("bad value"), 2),
+        (IsADirectoryError("a directory"), 2),
+        (PowerFlowError("no flow"), 3),
+        (SingularJacobianError("singular"), 3),
+        (SimulationDiverged("diverged", state=None), 3),
+    ],
+    ids=lambda e: type(e).__name__ if isinstance(e, Exception) else str(e),
+)
+def test_main_maps_each_error_by_its_base(capsys, monkeypatch, error, code):
+    # Exit 2 is ValueError or OSError, exit 3 PowerFlowError: no other class.
+    assert isinstance(error, (ValueError, OSError) if code == 2 else PowerFlowError)
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_network", fail)
+    assert run_cli(capsys, "partition", "--synth", SYNTH30) == (code, "", f"error: {error}\n")
 
 
 # ---------------------------------------------------------------------------

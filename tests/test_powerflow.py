@@ -20,7 +20,6 @@ from gridcomm.network import (
 )
 from gridcomm.powerflow import (
     GridStructure,
-    SingularJacobianError,
     StopReason,
     _injections,
     _mismatch,
@@ -48,6 +47,7 @@ from conftest import (
     two_bus,
     v_of,
     ybus_pattern,
+    zero_first_block_from,
 )
 
 
@@ -244,32 +244,13 @@ def test_solution_accessors():
         sens.row_of(0)  # the slack has no sensitivity row
 
 
-def zero_first_block_from(monkeypatch, first_call: int):
-    """From the given _jacobian_values call on (0 = the flat start), Newton
-    sees synth153's Jacobian with its first diagonal block zeroed."""
-    net = synth153()
-    grid = solve_power_flow(net).grid
-    first = np.zeros(len(grid.non_slack_pos), dtype=bool)
-    first[grid.blocks[0] % len(first)] = True  # the buses of its P and Q rows
-    r, c = grid.pattern
-    in_block = np.tile(first[r] & first[c], 4)  # in each of the four quadrants
-    real, calls = powerflow._jacobian_values, []
-
-    def values(*args):
-        vals = real(*args)
-        if len(calls) >= first_call:
-            vals[in_block] = 0.0
-        calls.append(1)
-        return vals
-
-    monkeypatch.setattr(powerflow, "_jacobian_values", values)
-    return net
-
-
-def test_singular_block_at_the_start_raises(monkeypatch):
+def test_singular_block_at_the_start_stops_the_solve(monkeypatch):
+    # The same stop as a singular block mid-run, before any step.
     net = zero_first_block_from(monkeypatch, 0)
-    with pytest.raises(SingularJacobianError):
-        solve_power_flow(net)
+    sol = solve_power_flow(net)
+    assert not sol.converged
+    assert sol.stopped is StopReason.SINGULAR
+    assert (sol.iterations, sol.factorizations) == (0, 0)
 
 
 def test_singular_block_mid_run_ends_unconverged(monkeypatch):
@@ -318,11 +299,15 @@ def test_collapse_reports_the_mismatch_of_the_returned_point():
 
 def test_bus_the_slack_does_not_reach_makes_the_jacobian_singular():
     # An isolated bus has a zero Jacobian row; it must land in a block and
-    # raise, not be left out of the factor.
+    # stop the solve singular, not be left out of the factor.
     net = synth153()
     net.buses.append(Bus(999, BusKind.PQ, 0.48))
-    with pytest.raises(SingularJacobianError):
-        solve_power_flow(net)
+    sol = solve_power_flow(net)
+    n1 = len(sol.grid.non_slack_pos)
+    assert len(sol.grid.blocks) == 3
+    np.testing.assert_array_equal(np.sort(np.concatenate(sol.grid.blocks)), np.arange(2 * n1))
+    assert sol.stopped is StopReason.SINGULAR
+    assert sol.iterations == 0
 
 
 # ---------------------------------------------------------------------------

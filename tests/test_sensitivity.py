@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gridcomm.network import DG
 from gridcomm.network_io import load_network
 from gridcomm.powerflow import (
+    PowerFlowError,
     SingularJacobianError,
     _injections,
     _mismatch,
@@ -126,7 +127,7 @@ def test_unconverged_solution_rejected():
     net = two_bus(p=100.0, q=50.0)
     sol = solve_power_flow(net)
     assert not sol.converged
-    with pytest.raises(ValueError):
+    with pytest.raises(PowerFlowError, match="power flow did not converge: voltage collapse"):
         compute_sensitivity_matrix(net, sol)
 
 

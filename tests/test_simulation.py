@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gridcomm import simulation
 from gridcomm.network import DG, Branch, Bus, BusKind, NetworkModel, Transformer
-from gridcomm.partition import Partition
+from gridcomm.partition import Partition, partition_network
 from gridcomm.powerflow import solve_power_flow
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix, dg_columns
 from gridcomm.simulation import (
@@ -258,9 +258,55 @@ def test_initialize_names_a_bus_the_partition_misplaces(net6, misplace, named):
         run_scenario(net6, Scenario(events=[Event(1, EventKind.LOAD_CHANGE, 4, 0.5)], duration=3), part, sens)
 
 
+LOAD_STEP_AT_4 = Scenario(events=[Event(1, EventKind.LOAD_CHANGE, 4, 0.5)], duration=3)
+
+
+def test_mode_given_as_its_string_runs_that_mode(net6):
+    part, sens = prepared(net6)
+    for mode in SensitivityMode:
+        np.testing.assert_array_equal(sens.voltage_block(mode.value), sens.voltage_block(mode))
+        string_part, _ = partition_network(net6, sens, mode.value)
+        assert string_part.community_of == partition_network(net6, sens, mode)[0].community_of
+        by_string = run_scenario(net6, LOAD_STEP_AT_4, part, sens, mode=mode.value)
+        by_enum = run_scenario(net6, LOAD_STEP_AT_4, part, sens, mode=mode)
+        assert by_string.summary() == by_enum.summary()
+        assert (by_string.controls, by_string.messages) == (by_enum.controls, by_enum.messages)
+        assert by_string.final_state.mode is mode
+    # vq resolves both episodes; vp refuses the undervoltage without an LP.
+    vq, vp = (run_scenario(net6, LOAD_STEP_AT_4, part, sens, mode=m) for m in ("vq", "vp"))
+    assert "resolved:2 unresolved:0 actions:2" in vq.summary()
+    assert [(r.direction, r.feasible) for r in vp.controls] == [("undervoltage", False)] * 2
+    assert [m.payload["reason"] for m in vp.messages if m.kind is MessageKind.INFEASIBLE_NOTICE] == [
+        "active-power control is implemented for overvoltage curtailment only"
+    ] * 2
+
+
+def test_an_unknown_mode_is_named(net6):
+    part, sens = prepared(net6)
+    with pytest.raises(ValueError, match="'banana'"):
+        sens.voltage_block("banana")
+    with pytest.raises(ValueError, match="'banana'"):
+        initialize(net6, part, sens, mode="banana")
+    with pytest.raises(ValueError, match="'banana'"):
+        run_scenario(net6, LOAD_STEP_AT_4, part, sens, mode="banana")
+
+
+@pytest.mark.parametrize(
+    "v_limits",
+    [(1.05, 0.95), (0.95, 0.95), (float("nan"), 1.05), (0.95, float("inf"))],
+    ids=["inverted", "empty", "nan", "infinite"],
+)
+def test_initialize_checks_the_voltage_band(net6, v_limits):
+    part, sens = prepared(net6)
+    with pytest.raises(ValueError, match="v_limits"):
+        initialize(net6, part, sens, v_limits=v_limits)
+    with pytest.raises(ValueError, match="v_limits"):
+        run_scenario(net6, Scenario(events=[], duration=3), part, sens, v_limits=v_limits)
+
+
 def test_initialize_checks_the_flow_against_the_kept_ybus(monkeypatch):
-    # On the network the flow was solved on, the check uses the flow's own
-    # Y-bus; a changed branch builds a fresh one and is still rejected.
+    # The check uses the flow's own Y-bus: a changed branch does not fit the
+    # flow's grid and is rejected with no Y-bus built.
     net = synth30()
     part, sens = prepared(net)
     calls = count_ybus_builds(monkeypatch)
@@ -269,7 +315,7 @@ def test_initialize_checks_the_flow_against_the_kept_ybus(monkeypatch):
     net.branches[3].r *= 1.1
     with pytest.raises(ValueError, match="does not solve"):
         initialize(net, part, sens)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_state_keeps_the_online_dg_columns_of_each_operating_point():
