@@ -39,14 +39,35 @@ D_k, below them L_k, above them U_k. It is eliminated in block-Thomas form
 
     D'_1 = D_1,   X_k = D'_k^-1 U_k,   D'_(k+1) = D_(k+1) - L_(k+1) X_k.
 
-The factor (``BlockLU``) keeps each D'_k^-1, from one ``np.linalg.inv`` per
-block, with the L_k and the X_k. A right-hand side b is then solved by
-matrix products only: z_1 = D'_1^-1 b_1, z_(k+1) = D'_(k+1)^-1 (b_(k+1) -
-L_(k+1) z_k), and the back sweep x_K = z_K, x_k = z_k - X_k x_(k+1). The
-inverses cost more to form than per-block LU factors (2.6 against 1.7 ms
-at 238 buses, one BLAS thread), and a solve against them far less (one
-vector 0.05 against 0.49 ms, 24 columns 0.23 against 0.88 ms), so they
-pay wherever a factor is solved more than once.
+The factor (``BlockLU``) keeps each D'_k^-1 with the L_k and the X_k. A
+right-hand side b is then solved by matrix products only: z_1 = D'_1^-1
+b_1, z_(k+1) = D'_(k+1)^-1 (b_(k+1) - L_(k+1) z_k), and the back sweep
+x_K = z_K, x_k = z_k - X_k x_(k+1). At 238 buses, one BLAS thread, the
+inverses cost about as much to form as per-block LU factors (0.9-1.1 ms
+against 1.0-1.1 ms for scipy's lu_factor and lu_solve), and a solve
+against them far less (one vector 0.03 against 0.09 ms, 24 columns 0.13
+against 0.40 ms), so they pay wherever a factor is solved more than
+once.
+
+Each D'_k^-1 is block elimination once more, one level down
+(``_inverse``): split between the first and the second half of its
+block's buses as [[A, B], [C, D]], it is assembled from A^-1 and the
+inverse of the Schur complement S = D - C A^-1 B by the Banachiewicz
+formula,
+
+    [A^-1 + A^-1 B S^-1 C A^-1    -A^-1 B S^-1]
+    [-S^-1 C A^-1                  S^-1       ],
+
+without pivoting between the halves (on its stability, Demmel, Higham &
+Schreiber, Numer. Linear Algebra Appl. 2(2), 1995). At these sizes (74 to
+138 rows) ``np.linalg.inv`` runs at a fraction of a matrix product's
+rate, so two half-size inverses and six products take about 60% of the
+time of one ``np.linalg.inv`` of the block (0.72-0.79 against 1.22-1.29
+ms over the 238-bus ladder's five blocks). The halves run between buses,
+each bus's P and Q rows on one side, not between the P and the Q rows:
+with every lattice branch at x = 0, which is a valid network, dP/dtheta
+is zero on the lattice buses at the flat start, so a P/Q half is
+singular where the block is not.
 
 Newton's method with a frozen Jacobian, the chord or Shamanskii method
 (Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003; for
@@ -407,7 +428,9 @@ def _blocks(net: NetworkModel, slack_id: int, bus_ids: list[int], ns: np.ndarray
     (the network's ``adjacency``), consecutive levels merged until a block
     has BLOCK_ROWS rows, a short last group joining the block before it. A
     bus the slack does not reach (an invalid network) forms a level after
-    the last."""
+    the last. Of several blocks, each lists the P then the Q rows of the
+    first half of its sorted buses, then those of the second half: the two
+    halves ``_inverse`` splits it into."""
     if len(ns) < BLOCK_ROWS:  # too few rows for two blocks
         return [np.arange(2 * len(ns))]
     level_of = levels(adjacency(net), slack_id)
@@ -419,7 +442,8 @@ def _blocks(net: NetworkModel, slack_id: int, bus_ids: list[int], ns: np.ndarray
             cuts.append(end)
             start = end
     groups = np.split(np.argsort(level, kind="stable"), cuts[:-1])  # the last takes any short rest
-    return [np.concatenate([g, g + len(ns)]) for g in map(np.sort, groups)]
+    halves = (np.split(g, [len(g) // 2]) for g in map(np.sort, groups))
+    return [np.concatenate([g1, g1 + len(ns), g2, g2 + len(ns)]) for g1, g2 in halves]
 
 
 def _layout(blocks: list[np.ndarray], pattern: tuple, n1: int) -> tuple[np.ndarray, tuple, int]:
@@ -461,13 +485,32 @@ def _back_sweep(blocks: list[np.ndarray], xs: list, zs: list, shape: tuple) -> n
     return out
 
 
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """The inverse of m by the Banachiewicz formula (module docstring), from
+    A^-1, A the leading h = 2 * (len(m) // 4) rows and columns (the P and Q
+    rows of the first half of a block's buses, ``_blocks``), and S^-1, S
+    = D - C A^-1 B; LinAlgError if A or S is singular."""
+    h = 2 * (len(m) // 4)
+    a_inv = np.linalg.inv(m[:h, :h])
+    a_inv_b = a_inv @ m[:h, h:]
+    c_a_inv = m[h:, :h] @ a_inv
+    s_inv = np.linalg.inv(m[h:, h:] - m[h:, :h] @ a_inv_b)
+    out = np.empty_like(m)
+    out[:h, h:] = -a_inv_b @ s_inv
+    out[h:, :h] = -s_inv @ c_a_inv
+    out[:h, :h] = a_inv - out[:h, h:] @ c_a_inv
+    out[h:, h:] = s_inv
+    return out
+
+
 class BlockLU:
     """Block-Thomas factor of a block-tridiagonal matrix (module docstring)
     over diagonal blocks d (D_k), the blocks below them l (L_k, k >= 2) and
     above them u (U_k, k < last), blocks the matrix rows of each. It keeps
-    the inverses D'_k^-1 (inv), the L_k (l) and the X_k (x), compact numpy
-    arrays, never views of the blocks given, so a solve is matrix products
-    only; LinAlgError here if a D'_k is singular. One block keeps the
+    the inverses D'_k^-1 (inv, each by ``_inverse``), the L_k (l) and the
+    X_k (x), compact numpy arrays, never views of the blocks given, so a
+    solve is matrix products only; LinAlgError here if a D'_k, or a half
+    ``_inverse`` inverts, is singular. One block keeps the
     matrix itself (dense) and solves it by np.linalg.solve, which raises
     LinAlgError at the solve if it is singular.
     """
@@ -479,10 +522,10 @@ class BlockLU:
         if len(blocks) == 1:
             self.dense = d[0].copy()
             return
-        self.inv.append(np.linalg.inv(d[0]))
+        self.inv.append(_inverse(d[0]))
         for dk, lk, uk in zip(d[1:], l, u):
             self.x.append(self.inv[-1] @ uk)
-            self.inv.append(np.linalg.inv(dk - lk @ self.x[-1]))
+            self.inv.append(_inverse(dk - lk @ self.x[-1]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with matrix @ x = b, for a vector or a matrix of columns b."""

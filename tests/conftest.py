@@ -144,7 +144,9 @@ def frontier_blocks(ybus: np.ndarray, slack_index: int, ns: np.ndarray) -> list[
     """The Jacobian rows of each diagonal block, from frontier_levels over
     the dense Y-bus: consecutive levels merged until a block has BLOCK_ROWS
     rows, a short last group joining the block before it, unreached buses
-    a level after the last."""
+    a level after the last. Of several blocks, each lists the P then the Q
+    rows of the first half of its sorted buses, then those of the second
+    half."""
     if len(ns) < powerflow.BLOCK_ROWS:
         return [np.arange(2 * len(ns))]
     level = frontier_levels(ybus, slack_index)
@@ -156,7 +158,11 @@ def frontier_blocks(ybus: np.ndarray, slack_index: int, ns: np.ndarray) -> list[
             cuts.append(end)
             start = end
     groups = np.split(np.argsort(level, kind="stable"), cuts[:-1])
-    return [np.concatenate([g, g + len(ns)]) for g in map(np.sort, groups)]
+    blocks = []
+    for g in map(np.sort, groups):
+        first, second = g[: len(g) // 2], g[len(g) // 2 :]
+        blocks.append(np.concatenate([first, first + len(ns), second, second + len(ns)]))
+    return blocks
 
 
 def jacobian_at(sol: PowerFlowSolution) -> np.ndarray:

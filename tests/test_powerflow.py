@@ -27,7 +27,7 @@ from gridcomm.powerflow import (
     solve_power_flow,
 )
 from gridcomm.sensitivity import SensitivityMode, compute_sensitivity_matrix
-from gridcomm.synthetic import SynthSpec, generate_synthetic_network
+from gridcomm.synthetic import SECONDARY_KV, SynthSpec, generate_synthetic_network
 
 from conftest import (
     dense_jacobian,
@@ -476,6 +476,56 @@ def test_singular_diagonal_block_raises_when_the_factor_is_built(make):
     n = sum(len(b) for b in blocks)
     with pytest.raises(np.linalg.LinAlgError):
         sliced_block_lu(np.zeros((n, n)), blocks)
+
+
+def test_each_block_is_inverted_by_halves_of_its_buses():
+    # A block lists the P then Q rows of the first half of its buses, then
+    # those of the second, and its inverse is formed from the inverses of
+    # those two halves: each D'_k^-1 against np.linalg.inv of D'_k. The
+    # first two of ladder238's blocks hold 43 and 39 buses, so a half is
+    # one bus short of the other.
+    sol = solve_power_flow(ladder238(), tolerance=1e-10)
+    grid, factor = sol.grid, sol.factor
+    n1 = len(grid.non_slack_pos)
+    assert [len(b) // 2 for b in grid.blocks] == [43, 39, 47, 44, 64]
+    d, l, _ = grid.jacobian_blocks(sol.v_mag, sol.v_ang)
+    for k, rows in enumerate(grid.blocks):
+        h = 2 * (len(rows) // 4)
+        for half in (rows[:h], rows[h:]):
+            p, q = np.split(half, 2)
+            assert np.all(p < n1) and same(q - n1, p)  # one bus set's P rows, then its Q rows
+        assert set(rows[:h] % n1).isdisjoint(rows[h:] % n1)
+        d_prime = d[k] - l[k - 1] @ factor.x[k - 1] if k else d[k]
+        oracle = np.linalg.inv(d_prime)
+        assert np.max(np.abs(factor.inv[k] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def lattice_at_x0(make):
+    """make()'s network with every lattice branch (both ends secondary)
+    at x = 0, which validate_network accepts."""
+    net = make()
+    kv = {b.id: b.base_kv for b in net.buses}
+    for br in net.branches:
+        if kv[br.from_bus] == kv[br.to_bus] == SECONDARY_KV:
+            br.x = 0.0
+    assert validate_network(net) == []
+    return net
+
+
+@pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
+def test_a_lattice_of_resistive_branches_converges(make):
+    # With every lattice branch at x = 0, dP/dtheta is zero on the lattice
+    # buses at the flat start: a block split between its P and Q rows would
+    # meet a singular half there. Split between buses, each bus's P and Q
+    # rows on one side, the solve converges, and its kept factor solves
+    # like np.linalg.solve of the dense Jacobian.
+    sol = solve_power_flow(lattice_at_x0(make), tolerance=1e-10)
+    assert sol.converged and len(sol.grid.blocks) >= 3
+    jac = jacobian_at(sol)
+    rhs = np.random.default_rng(0).standard_normal((len(jac), 24))
+    for b in (rhs[:, 0], rhs):
+        oracle = np.linalg.solve(jac, b)
+        assert np.max(np.abs(sol.factor.solve(b) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])

@@ -32,6 +32,7 @@ from gridcomm.simulation import (
 
 from conftest import (
     count_ybus_builds,
+    jacobian_at,
     null_trip30,
     overvoltage30,
     prepared,
@@ -143,6 +144,15 @@ def test_validate_scenario_names_unknown_ids():
         validate_scenario(
             Scenario(events=[Event(9, EventKind.DG_TRIP, 21)], duration=2), net
         )
+
+
+def test_an_event_at_the_last_tick_plus_one_is_refused():
+    # Ticks run from 0 to duration - 1, so an event at tick == duration
+    # never fires; one at duration - 1 does.
+    net = synth30()
+    validate_scenario(Scenario(events=[Event(1, EventKind.DG_TRIP, 21)], duration=2), net)
+    with pytest.raises(ScenarioError, match=re.escape("event dg_trip at tick 2 never fires (duration 2)")):
+        validate_scenario(Scenario(events=[Event(2, EventKind.DG_TRIP, 21)], duration=2), net)
 
 
 @pytest.mark.parametrize(
@@ -381,6 +391,46 @@ def test_view_gives_a_slack_transformer_end_a_zero_angle_row():
     np.testing.assert_array_equal(view.v_sens, by_q[2:])
 
 
+def tapped153():
+    """synth153 with every transformer's tap off 1 and every other one
+    phase-shifted."""
+    net = synth153()
+    for k, tr in enumerate(net.transformers):
+        tr.tap, tr.phase_shift = (0.975, 1.025)[k % 2], (0.0, 0.03, 0.0, -0.05)[k % 4]
+    return net
+
+
+def test_view_reverse_flow_rows_on_a_phase_shifted_network_of_several_blocks():
+    # One row per transformer touching the community: the secondary's less
+    # the primary's angle response to the view's DGs, against the dense
+    # inverse Jacobian, and the right-hand side (theta_p - theta_s) - phi,
+    # computed here by hand, phi the phase shift.
+    net = tapped153()
+    part, sens = prepared(net)
+    state = initialize(net, part, sens)
+    pf = state.pf
+    assert len(pf.grid.blocks) >= 3
+    inverse = np.linalg.inv(jacobian_at(pf))
+    n1 = len(sens.bus_ids)
+    by_ends = {(t.primary_bus, t.secondary_bus): t for t in state.net.transformers}
+    shifted = []
+    for c in range(part.n_communities):
+        view = simulation._view(state, c)
+        q_cols = [n1 + sens.row[state.dgs[g].bus] for g in view.dg_ids]
+
+        def angle_row(bus):
+            return inverse[sens.row[bus], q_cols] if bus in sens.row else np.zeros(len(q_cols))
+
+        for label, row, rhs in zip(view.flow_labels, view.flow_rows, view.flow_rhs):
+            p, s = map(int, label.split("->"))
+            phi = by_ends[p, s].phase_shift
+            assert rhs == (pf.v_ang[pf.index_of[p]] - pf.v_ang[pf.index_of[s]]) - phi
+            expected = angle_row(s) - angle_row(p)
+            assert np.max(np.abs(row - expected), initial=0.0) <= 1e-12 * np.max(np.abs(inverse[:n1]))
+            shifted.append(phi != 0)
+    assert any(shifted) and not all(shifted)
+
+
 # ------------------------------------------------------------ stepping
 
 
@@ -593,6 +643,22 @@ def test_comm_loss_regroups_like_trip_but_keeps_output():
     step(lost, [Event(1, EventKind.COMM_RESTORE, 21)])
     assert lost.subsets[3].generation == 2
     assert [s.anchor_dg for s in lost.subsets[3].subsets] == [20, 21, 25]
+
+
+def test_restore_brings_back_the_dgs_its_community_excluded():
+    # A DG event in a community clears the DGs its CA excluded as exhausted:
+    # with 21 tripped and 20 excluded, restoring 21 regroups community 3
+    # around all three of its DGs again.
+    net = null_trip30()
+    part, sens = prepared(net)
+    state = initialize(net, part, sens)
+    step(state, [Event(0, EventKind.DG_TRIP, 21)])
+    state.excluded[3] = {20}  # as an exhausted_dg refusal leaves it
+    self_organize(state, 3)
+    assert [s.anchor_dg for s in state.subsets[3].subsets] == [25]
+    step(state, [Event(1, EventKind.DG_RESTORE, 21)])
+    assert 3 not in state.excluded
+    assert [s.anchor_dg for s in state.subsets[3].subsets] == [20, 21, 25]
 
 
 def test_trip_restore_notices_flow_to_ca():
@@ -891,6 +957,32 @@ def test_agents_act_on_the_messages_they_are_sent(net6, magnitude, refused):
     assert all_commands == state.control_actions > 0
     reasons = [m.payload["reason"] for m in state.messages if m.kind is MessageKind.INFEASIBLE_NOTICE]
     assert reasons == ["no_feasible_adjustment"] * refused
+
+
+def test_a_small_adjustment_is_still_commanded(net6, monkeypatch):
+    # A CA commands every adjustment its LP returns above rounding level:
+    # an answer of 1e-6 pu per DG reaches each DA and moves its setpoint.
+    real = simulation.solve_lp
+
+    def small(lp):
+        solution = real(lp)
+        if solution.feasible:
+            solution.x = np.full_like(solution.x, 1e-6)
+        return solution
+
+    monkeypatch.setattr(simulation, "solve_lp", small)
+    part, sens = prepared(net6)
+    state = initialize(net6, part, sens)
+    step(state)
+    before = {g: d.q_out for g, d in state.dgs.items()}
+    step(state, [Event(1, EventKind.LOAD_CHANGE, 4, 0.5)])
+    [decision] = state.controls
+    assert decision.feasible and decision.adjustments == [1e-6] * len(decision.dg_ids)
+    commands = [m.payload for m in state.messages if m.kind is MessageKind.ADJUSTMENT_COMMAND]
+    assert commands == [{"dg": g, "x": 1e-6} for g in decision.dg_ids]
+    assert state.control_actions == len(decision.dg_ids)
+    for g in decision.dg_ids:
+        assert state.dgs[g].q_out == before[g] + 1e-6
 
 
 def test_a_faulty_control_problem_raises_out_of_step(net6, monkeypatch):
