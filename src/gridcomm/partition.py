@@ -248,13 +248,13 @@ def partition_network(
     sens: SensitivityMatrix,
     mode: SensitivityMode = SensitivityMode.VQ,
 ) -> tuple[Partition, Dendrogram]:
-    """Partition the whole network into DG-centric communities.
+    """Partition the whole network into communities around sens.online_dgs.
 
     The modularity graph covers non-slack buses; the slack bus then joins
     the community of its lowest-id neighbor. Returned community_of is keyed
     by bus id.
     """
-    dg_rows = [sens.row[b] for b in dg_buses(sens, net.dgs_sorted(online_only=True))]
+    dg_rows = [sens.row[b] for b in dg_buses(sens, sens.online_dgs)]
     if not dg_rows:
         raise ValueError("network has no online DGs to partition around")
     if len(sens.bus_ids) < 2:

@@ -19,7 +19,7 @@ every caller at one operating point shares one factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -38,9 +38,14 @@ class SensitivityMode(str, Enum):
 
 @dataclass
 class SensitivityMatrix:
+    """The sensitivities at one operating point. They own the DGs online there
+    and, once read, their columns: the partition and every CA's view read those."""
+
     bus_ids: list[int]  # non-slack bus ids, row/column order of every block
     pf: PowerFlowSolution  # the operating point differentiated
     row: dict[int, int]  # non-slack bus id -> row and column
+    online_dgs: list[DG]  # online at pf, id ascending; only id and bus are read
+    _online_cols: dict[SensitivityMode, DGColumns] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def row_of(self, bus_id: int) -> int:
         """The row of a non-slack bus id; ValueError if it has none."""
@@ -67,6 +72,12 @@ class SensitivityMatrix:
         """a_vq or a_vp: the voltage rows of the mode's columns at every bus."""
         return self.columns(mode, self.bus_ids, voltage_only=True)
 
+    def online_columns(self, mode: SensitivityMode) -> DGColumns:
+        """The mode's DGColumns at online_dgs, solved on first read and kept."""
+        if mode not in self._online_cols:
+            self._online_cols[mode] = dg_columns_at(self, self.online_dgs, mode)
+        return self._online_cols[mode]
+
 
 @dataclass
 class DGColumns:
@@ -80,7 +91,7 @@ class DGColumns:
 
 def compute_sensitivity_matrix(net: NetworkModel, sol: PowerFlowSolution) -> SensitivityMatrix:
     """Name the non-slack rows of sol, a converged flow of net, whose
-    Jacobian ``columns`` solves.
+    Jacobian ``columns`` solves, and net's online DGs (``online_dgs``).
 
     Raises PowerFlowError, quoting sol's ``stop_text``, if sol is
     unconverged, and ValueError if it was solved on other buses than net's.
@@ -90,7 +101,8 @@ def compute_sensitivity_matrix(net: NetworkModel, sol: PowerFlowSolution) -> Sen
     if sol.bus_ids != [b.id for b in net.buses]:
         raise ValueError("the power flow was solved on other buses than this network's")
     non_slack = sol.non_slack
-    return SensitivityMatrix(bus_ids=non_slack, pf=sol, row={b: i for i, b in enumerate(non_slack)})
+    row = {b: i for i, b in enumerate(non_slack)}
+    return SensitivityMatrix(bus_ids=non_slack, pf=sol, row=row, online_dgs=net.dgs_sorted(online_only=True))
 
 
 def dg_buses(sens: SensitivityMatrix, dgs: list[DG]) -> list[int]:

@@ -16,10 +16,10 @@ formulated over that view. `initialize` checks that the partition puts
 each bus of the network in one of its communities, and `run_scenario`
 holds a scenario built in code to the rules of a scenario file.
 Only `_view` (and `initialize`) read the network-wide flow and
-sensitivities. The view slices the online DGs' columns, solved once per
-operating point against the whole network's Jacobian, so how the rest of
-the network responds to a DG move (the boundary) comes from the global
-Jacobian, not from a model of the community alone.
+sensitivities. The view slices the columns the sensitivities keep of the
+DGs online at their operating point, solved once against the whole
+network's Jacobian, so how the rest of the network responds to a DG move
+(the boundary) comes from the global Jacobian, not the community alone.
 
 Tick phases, all deterministic:
 
@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
@@ -72,7 +71,7 @@ from .network import DG, NetworkModel
 from .network_io import joined, load_json, read_element, read_value, write_table
 from .partition import Partition, build_dg_adjacency
 from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
-from .sensitivity import DGColumns, SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix, dg_columns_at
+from .sensitivity import SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix
 
 HEADROOM_TOL = 1e-9
 # Linearization guard: the LP targets a band tightened by this much on the
@@ -175,8 +174,9 @@ def load_scenario(path: str | Path) -> Scenario:
 def _check_rules(events: Sequence[Event], duration: int, where: str) -> None:
     """The rules of a scenario, read from a file or built in code: every
     event of an EventKind at an integer tick from 0, with a finite magnitude
-    on a load change and none on any other event, and an integer duration
-    of at least 1. Raises ScenarioError naming the field after `where`."""
+    on a load change and none on any other event, an integer duration of
+    at least 1, and every event at a tick before it, so that it fires.
+    Raises ScenarioError naming the field after `where`."""
     for i, ev in enumerate(events):
         entry = f"{where}events[{i}] field"
         if not isinstance(ev.kind, EventKind):
@@ -194,6 +194,11 @@ def _check_rules(events: Sequence[Event], duration: int, where: str) -> None:
         raise ScenarioError(f"{where}'duration' must be an integer, got {duration!r}")
     if duration < 1:
         raise ScenarioError(f"{where}'duration' must be at least 1, got {duration}")
+    for i, ev in enumerate(events):
+        if ev.at_tick >= duration:
+            raise ScenarioError(
+                f"{where}events[{i}]: event {ev.kind.value} at tick {ev.at_tick} never fires (duration {duration})"
+            )
 
 
 def validate_scenario(scenario: Scenario, net: NetworkModel) -> None:
@@ -211,10 +216,6 @@ def validate_scenario(scenario: Scenario, net: NetworkModel) -> None:
         if ev.kind is EventKind.LOAD_CHANGE and ev.target == slack_id:
             raise ScenarioError(
                 f"event load_change at tick {ev.at_tick} targets slack bus {ev.target}, where it moves no voltage"
-            )
-        if ev.at_tick >= scenario.duration:
-            raise ScenarioError(
-                f"event {ev.kind.value} at tick {ev.at_tick} never fires (duration {scenario.duration})"
             )
 
 
@@ -242,9 +243,8 @@ class SimulationDiverged(PowerFlowError):
 class SimulationState:
     net: NetworkModel
     partition: Partition
-    sens: SensitivityMatrix  # and, as sens.pf, the flow it was taken at
+    sens: SensitivityMatrix  # with the flow it was taken at (sens.pf), its online DGs and their columns
     mode: SensitivityMode
-    online_dgs: list[DG]  # online when sens.pf was solved, id ascending: the columns of cols
     v_limits: tuple[float, float]
     nodes_of: dict[int, list[int]]  # community -> non-slack bus ids, community id ascending
     subsets: dict[int, CommunitySubsets]
@@ -269,13 +269,6 @@ class SimulationState:
     def pf(self) -> PowerFlowSolution:
         return self.sens.pf
 
-    @cached_property
-    def cols(self) -> DGColumns:
-        """The mode's columns at the online DGs, at sens.pf: solved on first
-        read, so a tick that reads none factors no Jacobian at its solved
-        point. ``_resolve`` drops them with the flow they were taken at."""
-        return dg_columns_at(self.sens, self.online_dgs, self.mode)
-
     def send(self, sender: AgentId, receiver: AgentId, kind: MessageKind, payload: dict) -> None:
         self.messages.append(Message(tick=self.tick, sender=sender, receiver=receiver, kind=kind, payload=payload))
 
@@ -288,12 +281,12 @@ def initialize(
     v_limits: tuple[float, float] = V_LIMITS,
 ) -> SimulationState:
     """Stand up agents, subsets and capability ranges on a private copy of
-    net, starting from the flow sens was taken at (sens.pf). mode is a
-    SensitivityMode or its value. Raises ValueError for any other mode, for
-    v_limits that are not two finite numbers with v_min < v_max, naming
-    the bus if partition does not put each bus of net, and no other, in
-    one of its communities, and if that flow does not solve net as it is
-    now."""
+    net, starting from the flow sens was taken at and its online DGs
+    (sens.pf, sens.online_dgs). mode is a SensitivityMode or its value.
+    Raises ValueError for any other mode, for v_limits that are not two
+    finite numbers with v_min < v_max, naming the bus if partition does not
+    put each bus of net, and no other, in one of its communities, and if
+    that flow does not solve net as it is now."""
     mode = SensitivityMode(mode)
     v_min, v_max = v_limits
     if not (np.isfinite(v_min) and np.isfinite(v_max) and v_min < v_max):
@@ -310,7 +303,6 @@ def initialize(
         partition=partition,
         sens=sens,
         mode=mode,
-        online_dgs=net.dgs_sorted(online_only=True),
         v_limits=v_limits,
         nodes_of={c: [b for b in partition.members(c) if b != slack_id] for c in range(partition.n_communities)},
         subsets={},
@@ -334,7 +326,7 @@ def _view(state: SimulationState, community: int, dg_ids: Sequence[int] | None =
         ]
     dgs = [state.dgs[g] for g in dg_ids]
     nodes = state.nodes_of[community]
-    sens, pf, mode, online = state.sens, state.pf, state.mode, state.cols
+    sens, pf, mode, online = state.sens, state.pf, state.mode, state.sens.online_columns(state.mode)
     cols = np.searchsorted(online.dg_ids, dg_ids)
 
     touching = [
@@ -390,16 +382,14 @@ def self_organize(state: SimulationState, community: int) -> None:
 def _resolve(state: SimulationState, why: str) -> None:
     """Re-solve the flow of state.net, warm from the current flow where the
     grid is unchanged (its grid structure, voltages and kept factor), and
-    take the sensitivities there, their DG columns fixed to the DGs online
-    now and solved on first read."""
+    take the sensitivities there: they fix the DGs online now, and solve
+    those DGs' columns on first read."""
     pf = solve_power_flow(state.net, state.pf.tolerance, previous=state.pf)
     if not pf.converged:
         raise SimulationDiverged(
             f"power flow did not converge after {why} at tick {state.tick}: {pf.stop_text()}", state
         )
     state.sens = compute_sensitivity_matrix(state.net, pf)
-    state.online_dgs = state.net.dgs_sorted(online_only=True)
-    state.__dict__.pop("cols", None)
 
 
 def _apply_events(state: SimulationState, events: Sequence[Event]) -> tuple[bool, set[int]]:
@@ -447,9 +437,9 @@ def _control_community(state: SimulationState, community: int, violated: list[in
     to it alone; it sends its adjustments to the DAs as commands."""
     hit = set(violated)
     dg_ids = sorted({g for s in state.subsets[community].subsets if not hit.isdisjoint(s.nodes) for g in s.dg_ids})
-    # Built before the refusals: its first read of state.cols factors the
-    # Jacobian at the solved point, and the next warm re-solve starts from
-    # that factor, so a refused decision must read it too.
+    # Built before the refusals: its first read of sens.online_columns
+    # factors the Jacobian at the solved point, and the next warm re-solve
+    # starts from that factor, so a refused decision must read it too.
     view = _view(state, community, dg_ids)
     ca = AgentId(AgentKind.CA, community)
     v_min, v_max = state.v_limits

@@ -774,6 +774,19 @@ def test_simulate_rejects_a_bad_scenario_before_solving_the_flow(tmp_path, capsy
     assert not (tmp_path / "r").exists()
 
 
+def test_an_event_that_never_fires_exits_2_naming_file_and_event(tmp_path, capsys):
+    # Ticks run from 0 to duration - 1, so the second event never fires; the
+    # file alone shows that, so the error names it and the event's index.
+    events = [{"at_tick": 1, "kind": "dg_trip", "target": 1}, {"at_tick": 5, "kind": "dg_trip", "target": 2}]
+    scenario = write_scenario(tmp_path / "late.json", events, duration=5)
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--network", str(NET6), "--scenario", str(scenario), "--out", str(tmp_path / "r")
+    )
+    assert code == 2
+    assert stderr == f"error: {scenario}: events[1]: event dg_trip at tick 5 never fires (duration 5)\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_simulate_malformed_scenario_exits_2(tmp_path, capsys):
     scenario = tmp_path / "list.json"
     scenario.write_text("[]")

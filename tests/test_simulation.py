@@ -333,14 +333,15 @@ def test_state_keeps_the_online_dg_columns_of_each_operating_point():
     part, sens = prepared(net)
     state = initialize(net, part, sens, mode=SensitivityMode.VP)
     expected = dg_columns(sens, net, SensitivityMode.VP, online_only=True)
-    np.testing.assert_array_equal(state.cols.matrix, expected.matrix)
-    np.testing.assert_array_equal(state.cols.angles, expected.angles)
+    np.testing.assert_array_equal(state.sens.online_columns(state.mode).matrix, expected.matrix)
+    np.testing.assert_array_equal(state.sens.online_columns(state.mode).angles, expected.angles)
 
     step(state, [Event(0, EventKind.DG_TRIP, 21)])
-    assert state.cols.dg_ids == [d.id for d in net.dgs_sorted() if d.id != 21]
-    assert state.cols.matrix.shape == state.cols.angles.shape == (len(state.sens.bus_ids), len(net.dgs) - 1)
+    cols = state.sens.online_columns(state.mode)
+    assert cols.dg_ids == [d.id for d in net.dgs_sorted() if d.id != 21]
+    assert cols.matrix.shape == cols.angles.shape == (len(state.sens.bus_ids), len(net.dgs) - 1)
     expected = dg_columns(state.sens, state.net, SensitivityMode.VP, online_only=True)
-    np.testing.assert_array_equal(state.cols.matrix, expected.matrix)
+    np.testing.assert_array_equal(cols.matrix, expected.matrix)
 
 
 def test_dg_columns_are_solved_on_first_read():
@@ -355,16 +356,16 @@ def test_dg_columns_are_solved_on_first_read():
     tick = [Event(0, EventKind.LOAD_CHANGE, 40, 0.05)]
     step(state, tick)
     assert state.violations_seen == 0
+    assert state.sens._online_cols == {}
     assert "factor" not in state.pf.__dict__
-    assert "cols" not in state.__dict__
     eager = dg_columns(state.sens, state.net, state.mode, online_only=True)
     late = copy.deepcopy(state)
     step(early, tick)
     state.net.dgs[0].online = False  # no re-solve: the columns keep the re-solve's DGs
     for s in (state, late, early):
-        assert s.cols.dg_ids == eager.dg_ids
-        assert s.cols.matrix.tobytes() == eager.matrix.tobytes()
-        assert s.cols.angles.tobytes() == eager.angles.tobytes()
+        assert s.sens.online_columns(s.mode).dg_ids == eager.dg_ids
+        assert s.sens.online_columns(s.mode).matrix.tobytes() == eager.matrix.tobytes()
+        assert s.sens.online_columns(s.mode).angles.tobytes() == eager.angles.tobytes()
 
 
 def test_view_gives_a_slack_transformer_end_a_zero_angle_row():
@@ -562,7 +563,10 @@ def test_deep_copied_state_shares_the_grid_structure():
     step(reference, events)
     assert state.pf.grid is grid
     assert state.pf.v_mag.tobytes() == reference.pf.v_mag.tobytes()
-    assert state.cols.matrix.tobytes() == reference.cols.matrix.tobytes()
+    assert (
+        state.sens.online_columns(state.mode).matrix.tobytes()
+        == reference.sens.online_columns(reference.mode).matrix.tobytes()
+    )
     assert state.controls == reference.controls and state.controls
     for rows in ("voltage_rows", "subset_rows", "messages"):
         assert getattr(state, rows) == getattr(reference, rows)
@@ -659,6 +663,27 @@ def test_restore_brings_back_the_dgs_its_community_excluded():
     step(state, [Event(1, EventKind.DG_RESTORE, 21)])
     assert 3 not in state.excluded
     assert [s.anchor_dg for s in state.subsets[3].subsets] == [20, 21, 25]
+
+
+@pytest.mark.parametrize("kind", [EventKind.DG_TRIP, EventKind.COMM_LOSS])
+def test_a_repeated_dg_event_changes_nothing(net6, kind):
+    # A trip of a DG already offline, or a comm loss of one already cut off,
+    # is ignored: no second notice, no re-solve, no new subset generation,
+    # and the community keeps the DGs its CA excluded. The band is wide so
+    # that no control runs.
+    part, sens = prepared(net6)
+    state = initialize(net6, part, sens, v_limits=(0.5, 1.5))
+    community = part.community_of[net6.dg_by_id(1).bus]
+    step(state, [Event(0, kind, 1)])
+    assert state.subsets[community].generation == 1
+    state.excluded[community] = {2}  # as an exhausted_dg refusal leaves it
+    pf, sent = state.pf, len(state.messages)
+    step(state, [Event(1, kind, 1)])
+    assert state.pf is pf
+    assert state.messages[sent:] == []
+    assert [m.kind for m in state.messages].count(MessageKind.TRIP_NOTICE) == (kind is EventKind.DG_TRIP)
+    assert state.subsets[community].generation == 1 and state.regenerations == 1
+    assert state.excluded == {community: {2}}
 
 
 def test_trip_restore_notices_flow_to_ca():
