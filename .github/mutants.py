@@ -36,6 +36,7 @@ TIMEOUT_S = 900
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_*", "*.egg-info")
 
 SIM = "src/gridcomm/simulation.py"
+NETWORK_IO = "src/gridcomm/network_io.py"
 MUTANTS: list[tuple[str, str, str, str]] = [
     (
         SIM,
@@ -120,6 +121,30 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "community_of[min(near)]",
         "community_of[max(near)]",
         "the slack joins the community of its highest-id neighbour",
+    ),
+    (
+        NETWORK_IO,
+        '    if unknown:\n        raise error(f"{path}: unknown top-level key(s) {sorted(unknown)}")\n',
+        "",
+        "a file's unknown top-level member is silently dropped",
+    ),
+    (
+        NETWORK_IO,
+        "rules[name] = types, math.radians, expected",
+        "rules[name] = types, float, expected",
+        "an angle is read from the file in degrees and kept as if radians",
+    ),
+    (
+        NETWORK_IO,
+        "except (ValueError, RecursionError) as exc:",
+        "except json.JSONDecodeError as exc:",
+        "a file that is not UTF-8, nests too deep or holds an over-long integer fails without its path",
+    ),
+    (
+        SIM,
+        "return isinstance(value, kind) and not isinstance(value, bool)",
+        "return isinstance(value, kind)",
+        "a scenario built in code takes a bool as a tick, target, duration or magnitude",
     ),
 ]
 

@@ -1,7 +1,11 @@
-"""Network file loading and saving, the typed reader of file elements, and
-the writer of every CSV table.
+"""Network file loading and saving, the one typed reader of JSON documents,
+and the writer of every CSV table.
 
-The on-disk format is JSON with top-level keys ``s_base_mva``, ``buses``,
+``read_document`` reads both file kinds, a network here and a scenario in
+``simulation``: a UTF-8 JSON object whose top-level members are each read
+by their type, a list of dataclass elements or one value, never coerced.
+
+The network format has top-level keys ``s_base_mva``, ``buses``,
 ``branches``, ``transformers`` and ``dgs``; field names match the in-memory
 types. Angles (``v_ang``, ``phase_shift``) are degrees in the file and
 radians in memory. See docs/network-format.md for the full schema.
@@ -13,7 +17,7 @@ import csv
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from operator import attrgetter
@@ -54,6 +58,8 @@ def _rule(tp) -> tuple:
         return (int,), None, "an integer"
     if tp is bool:
         return (bool,), None, "true or false"
+    if tp is str:
+        return (str,), None, "a string"
     if tp == float | None:
         return (int, float, type(None)), _optional_float, "a number or null"
     if _is_enum(tp):
@@ -72,12 +78,16 @@ def _is_enum(tp) -> bool:
 @cache
 def _rules(cls) -> tuple[dict, frozenset, tuple]:
     """A dataclass's read rule per field, its required field names and the
-    (name, convert) pairs that put its fields in their file form."""
+    (name, convert) pairs that put its fields in their file form. An angle
+    is read from degrees into radians and written back in degrees."""
     hints = get_type_hints(cls)
     rules = {f.name: _rule(hints[f.name]) for f in fields(cls)}
     required = frozenset(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
-    to_file = [(name, math.degrees) for name in rules if name in _DEGREES]
-    to_file += [(name, attrgetter("value")) for name in rules if _is_enum(hints[name])]
+    to_file = [(name, attrgetter("value")) for name in rules if _is_enum(hints[name])]
+    for name in _DEGREES.intersection(rules):
+        types, _, expected = rules[name]
+        rules[name] = types, math.radians, expected
+        to_file.append((name, math.degrees))
     return rules, required, tuple(to_file)
 
 
@@ -119,10 +129,12 @@ def read_element(cls, item, where: str, error: type[Exception]):
 
 
 def load_json(path: Path, error: type[Exception]):
-    """Parse a JSON file in which no object names a member twice.
+    """Parse a UTF-8 JSON file in which no object names a member twice.
 
-    Malformed JSON and a repeated member name raise ``error`` naming the
-    file (and the key): ``json`` alone would keep the last value silently.
+    Every decode failure (malformed JSON, a byte that is not UTF-8, a
+    nesting too deep for the parser, an integer too long to convert) and a
+    repeated member name raise ``error`` naming the file (and the key):
+    ``json`` alone would keep a repeated name's last value silently.
     """
 
     def unique(pairs: list) -> dict:
@@ -134,9 +146,42 @@ def load_json(path: Path, error: type[Exception]):
         return obj
 
     try:
-        return json.loads(path.read_text(), object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
+    except error:
+        raise
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
+def read_document(path: Path, error: type[Exception], members: dict, required=()) -> dict:
+    """The top-level members of a JSON object file, each read by its type.
+
+    ``members`` maps every allowed key to its type, in the order they are
+    read: a dataclass member is a list of its elements (``read_element``),
+    any other member one value (``read_value``). A member left out of the
+    file is left out of the result. Malformed JSON, a missing ``required``
+    key, an unknown key and a wrongly typed member or element raise
+    ``error`` naming the file and the key.
+    """
+    raw = load_json(path, error)
+    if type(raw) is not dict:
+        raise error(f"{path}: top level must be an object")
+    for key in required:
+        if key not in raw:
+            raise error(f"{path}: missing top-level key '{key}'")
+    unknown = raw.keys() - members.keys()
+    if unknown:
+        raise error(f"{path}: unknown top-level key(s) {sorted(unknown)}")
+    doc = {key: raw[key] for key in members if key in raw}
+    for key, value in doc.items():
+        tp = members[key]
+        if not is_dataclass(tp):
+            doc[key] = read_value(tp, value, f"{path}: '{key}'", error)
+        elif type(value) is not list:
+            raise error(f"{path}: '{key}' must be a list, got {value!r}")
+        else:
+            doc[key] = [read_element(tp, item, f"{path}: {key}[{i}]", error) for i, item in enumerate(value)]
+    return doc
 
 
 def load_network(path: str | Path) -> NetworkModel:
@@ -146,29 +191,9 @@ def load_network(path: str | Path) -> NetworkModel:
     (carrying the violation list) when invariants are broken.
     """
     path = Path(path)
-    raw = load_json(path, NetworkFormatError)
-    if type(raw) is not dict:
-        raise NetworkFormatError(f"{path}: top level must be an object")
-    for key in ("s_base_mva", "buses", "branches"):
-        if key not in raw:
-            raise NetworkFormatError(f"{path}: missing top-level key '{key}'")
-    unknown = raw.keys() - _SECTIONS.keys() - {"s_base_mva"}
-    if unknown:
-        raise NetworkFormatError(f"{path}: unknown top-level key(s) {sorted(unknown)}")
-
-    net = NetworkModel(s_base=read_value(float, raw["s_base_mva"], f"{path}: 's_base_mva'", NetworkFormatError))
-    for key, cls in _SECTIONS.items():
-        items = raw.get(key, [])
-        if type(items) is not list:
-            raise NetworkFormatError(f"{path}: '{key}' must be a list, got {items!r}")
-        section = getattr(net, key)
-        angles = _DEGREES.intersection(_rules(cls)[0])
-        for i, item in enumerate(items):
-            element = read_element(cls, item, f"{path}: {key}[{i}]", NetworkFormatError)
-            for name in angles:
-                setattr(element, name, math.radians(getattr(element, name)))
-            section.append(element)
-
+    members = {"s_base_mva": float, **_SECTIONS}
+    doc = read_document(path, NetworkFormatError, members, required=("s_base_mva", "buses", "branches"))
+    net = NetworkModel(s_base=doc.pop("s_base_mva"), **doc)
     violations = validate_network(net)
     if violations:
         raise NetworkValidationError(violations)

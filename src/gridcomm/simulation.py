@@ -68,7 +68,7 @@ from .control import (
     solve_lp,
 )
 from .network import DG, NetworkModel
-from .network_io import joined, load_json, read_element, read_value, write_table
+from .network_io import joined, read_document, write_table
 from .partition import Partition, build_dg_adjacency
 from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
 from .sensitivity import SensitivityMatrix, SensitivityMode, compute_sensitivity_matrix
@@ -149,48 +149,46 @@ class Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Read a scenario file: its events, its duration (by default the last
+    event's tick + 2) and its name (by default the file stem), held to
+    `_check_rules`. Raises ScenarioError naming the file and the field."""
     path = Path(path)
-    raw = load_json(path, ScenarioError)
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
-    unknown = set(raw) - {"events", "duration", "name"}
-    if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-    events_raw = raw.get("events", [])
-    if not isinstance(events_raw, list):
-        raise ScenarioError(f"{path}: 'events' must be a list")
-    events = [read_element(Event, item, f"{path}: events[{i}]", ScenarioError) for i, item in enumerate(events_raw)]
-    duration = raw.get("duration")
-    if duration is None:
-        duration = max((e.at_tick for e in events), default=-1) + 2
-    read_value(int, duration, f"{path}: 'duration'", ScenarioError)
+    doc = read_document(path, ScenarioError, {"events": Event, "duration": int, "name": str})
+    events = doc.get("events", [])
+    duration = doc.get("duration", max((e.at_tick for e in events), default=-1) + 2)
     _check_rules(events, duration, f"{path}: ")
-    name = raw.get("name", path.stem)
-    if not isinstance(name, str):
-        raise ScenarioError(f"{path}: name must be a string")
-    return Scenario(events=events, duration=duration, name=name)
+    return Scenario(events=events, duration=duration, name=doc.get("name", path.stem))
+
+
+def _is_number(value, kind) -> bool:
+    """Whether `value` is a `kind` (a number ABC) and not a bool: in code,
+    as in a file, a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_rules(events: Sequence[Event], duration: int, where: str) -> None:
     """The rules of a scenario, read from a file or built in code: every
-    event of an EventKind at an integer tick from 0, with a finite magnitude
-    on a load change and none on any other event, an integer duration of
-    at least 1, and every event at a tick before it, so that it fires.
-    Raises ScenarioError naming the field after `where`."""
+    event of an EventKind at an integer tick from 0 on an integer target,
+    with a finite magnitude on a load change and none on any other event,
+    an integer duration of at least 1, and every event at a tick before it,
+    so that it fires. A bool is no integer and no magnitude. Raises
+    ScenarioError naming the field after `where`."""
     for i, ev in enumerate(events):
         entry = f"{where}events[{i}] field"
         if not isinstance(ev.kind, EventKind):
             raise ScenarioError(f"{entry} 'kind' must be an EventKind, got {ev.kind!r}")
-        if not isinstance(ev.at_tick, Integral):
+        if not _is_number(ev.at_tick, Integral):
             raise ScenarioError(f"{entry} 'at_tick' must be an integer, got {ev.at_tick!r}")
         if ev.at_tick < 0:
             raise ScenarioError(f"{entry} 'at_tick' must be nonnegative, got {ev.at_tick}")
+        if not _is_number(ev.target, Integral):
+            raise ScenarioError(f"{entry} 'target' must be an integer, got {ev.target!r}")
         if ev.kind is EventKind.LOAD_CHANGE:
-            if not isinstance(ev.magnitude, Real) or not np.isfinite(ev.magnitude):
+            if not _is_number(ev.magnitude, Real) or not np.isfinite(ev.magnitude):
                 raise ScenarioError(f"{entry} 'magnitude' must be a finite number on load_change, got {ev.magnitude}")
         elif ev.magnitude is not None:
             raise ScenarioError(f"{entry} 'magnitude' is not taken by {ev.kind.value}")
-    if not isinstance(duration, Integral):
+    if not _is_number(duration, Integral):
         raise ScenarioError(f"{where}'duration' must be an integer, got {duration!r}")
     if duration < 1:
         raise ScenarioError(f"{where}'duration' must be at least 1, got {duration}")

@@ -365,6 +365,65 @@ def test_wrong_json_type_in_event_exits_2_naming_field(field, data):
     assert f"events[{index}] field '{key}'" in stderr
 
 
+def _load_file(tmp_path, capsys, kind: str, path: Path):
+    """Run the command that reads `path` as a `kind` file ("network" or
+    "scenario"): (exit code, stdout, stderr)."""
+    if kind == "network":
+        return run_cli(capsys, "partition", "--network", str(path), "--out", str(tmp_path / "p"))
+    return run_cli(
+        capsys, "simulate", "--network", str(NET6), "--scenario", str(path), "--out", str(tmp_path / "r")
+    )
+
+
+@pytest.mark.parametrize("kind", ["network", "scenario"])
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (b'{"name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+        (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+        (b"9" * 5000, "Exceeds the limit (4300"),
+    ],
+    ids=["non-UTF-8 byte", "array 100000 deep", "5000-digit integer"],
+)
+def test_undecodable_file_exits_2_naming_it(tmp_path, capsys, kind, content, fragment):
+    # Every way json can fail to decode a file is the file's error, exit 2,
+    # never a traceback or a message without the path.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, _, stderr = _load_file(tmp_path, capsys, kind, bad)
+    assert code == 2
+    assert stderr.startswith(f"error: {bad}: not valid JSON (")
+    assert fragment in stderr
+
+
+_VALID = {"network": json.loads(NET6.read_text()), "scenario": {"events": [], "duration": 2, "name": "quiet"}}
+
+
+@pytest.mark.parametrize(
+    "kind, member, value",
+    [
+        pytest.param(kind, member, value, id=f"{member}={json.dumps(value, separators=(',', ':'))}")
+        for kind, members in [
+            ("network", ["s_base_mva", "buses", "branches", "transformers", "dgs"]),
+            ("scenario", ["events", "duration", "name"]),
+        ]
+        for member in members
+        for value in (None, "1", {"a": 1})
+        if (member, value) != ("name", "1")
+    ],
+)
+def test_wrong_typed_member_exits_2_naming_file_and_member(tmp_path, capsys, kind, member, value):
+    # A null member is refused like any other wrong type: the key is left
+    # out for its default, never given as null.
+    doc = dict(_VALID[kind], **{member: value})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, stderr = _load_file(tmp_path, capsys, kind, bad)
+    assert code == 2
+    assert stderr.startswith(f"error: {bad}: '{member}' must be ")
+    assert stderr.endswith(f", got {value!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # sensitivity
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from gridcomm.network import DG, Branch, Bus, BusKind, NetworkModel, Transformer, validate_network
 from gridcomm.network_io import NetworkFormatError, NetworkValidationError, load_network, save_network
+from gridcomm.simulation import load_scenario
 
 from conftest import FIXTURES, two_bus
 
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 MINIMAL = {
     "s_base_mva": 1.0,
@@ -63,6 +66,19 @@ def test_repeated_key_rejected_and_named(tmp_path, text, key):
     with pytest.raises(NetworkFormatError) as exc:
         load_network(path)
     assert str(exc.value) == f"{path}: key '{key}' appears twice in one object"
+
+
+@pytest.mark.parametrize(
+    "doc, load", [("network-format.md", load_network), ("scenario-format.md", load_scenario)], ids=["network", "scenario"]
+)
+def test_the_documented_examples_load(tmp_path, doc, load):
+    # Every ```json example of a format document is a file its loader reads.
+    examples = re.findall(r"```json\n(.*?)```", (DOCS / doc).read_text(), re.DOTALL)
+    assert examples
+    for i, example in enumerate(examples):
+        path = tmp_path / f"example{i}.json"
+        path.write_text(example)
+        load(path)
 
 
 def test_net6_fixture_counts():

@@ -167,10 +167,16 @@ def test_an_event_at_the_last_tick_plus_one_is_refused():
         ([Event(1.5, EventKind.DG_TRIP, 1)], 3, "events[0] field 'at_tick' must be an integer, got 1.5"),
         ([], 2.5, "'duration' must be an integer, got 2.5"),
         ([Event(1, "dg_trip", 1)], 3, "events[0] field 'kind' must be an EventKind, got 'dg_trip'"),
+        ([Event(True, EventKind.DG_TRIP, 1)], 3, "events[0] field 'at_tick' must be an integer, got True"),
+        ([], True, "'duration' must be an integer, got True"),
+        ([Event(1, EventKind.LOAD_CHANGE, 4, True)], 3, "events[0] field 'magnitude' must be a finite number"),
+        ([Event(1, EventKind.DG_TRIP, True)], 3, "events[0] field 'target' must be an integer, got True"),
+        ([Event(1, EventKind.DG_TRIP, 1.0)], 3, "events[0] field 'target' must be an integer, got 1.0"),
     ],
     ids=[
         "load change without magnitude", "nan magnitude", "negative tick", "trip with magnitude", "no ticks",
         "string magnitude", "fractional tick", "fractional duration", "string kind",
+        "bool tick", "bool duration", "bool magnitude", "bool target", "float target",
     ],
 )
 def test_a_scenario_built_in_code_meets_the_file_rules(net6, events, duration, named):
@@ -182,6 +188,13 @@ def test_a_scenario_built_in_code_meets_the_file_rules(net6, events, duration, n
         validate_scenario(scenario, net6)
     with pytest.raises(ScenarioError, match=re.escape(named)):
         run_scenario(net6, scenario, part, sens)
+
+
+def test_a_scenario_built_in_code_takes_numpy_numbers(net6):
+    # A numpy integer is an integer and a numpy float a magnitude; only a
+    # bool is no number.
+    events = [Event(np.int64(0), EventKind.DG_TRIP, np.int64(1)), Event(1, EventKind.LOAD_CHANGE, 4, np.float64(0.01))]
+    validate_scenario(Scenario(events=events, duration=np.int64(2)), net6)
 
 
 # ------------------------------------------------------------ initialization
