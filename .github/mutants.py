@@ -146,6 +146,24 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "return isinstance(value, kind)",
         "a scenario built in code takes a bool as a tick, target, duration or magnitude",
     ),
+    (
+        "src/gridcomm/powerflow.py",
+        "from .network import NetworkModel, adjacency, peripheral_levels",
+        "from .network import NetworkModel, adjacency, levels as peripheral_levels",
+        "the Jacobian's breadth-first levels are rooted at the slack again",
+    ),
+    (
+        "src/gridcomm/network.py",
+        "key=lambda b: (len(near[b]), b)",
+        "key=lambda b: (-len(near[b]), b)",
+        "the root search moves to the most-connected bus of the last level",
+    ),
+    (
+        "src/gridcomm/powerflow.py",
+        "if len(cuts) < 2:",
+        "if len(cuts) < 1:",
+        "levels that make one block keep their level order, and the dense solve reads them permuted",
+    ),
 ]
 
 # Equivalent mutants, each with the reason no test can tell it from the

@@ -246,6 +246,22 @@ def levels(near: dict[int, set[int]], start: int) -> dict[int, int]:
     return level
 
 
+def peripheral_levels(near: dict[int, set[int]], start: int) -> dict[int, int]:
+    """The breadth-first levels, over the adjacency near, from a
+    pseudo-peripheral bus of start's component (George & Liu, ACM TOMS
+    5(3), 1979): from start, while the levels from a least-degree bus of
+    the last level (the lowest id of a tie) are deeper, move there. They
+    reach the buses start reaches, in at least as many levels."""
+    level = levels(near, start)
+    while True:
+        depth = max(level.values())
+        root = min((b for b, k in level.items() if k == depth), key=lambda b: (len(near[b]), b))
+        moved = levels(near, root)
+        if max(moved.values()) <= depth:
+            return level
+        level = moved
+
+
 def _non_finite(label: str, element, fields: tuple[str, ...]) -> list[Violation]:
     """One ``non-finite-<field>`` violation per NaN or infinite field.
 

@@ -28,14 +28,23 @@ row and column, as MATPOWER's makeYbus builds it; no n x n array is formed
 nonzeros). Y V, for the injections and the mismatch, is a real and an
 imaginary ``np.bincount`` of the nonzeros' products with V.
 
-The Jacobian is factored by block elimination over breadth-first levels
-from the slack, the level ordering of sparse power-flow factorization
-(Tinney & Hart, Proc. IEEE 1967). A branch or transformer joins two buses
-of the same or of adjacent levels, so with the non-slack buses grouped by
-consecutive levels (blocks of at least BLOCK_ROWS Jacobian rows, each bus
-with its P and Q rows) the Jacobian is block tridiagonal: diagonal blocks
-D_k, below them L_k, above them U_k. It is eliminated in block-Thomas form
-(Golub & Van Loan, Matrix Computations, 4.5):
+The Jacobian is factored by block elimination over breadth-first levels,
+the level ordering of sparse power-flow factorization (Tinney & Hart, Proc.
+IEEE 1967). A branch or transformer joins two buses of the same or of
+adjacent levels, so with the non-slack buses grouped by consecutive levels
+(blocks of at least BLOCK_ROWS Jacobian rows, each bus with its P and Q
+rows) the Jacobian is block tridiagonal: diagonal blocks D_k, below them
+L_k, above them U_k. The levels are rooted at a pseudo-peripheral bus, the
+root of the reverse Cuthill-McKee and Gibbs-Poole-Stockmeyer orderings
+(Gibbs, Poole & Stockmeyer, SIAM J. Numer. Anal. 13(2), 1976), found by
+the George-Liu iteration (George & Liu, ACM TOMS 5(3), 1979) from the
+slack: more levels over the same buses make them narrower, and the
+widest blocks set the cost of a factor. The synthetic generator's feeders
+join the slack to its lattice at several points, and from the slack the
+widest level of the 238-bus ladder holds 47 buses, against 24 from a
+pseudo-peripheral bus.
+The Jacobian is eliminated in block-Thomas form (Golub & Van Loan, Matrix
+Computations, 4.5):
 
     D'_1 = D_1,   X_k = D'_k^-1 U_k,   D'_(k+1) = D_(k+1) - L_(k+1) X_k.
 
@@ -43,11 +52,11 @@ The factor (``BlockLU``) keeps each D'_k^-1 with the L_k and the X_k. A
 right-hand side b is then solved by matrix products only: z_1 = D'_1^-1
 b_1, z_(k+1) = D'_(k+1)^-1 (b_(k+1) - L_(k+1) z_k), and the back sweep
 x_K = z_K, x_k = z_k - X_k x_(k+1). At 238 buses, one BLAS thread, the
-inverses cost about as much to form as per-block LU factors (0.9-1.1 ms
-against 1.0-1.1 ms for scipy's lu_factor and lu_solve), and a solve
-against them far less (one vector 0.03 against 0.09 ms, 24 columns 0.13
-against 0.40 ms), so they pay wherever a factor is solved more than
-once.
+inverses cost about as much to form as per-block LU factors (0.55-0.65 ms
+against 0.52-0.63 ms for scipy's lu_factor and lu_solve), and a solve
+against them far less (one vector 0.04-0.05 against 0.14-0.15 ms, 24
+columns 0.12-0.14 against 0.36-0.40 ms), so they pay wherever a factor is
+solved more than once.
 
 Each D'_k^-1 is block elimination once more, one level down
 (``_inverse``): split between the first and the second half of its
@@ -59,11 +68,13 @@ formula,
     [-S^-1 C A^-1                  S^-1       ],
 
 without pivoting between the halves (on its stability, Demmel, Higham &
-Schreiber, Numer. Linear Algebra Appl. 2(2), 1995). At these sizes (74 to
-138 rows) ``np.linalg.inv`` runs at a fraction of a matrix product's
-rate, so two half-size inverses and six products take about 60% of the
-time of one ``np.linalg.inv`` of the block (0.72-0.79 against 1.22-1.29
-ms over the 238-bus ladder's five blocks). The halves run between buses,
+Schreiber, Numer. Linear Algebra Appl. 2(2), 1995). ``np.linalg.inv``
+runs at a fraction of a matrix product's rate, the more so the larger the
+block: over the 417-bus ladder's 15 blocks (34 to 96 rows) two half-size
+inverses and six products take 1.25-1.46 ms against 1.45-1.73 ms for one
+``np.linalg.inv`` of each block, over the 238-bus ladder's 11 blocks (32
+to 50 rows) about as long (0.55-0.65 against 0.56-0.58 ms; one BLAS
+thread, three passes). The halves run between buses,
 each bus's P and Q rows on one side, not between the P and the Q rows:
 with every lattice branch at x = 0, which is a valid network, dP/dtheta
 is zero on the lattice buses at the flat start, so a P/Q half is
@@ -78,8 +89,9 @@ step solves the kept factor again (a chord step) while the step before
 cut the largest mismatch to at most CHORD_RATIO of what it was, and
 factors the Jacobian at the current iterate otherwise. A solve stops at
 the same test either way: the largest mismatch within tolerance. A
-network of fewer than BLOCK_ROWS non-slack buses is one block in natural
-order, factored at every step after the first: its factor is the
+network of fewer than BLOCK_ROWS non-slack buses, or one whose levels
+leave too few rows for a second block, is one block in natural order,
+factored at every step after the first: its factor is the
 Jacobian itself, solved by plain ``np.linalg.solve``, which repeats the
 LU on every call, so a chord step saves no time there (on 30-bus
 networks it took as many steps and as long per solve) and would only
@@ -134,7 +146,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .network import NetworkModel, adjacency, levels
+from .network import NetworkModel, adjacency, peripheral_levels
 
 
 class PowerFlowError(RuntimeError):
@@ -163,12 +175,17 @@ MAX_ITER = 50  # steps, chord or full, before a solve is declared unconverged
 # three storm-238 rounds at seed 0: 0.5 and 0.25 make the same factorizations
 # and steps, 0.1 makes more factorizations (see CHANGES.md).
 CHORD_RATIO = 0.25
-# Fewest Jacobian rows per block. Measured per factor and solve, one BLAS
-# thread: below it the per-block numpy calls outweigh the flops saved (8-row
-# blocks cost 3.5x one dense solve of 58 rows; 16 to 64 rows are within 21%
-# of each other on the 238- and 417-bus ladders), and a network of fewer
-# non-slack buses stays one dense solve, bit for bit np.linalg.solve.
-BLOCK_ROWS = 64
+# Fewest Jacobian rows per block. Measured per factor at the solved point,
+# one BLAS thread, over levels from the pseudo-peripheral bus (best of 7,
+# one pass each): 32 rows take 0.77 ms on the 238-bus ladder and 1.71 ms
+# on the 417-bus one, against 0.83 and 1.87 ms at 24 rows, 0.95 and 1.92
+# at 48 and 1.13 and 1.91 at 64; below that the per-block numpy calls
+# outweigh the flops saved (8-row blocks cost 3.5x one dense solve of 58
+# rows), and a network of fewer non-slack buses stays one dense solve, bit
+# for bit np.linalg.solve. Smaller blocks make a solve sweep more of them:
+# one vector takes 0.049 ms at 32 rows against 0.040 at 64 on the 238-bus
+# ladder.
+BLOCK_ROWS = 32
 
 
 _BRANCH_DATA = attrgetter("from_bus", "to_bus", "r", "x", "b_shunt")
@@ -424,16 +441,17 @@ def _entries(pattern: tuple, n1: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _blocks(net: NetworkModel, slack_id: int, bus_ids: list[int], ns: np.ndarray) -> list[np.ndarray]:
     """Jacobian rows of each diagonal block: the non-slack positions ns by
-    breadth-first level from the slack over net's branches and transformers
-    (the network's ``adjacency``), consecutive levels merged until a block
-    has BLOCK_ROWS rows, a short last group joining the block before it. A
-    bus the slack does not reach (an invalid network) forms a level after
-    the last. Of several blocks, each lists the P then the Q rows of the
-    first half of its sorted buses, then those of the second half: the two
-    halves ``_inverse`` splits it into."""
+    breadth-first level over net's branches and transformers (the
+    network's ``adjacency``) from a pseudo-peripheral bus of the slack's
+    component (``peripheral_levels``), consecutive levels merged until a
+    block has BLOCK_ROWS rows, a short last group joining the block before
+    it. A bus the slack does not reach (an invalid network) forms a level
+    after the last. Of several blocks, each lists the P then the Q rows of
+    the first half of its sorted buses, then those of the second half: the
+    two halves ``_inverse`` splits it into. One block is in natural order."""
     if len(ns) < BLOCK_ROWS:  # too few rows for two blocks
         return [np.arange(2 * len(ns))]
-    level_of = levels(adjacency(net), slack_id)
+    level_of = peripheral_levels(adjacency(net), slack_id)
     unreached = max(level_of.values()) + 1
     level = np.array([level_of.get(bus_ids[i], unreached) for i in ns])  # by Jacobian column
     cuts, start = [], 0
@@ -441,6 +459,8 @@ def _blocks(net: NetworkModel, slack_id: int, bus_ids: list[int], ns: np.ndarray
         if 2 * (end - start) >= BLOCK_ROWS:
             cuts.append(end)
             start = end
+    if len(cuts) < 2:  # the levels make one block, kept in natural order
+        return [np.arange(2 * len(ns))]
     groups = np.split(np.argsort(level, kind="stable"), cuts[:-1])  # the last takes any short rest
     halves = (np.split(g, [len(g) // 2]) for g in map(np.sort, groups))
     return [np.concatenate([g1, g1 + len(ns), g2, g2 + len(ns)]) for g1, g2 in halves]

@@ -140,16 +140,34 @@ def frontier_levels(ybus: np.ndarray, start: int) -> np.ndarray:
     return level
 
 
-def frontier_blocks(ybus: np.ndarray, slack_index: int, ns: np.ndarray) -> list[np.ndarray]:
+def frontier_root(ybus: np.ndarray, start: int, bus_ids: list[int]) -> int:
+    """The position of the pseudo-peripheral bus reached from position
+    start by frontier_levels over the dense Y-bus: while the levels from
+    the bus of the last level with the fewest off-diagonal nonzeros (the
+    lowest bus id of a tie) are deeper, move there."""
+    linked = ybus != 0
+    degree = linked.sum(axis=1) - linked.diagonal()
+    root, level = start, frontier_levels(ybus, start)
+    while True:
+        last = np.flatnonzero(level == level.max())
+        candidate = min(last, key=lambda i: (degree[i], bus_ids[i]))
+        moved = frontier_levels(ybus, candidate)
+        if moved.max() <= level.max():
+            return root
+        root, level = candidate, moved
+
+
+def frontier_blocks(ybus: np.ndarray, slack_index: int, ns: np.ndarray, bus_ids: list[int]) -> list[np.ndarray]:
     """The Jacobian rows of each diagonal block, from frontier_levels over
-    the dense Y-bus: consecutive levels merged until a block has BLOCK_ROWS
-    rows, a short last group joining the block before it, unreached buses
-    a level after the last. Of several blocks, each lists the P then the Q
-    rows of the first half of its sorted buses, then those of the second
-    half."""
+    the dense Y-bus rooted at frontier_root: consecutive levels merged
+    until a block has BLOCK_ROWS rows, a short last group joining the
+    block before it, unreached buses a level after the last. Of several
+    blocks, each lists the P then the Q rows of the first half of its
+    sorted buses, then those of the second half. One block, however the
+    levels fall, is in natural order."""
     if len(ns) < powerflow.BLOCK_ROWS:
         return [np.arange(2 * len(ns))]
-    level = frontier_levels(ybus, slack_index)
+    level = frontier_levels(ybus, frontier_root(ybus, slack_index, bus_ids))
     level[level < 0] = level.max() + 1
     level = level[ns]
     cuts, start = [], 0
@@ -158,6 +176,8 @@ def frontier_blocks(ybus: np.ndarray, slack_index: int, ns: np.ndarray) -> list[
             cuts.append(end)
             start = end
     groups = np.split(np.argsort(level, kind="stable"), cuts[:-1])
+    if len(groups) == 1:
+        return [np.arange(2 * len(ns))]
     blocks = []
     for g in map(np.sort, groups):
         first, second = g[: len(g) // 2], g[len(g) // 2 :]
@@ -343,7 +363,7 @@ def synth30() -> NetworkModel:
 
 def synth153() -> NetworkModel:
     """153-bus meshed network whose Jacobian the power flow splits into
-    three blocks (84, 134 and 86 rows)."""
+    eight blocks (32 to 52 rows)."""
     return generate_synthetic_network(
         SynthSpec(n_feeders=2, n_transformers=8, grid_rows=12, grid_cols=12, n_loads=60, n_dgs=20, seed=0)
     )

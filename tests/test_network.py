@@ -2,8 +2,22 @@ import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridcomm.network import Branch, Bus, BusKind, DG, NetworkModel, Transformer, validate_network
+from gridcomm.network import (
+    Branch,
+    Bus,
+    BusKind,
+    DG,
+    NetworkModel,
+    Transformer,
+    adjacency,
+    levels,
+    peripheral_levels,
+    validate_network,
+)
+from gridcomm.synthetic import SynthSpec, generate_synthetic_network
 
 from conftest import synth30, two_bus
 
@@ -185,3 +199,78 @@ def test_copy_equals_the_network_and_shares_no_element():
     twin.buses[1].p_load += 1.0
     twin.dgs[0].online = True
     assert net.buses[1].p_load != twin.buses[1].p_load and not net.dgs[0].online
+
+
+# ---------------------------------------------------------------------------
+# the pseudo-peripheral root of the power flow's breadth-first levels
+
+
+def linked(pairs) -> dict[int, set[int]]:
+    """An adjacency from undirected (a, b) pairs."""
+    near: dict[int, set[int]] = {}
+    for a, b in pairs:
+        near.setdefault(a, set()).add(b)
+        near.setdefault(b, set()).add(a)
+    return near
+
+
+def root_of(level: dict[int, int]) -> int:
+    [root] = [b for b, k in level.items() if k == 0]
+    return root
+
+
+def test_a_path_rooted_at_its_middle_moves_to_its_lowest_id_end():
+    # 40 - 10 - 30 - 20 - 50 from 30: the last level is both ends, each of
+    # one neighbour, and the tie goes to the lower id.
+    near = linked([(40, 10), (10, 30), (30, 20), (20, 50)])
+    assert levels(near, 30) == {30: 0, 10: 1, 20: 1, 40: 2, 50: 2}
+    assert peripheral_levels(near, 30) == {40: 0, 10: 1, 30: 2, 20: 3, 50: 4}
+
+
+def test_the_least_connected_bus_of_the_last_level_is_tried_first():
+    # From 0 the last level is {3, 4}: 3 has two neighbours and 4 one. The
+    # levels from 4 are deeper (3 against 2), those from 3 are not.
+    near = linked([(0, 1), (0, 2), (1, 3), (2, 3), (2, 4)])
+    assert max(levels(near, 0).values()) == max(levels(near, 3).values()) == 2
+    assert root_of(peripheral_levels(near, 0)) == 4
+
+
+def test_a_lone_bus_and_an_unreached_one_stay_where_they_are():
+    near = linked([(1, 2), (2, 3)])
+    near[7] = set()
+    assert peripheral_levels(near, 7) == {7: 0}
+    assert peripheral_levels(near, 2).keys() == {1, 2, 3}
+
+
+@st.composite
+def synth_specs(draw):
+    rows, cols = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    feeders = draw(st.integers(1, 3))
+    loads = draw(st.integers(1, rows * cols))
+    return SynthSpec(
+        n_feeders=feeders,
+        n_transformers=draw(st.integers(feeders, min(8, rows * cols))),
+        grid_rows=rows,
+        grid_cols=cols,
+        n_loads=loads,
+        n_dgs=draw(st.integers(1, min(4, loads))),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(synth_specs())
+def test_peripheral_levels_reach_every_bus_in_a_band_at_least_as_deep_as_the_slacks(spec):
+    # Every branch and transformer joins buses of the same or adjacent
+    # levels, the property that makes the power flow's Jacobian block
+    # tridiagonal, and the root is no nearer the middle than the slack.
+    net = generate_synthetic_network(spec)
+    near = adjacency(net)
+    level = peripheral_levels(near, net.slack_bus.id)
+    from_slack = levels(near, net.slack_bus.id)
+    assert level.keys() == from_slack.keys() == {b.id for b in net.buses}
+    ends = [(br.from_bus, br.to_bus) for br in net.branches]
+    ends += [(tr.primary_bus, tr.secondary_bus) for tr in net.transformers]
+    assert all(abs(level[a] - level[b]) <= 1 for a, b in ends)
+    assert max(level.values()) >= max(from_slack.values())
+    assert level == levels(near, root_of(level))

@@ -16,6 +16,7 @@ from gridcomm.network import (
     Transformer,
     adjacency,
     levels,
+    peripheral_levels,
     validate_network,
 )
 from gridcomm.powerflow import (
@@ -34,6 +35,7 @@ from conftest import (
     dense_ybus,
     frontier_blocks,
     frontier_levels,
+    frontier_root,
     jacobian_at,
     ladder238,
     ladder417,
@@ -304,7 +306,7 @@ def test_bus_the_slack_does_not_reach_makes_the_jacobian_singular():
     net.buses.append(Bus(999, BusKind.PQ, 0.48))
     sol = solve_power_flow(net)
     n1 = len(sol.grid.non_slack_pos)
-    assert len(sol.grid.blocks) == 3
+    assert len(sol.grid.blocks) == 8 and n1 - 1 in sol.grid.blocks[-1]  # the isolated bus's P row
     np.testing.assert_array_equal(np.sort(np.concatenate(sol.grid.blocks)), np.arange(2 * n1))
     assert sol.stopped is StopReason.SINGULAR
     assert sol.iterations == 0
@@ -387,6 +389,31 @@ def test_one_block_is_the_dense_solve_bit_for_bit():
     dense = np.linalg.solve(jacobian_at(sol), b)
     assert same(grid.factor(sol.v_mag, sol.v_ang).solve(b), dense)
     assert same(sol.factor.solve(b), dense)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, n_transformers, n_blocks",
+    [(4, 6, 7, 1), (4, 6, 8, 1), (5, 6, 2, 2)],
+    ids=["31-buses", "32-buses-one-level-group", "32-buses-two-blocks"],
+)
+def test_one_block_is_in_natural_order_however_it_is_reached(rows, cols, n_transformers, n_blocks):
+    # 31 non-slack buses are too few for two blocks of BLOCK_ROWS rows. Of
+    # two 32-bus networks, the levels of one never leave BLOCK_ROWS rows
+    # for a second block, those of the other split into two. One block is
+    # the Jacobian's rows in natural order, solved dense like
+    # np.linalg.solve; a level-ordered one block would solve a permuted
+    # system, and that flow collapses.
+    spec = SynthSpec(n_transformers=n_transformers, grid_rows=rows, grid_cols=cols, n_loads=12, n_dgs=3)
+    sol = solve_power_flow(generate_synthetic_network(spec), tolerance=1e-10)
+    n1 = len(sol.grid.non_slack_pos)
+    assert sol.converged and n1 == rows * cols + n_transformers
+    blocks = sol.grid.blocks
+    assert len(blocks) == n_blocks and min(map(len, blocks)) >= powerflow.BLOCK_ROWS
+    assert (sol.factor.dense is not None) == (n_blocks == 1)
+    if n_blocks == 1:
+        assert same(blocks[0], np.arange(2 * n1))
+        b = np.linspace(-1.0, 1.0, 2 * n1)
+        assert same(sol.factor.solve(b), np.linalg.solve(jacobian_at(sol), b))
 
 
 @pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
@@ -481,13 +508,13 @@ def test_singular_diagonal_block_raises_when_the_factor_is_built(make):
 def test_each_block_is_inverted_by_halves_of_its_buses():
     # A block lists the P then Q rows of the first half of its buses, then
     # those of the second, and its inverse is formed from the inverses of
-    # those two halves: each D'_k^-1 against np.linalg.inv of D'_k. The
-    # first two of ladder238's blocks hold 43 and 39 buses, so a half is
-    # one bus short of the other.
+    # those two halves: each D'_k^-1 against np.linalg.inv of D'_k. Five
+    # of ladder238's blocks hold an odd number of buses (21, 25 and 19),
+    # so a half is one bus short of the other.
     sol = solve_power_flow(ladder238(), tolerance=1e-10)
     grid, factor = sol.grid, sol.factor
     n1 = len(grid.non_slack_pos)
-    assert [len(b) // 2 for b in grid.blocks] == [43, 39, 47, 44, 64]
+    assert [len(b) // 2 for b in grid.blocks] == [21, 24, 25, 16, 21, 24, 21, 20, 22, 19, 24]
     d, l, _ = grid.jacobian_blocks(sol.v_mag, sol.v_ang)
     for k, rows in enumerate(grid.blocks):
         h = 2 * (len(rows) // 4)
@@ -607,11 +634,16 @@ def test_pattern_blocks_and_levels_match_the_dense_ybus(net):
     assert same(ns[grid.pattern[0]], rows[kept]) and same(ns[grid.pattern[1]], cols[kept])
     assert same(grid.y_at, values[kept])
     assert all(map(same, grid.pattern, ybus_pattern(ybus, ns)))
-    expected = frontier_blocks(ybus, grid.slack_index, ns)
+    expected = frontier_blocks(ybus, grid.slack_index, ns, grid.bus_ids)
     assert len(grid.blocks) == len(expected) and all(map(same, grid.blocks, expected))
-    level = frontier_levels(ybus, grid.slack_index)
-    reached = {grid.bus_ids[i]: int(k) for i, k in enumerate(level) if k >= 0}
+
+    def by_id(level):
+        return {grid.bus_ids[i]: int(k) for i, k in enumerate(level) if k >= 0}
+
+    reached = by_id(frontier_levels(ybus, grid.slack_index))
     assert levels(near, net.slack_bus.id) == reached
+    root = frontier_root(ybus, grid.slack_index, grid.bus_ids)
+    assert peripheral_levels(near, net.slack_bus.id) == by_id(frontier_levels(ybus, root))
     codes = {v.code for v in validate_network(net)}
     assert codes == ({"disconnected"} if len(reached) < len(net.buses) else set())
 

@@ -207,10 +207,10 @@ def test_columns_match_the_inverse_at_any_load(scale, mode):
 
 
 def test_singular_jacobian_raises(monkeypatch):
-    # One block (synth30) and three (synth153): a zero Jacobian raises, it
+    # One block (synth30) and eight (synth153): a zero Jacobian raises, it
     # never yields NaN columns.
     cases = [(net, compute_sensitivity_matrix(net, solved(net))) for net in (synth30(), synth153())]
-    assert [len(sens.pf.grid.blocks) for _, sens in cases] == [1, 3]
+    assert [len(sens.pf.grid.blocks) for _, sens in cases] == [1, 8]
     singular_kept_factors(monkeypatch)
     for net, sens in cases:
         for mode in MODES:
