@@ -160,9 +160,15 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ),
     (
         "src/gridcomm/powerflow.py",
-        "if len(cuts) < 2:",
-        "if len(cuts) < 1:",
-        "levels that make one block keep their level order, and the dense solve reads them permuted",
+        "for g in map(np.sort, groups)]",
+        "for g in groups]",
+        "a block's buses keep their level order, and one such block is solved dense as if in natural order",
+    ),
+    (
+        "src/gridcomm/powerflow.py",
+        "dk - lk @ self.x[-1]",
+        "dk + lk @ self.x[-1]",
+        "the block-Thomas factor adds the Schur update to D_(k+1) instead of taking it off",
     ),
 ]
 

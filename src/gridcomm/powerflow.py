@@ -48,37 +48,15 @@ Computations, 4.5):
 
     D'_1 = D_1,   X_k = D'_k^-1 U_k,   D'_(k+1) = D_(k+1) - L_(k+1) X_k.
 
-The factor (``BlockLU``) keeps each D'_k^-1 with the L_k and the X_k. A
+The factor (``BlockLU``) keeps each D'_k^-1, one ``np.linalg.inv`` (LU
+with partial pivoting over the whole block), with the L_k and the X_k. A
 right-hand side b is then solved by matrix products only: z_1 = D'_1^-1
 b_1, z_(k+1) = D'_(k+1)^-1 (b_(k+1) - L_(k+1) z_k), and the back sweep
 x_K = z_K, x_k = z_k - X_k x_(k+1). At 238 buses, one BLAS thread, the
-inverses cost about as much to form as per-block LU factors (0.55-0.65 ms
-against 0.52-0.63 ms for scipy's lu_factor and lu_solve), and a solve
-against them far less (one vector 0.04-0.05 against 0.14-0.15 ms, 24
-columns 0.12-0.14 against 0.36-0.40 ms), so they pay wherever a factor is
-solved more than once.
-
-Each D'_k^-1 is block elimination once more, one level down
-(``_inverse``): split between the first and the second half of its
-block's buses as [[A, B], [C, D]], it is assembled from A^-1 and the
-inverse of the Schur complement S = D - C A^-1 B by the Banachiewicz
-formula,
-
-    [A^-1 + A^-1 B S^-1 C A^-1    -A^-1 B S^-1]
-    [-S^-1 C A^-1                  S^-1       ],
-
-without pivoting between the halves (on its stability, Demmel, Higham &
-Schreiber, Numer. Linear Algebra Appl. 2(2), 1995). ``np.linalg.inv``
-runs at a fraction of a matrix product's rate, the more so the larger the
-block: over the 417-bus ladder's 15 blocks (34 to 96 rows) two half-size
-inverses and six products take 1.25-1.46 ms against 1.45-1.73 ms for one
-``np.linalg.inv`` of each block, over the 238-bus ladder's 11 blocks (32
-to 50 rows) about as long (0.55-0.65 against 0.56-0.58 ms; one BLAS
-thread, three passes). The halves run between buses,
-each bus's P and Q rows on one side, not between the P and the Q rows:
-with every lattice branch at x = 0, which is a valid network, dP/dtheta
-is zero on the lattice buses at the flat start, so a P/Q half is
-singular where the block is not.
+inverses cost as much to form as per-block LU factors (scipy's lu_factor
+and lu_solve, within 1%), and a solve against them about a third as
+much (one vector or 24 columns), so they pay wherever a factor is solved
+more than once.
 
 Newton's method with a frozen Jacobian, the chord or Shamanskii method
 (Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003; for
@@ -176,15 +154,12 @@ MAX_ITER = 50  # steps, chord or full, before a solve is declared unconverged
 # and steps, 0.1 makes more factorizations (see CHANGES.md).
 CHORD_RATIO = 0.25
 # Fewest Jacobian rows per block. Measured per factor at the solved point,
-# one BLAS thread, over levels from the pseudo-peripheral bus (best of 7,
-# one pass each): 32 rows take 0.77 ms on the 238-bus ladder and 1.71 ms
-# on the 417-bus one, against 0.83 and 1.87 ms at 24 rows, 0.95 and 1.92
-# at 48 and 1.13 and 1.91 at 64; below that the per-block numpy calls
-# outweigh the flops saved (8-row blocks cost 3.5x one dense solve of 58
-# rows), and a network of fewer non-slack buses stays one dense solve, bit
-# for bit np.linalg.solve. Smaller blocks make a solve sweep more of them:
-# one vector takes 0.049 ms at 32 rows against 0.040 at 64 on the 238-bus
-# ladder.
+# one BLAS thread, over levels from the pseudo-peripheral bus (best of 21
+# interleaved runs): 24 rows are within 7% of 32 on the 238- and the
+# 417-bus ladder, and 48 or 64 rows take 27-81% longer. A network of fewer
+# non-slack buses stays one dense solve, bit for bit np.linalg.solve.
+# Smaller blocks make a solve sweep more of them: one vector takes 0.063 ms
+# at 32 rows against 0.048 at 64 on the 238-bus ladder.
 BLOCK_ROWS = 32
 
 
@@ -446,9 +421,8 @@ def _blocks(net: NetworkModel, slack_id: int, bus_ids: list[int], ns: np.ndarray
     component (``peripheral_levels``), consecutive levels merged until a
     block has BLOCK_ROWS rows, a short last group joining the block before
     it. A bus the slack does not reach (an invalid network) forms a level
-    after the last. Of several blocks, each lists the P then the Q rows of
-    the first half of its sorted buses, then those of the second half: the
-    two halves ``_inverse`` splits it into. One block is in natural order."""
+    after the last. Each block lists the P rows of its buses in bus order,
+    then their Q rows, so one block is in natural order."""
     if len(ns) < BLOCK_ROWS:  # too few rows for two blocks
         return [np.arange(2 * len(ns))]
     level_of = peripheral_levels(adjacency(net), slack_id)
@@ -459,11 +433,8 @@ def _blocks(net: NetworkModel, slack_id: int, bus_ids: list[int], ns: np.ndarray
         if 2 * (end - start) >= BLOCK_ROWS:
             cuts.append(end)
             start = end
-    if len(cuts) < 2:  # the levels make one block, kept in natural order
-        return [np.arange(2 * len(ns))]
     groups = np.split(np.argsort(level, kind="stable"), cuts[:-1])  # the last takes any short rest
-    halves = (np.split(g, [len(g) // 2]) for g in map(np.sort, groups))
-    return [np.concatenate([g1, g1 + len(ns), g2, g2 + len(ns)]) for g1, g2 in halves]
+    return [np.concatenate([g, g + len(ns)]) for g in map(np.sort, groups)]
 
 
 def _layout(blocks: list[np.ndarray], pattern: tuple, n1: int) -> tuple[np.ndarray, tuple, int]:
@@ -505,34 +476,16 @@ def _back_sweep(blocks: list[np.ndarray], xs: list, zs: list, shape: tuple) -> n
     return out
 
 
-def _inverse(m: np.ndarray) -> np.ndarray:
-    """The inverse of m by the Banachiewicz formula (module docstring), from
-    A^-1, A the leading h = 2 * (len(m) // 4) rows and columns (the P and Q
-    rows of the first half of a block's buses, ``_blocks``), and S^-1, S
-    = D - C A^-1 B; LinAlgError if A or S is singular."""
-    h = 2 * (len(m) // 4)
-    a_inv = np.linalg.inv(m[:h, :h])
-    a_inv_b = a_inv @ m[:h, h:]
-    c_a_inv = m[h:, :h] @ a_inv
-    s_inv = np.linalg.inv(m[h:, h:] - m[h:, :h] @ a_inv_b)
-    out = np.empty_like(m)
-    out[:h, h:] = -a_inv_b @ s_inv
-    out[h:, :h] = -s_inv @ c_a_inv
-    out[:h, :h] = a_inv - out[:h, h:] @ c_a_inv
-    out[h:, h:] = s_inv
-    return out
-
-
 class BlockLU:
     """Block-Thomas factor of a block-tridiagonal matrix (module docstring)
     over diagonal blocks d (D_k), the blocks below them l (L_k, k >= 2) and
     above them u (U_k, k < last), blocks the matrix rows of each. It keeps
-    the inverses D'_k^-1 (inv, each by ``_inverse``), the L_k (l) and the
-    X_k (x), compact numpy arrays, never views of the blocks given, so a
-    solve is matrix products only; LinAlgError here if a D'_k, or a half
-    ``_inverse`` inverts, is singular. One block keeps the
-    matrix itself (dense) and solves it by np.linalg.solve, which raises
-    LinAlgError at the solve if it is singular.
+    the inverses D'_k^-1 (inv, each one np.linalg.inv), the L_k (l) and
+    the X_k (x), compact numpy arrays, never views of the blocks given, so
+    a solve is matrix products only; LinAlgError here only if a D'_k is
+    singular. One block keeps the matrix itself (dense) and solves it by
+    np.linalg.solve, which raises LinAlgError at the solve if it is
+    singular.
     """
 
     def __init__(self, blocks: list[np.ndarray], d: list, l: list, u: list):
@@ -542,10 +495,10 @@ class BlockLU:
         if len(blocks) == 1:
             self.dense = d[0].copy()
             return
-        self.inv.append(_inverse(d[0]))
+        self.inv.append(np.linalg.inv(d[0]))
         for dk, lk, uk in zip(d[1:], l, u):
             self.x.append(self.inv[-1] @ uk)
-            self.inv.append(_inverse(dk - lk @ self.x[-1]))
+            self.inv.append(np.linalg.inv(dk - lk @ self.x[-1]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with matrix @ x = b, for a vector or a matrix of columns b."""

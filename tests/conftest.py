@@ -161,10 +161,9 @@ def frontier_blocks(ybus: np.ndarray, slack_index: int, ns: np.ndarray, bus_ids:
     """The Jacobian rows of each diagonal block, from frontier_levels over
     the dense Y-bus rooted at frontier_root: consecutive levels merged
     until a block has BLOCK_ROWS rows, a short last group joining the
-    block before it, unreached buses a level after the last. Of several
-    blocks, each lists the P then the Q rows of the first half of its
-    sorted buses, then those of the second half. One block, however the
-    levels fall, is in natural order."""
+    block before it, unreached buses a level after the last. Each block
+    lists the P rows of its sorted buses, then their Q rows, so one block,
+    however the levels fall, is in natural order."""
     if len(ns) < powerflow.BLOCK_ROWS:
         return [np.arange(2 * len(ns))]
     level = frontier_levels(ybus, frontier_root(ybus, slack_index, bus_ids))
@@ -176,13 +175,7 @@ def frontier_blocks(ybus: np.ndarray, slack_index: int, ns: np.ndarray, bus_ids:
             cuts.append(end)
             start = end
     groups = np.split(np.argsort(level, kind="stable"), cuts[:-1])
-    if len(groups) == 1:
-        return [np.arange(2 * len(ns))]
-    blocks = []
-    for g in map(np.sort, groups):
-        first, second = g[: len(g) // 2], g[len(g) // 2 :]
-        blocks.append(np.concatenate([first, first + len(ns), second, second + len(ns)]))
-    return blocks
+    return [np.concatenate([g, g + len(ns)]) for g in map(np.sort, groups)]
 
 
 def jacobian_at(sol: PowerFlowSolution) -> np.ndarray:

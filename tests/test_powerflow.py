@@ -505,26 +505,36 @@ def test_singular_diagonal_block_raises_when_the_factor_is_built(make):
         sliced_block_lu(np.zeros((n, n)), blocks)
 
 
-def test_each_block_is_inverted_by_halves_of_its_buses():
-    # A block lists the P then Q rows of the first half of its buses, then
-    # those of the second, and its inverse is formed from the inverses of
-    # those two halves: each D'_k^-1 against np.linalg.inv of D'_k. Five
-    # of ladder238's blocks hold an odd number of buses (21, 25 and 19),
-    # so a half is one bus short of the other.
+def test_each_block_lists_its_buses_p_rows_then_q_rows():
+    # A block lists the P rows of its buses in bus order, then their Q
+    # rows, and each D'_k^-1 is np.linalg.inv of D'_k. ladder238 has 11
+    # blocks.
     sol = solve_power_flow(ladder238(), tolerance=1e-10)
     grid, factor = sol.grid, sol.factor
     n1 = len(grid.non_slack_pos)
     assert [len(b) // 2 for b in grid.blocks] == [21, 24, 25, 16, 21, 24, 21, 20, 22, 19, 24]
     d, l, _ = grid.jacobian_blocks(sol.v_mag, sol.v_ang)
     for k, rows in enumerate(grid.blocks):
-        h = 2 * (len(rows) // 4)
-        for half in (rows[:h], rows[h:]):
-            p, q = np.split(half, 2)
-            assert np.all(p < n1) and same(q - n1, p)  # one bus set's P rows, then its Q rows
-        assert set(rows[:h] % n1).isdisjoint(rows[h:] % n1)
+        p, q = np.split(rows, 2)
+        assert np.all(np.diff(p) > 0) and np.all(p < n1) and same(q, p + n1)
         d_prime = d[k] - l[k - 1] @ factor.x[k - 1] if k else d[k]
         oracle = np.linalg.inv(d_prime)
         assert np.max(np.abs(factor.inv[k] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_a_block_with_a_singular_leading_half_solves():
+    # The first diagonal block is nonsingular, but its leading 2 x 2 is
+    # zero: the factor pivots over the whole block, so it solves like
+    # np.linalg.solve instead of raising LinAlgError.
+    blocks = [np.arange(4), np.arange(4, 8)]
+    matrix = 8.0 * np.eye(8)
+    matrix[:4, :4] = np.eye(4)[[2, 3, 0, 1]]
+    matrix[4:, :4] = matrix[:4, 4:] = np.eye(4)
+    factor = sliced_block_lu(matrix, blocks)
+    b = np.random.default_rng(0).standard_normal((8, 3))
+    for rhs in (b[:, 0], b):
+        oracle = np.linalg.solve(matrix, rhs)
+        assert np.max(np.abs(factor.solve(rhs) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 def lattice_at_x0(make):
@@ -542,10 +552,11 @@ def lattice_at_x0(make):
 @pytest.mark.parametrize("make", LADDERS, ids=["synth153", "ladder238", "ladder417"])
 def test_a_lattice_of_resistive_branches_converges(make):
     # With every lattice branch at x = 0, dP/dtheta is zero on the lattice
-    # buses at the flat start: a block split between its P and Q rows would
-    # meet a singular half there. Split between buses, each bus's P and Q
-    # rows on one side, the solve converges, and its kept factor solves
-    # like np.linalg.solve of the dense Jacobian.
+    # buses at the flat start, so a block's P/Q half is singular there
+    # while the block is not. Each block is inverted whole; this guards
+    # against any split of a block that would bring such a half back. The
+    # solve converges, and its kept factor solves like np.linalg.solve of
+    # the dense Jacobian.
     sol = solve_power_flow(lattice_at_x0(make), tolerance=1e-10)
     assert sol.converged and len(sol.grid.blocks) >= 3
     jac = jacobian_at(sol)
